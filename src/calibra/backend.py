@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Optional, Protocol, Sequence
+from typing import Literal, Optional, Protocol, Sequence, TextIO
 
 import requests
 
@@ -172,40 +172,101 @@ class CacheEntry:
 class ResponseCache:
     """Append-only JSONL cache keyed by the canonical request hash.
 
-    Concurrent reads are lock-free once loaded; appends are serialized.
+    Concurrent reads are lock-free once loaded; appends are serialized and
+    go through one handle, opened on the first `put` and flushed after every
+    line, so another reader (or a run that crashes) sees each entry written.
+    A torn last line, left by a crash mid-write, is skipped on load and cut
+    off before the next append. The file has a single writer at a time.
+    `close` releases the handle.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, Completion] = {}
+        self._fh: Optional[TextIO] = None
+        # Byte offset of a torn last line, cut off before the first append.
+        self._torn_at: Optional[int] = None
+        # The last line is complete but has no newline; add one before appending.
+        self._unterminated = False
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = CacheEntry.from_dict(json.loads(line))
-                    self._entries[entry.request_hash] = entry.completion
+            self._load()
+
+    def _load(self) -> None:
+        offset = 0
+        last = b""
+        # (line number, byte offset, error) of a line that did not parse;
+        # only the last non-blank line may be torn.
+        torn: Optional[tuple[int, int, ValueError]] = None
+        with self.path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                start, offset, last = offset, offset + len(line), line
+                if not line.strip():
+                    continue
+                if torn is not None:
+                    bad_lineno, _, exc = torn
+                    raise ValueError(
+                        f"{self.path}:{bad_lineno}: malformed cache line: {exc}"
+                    ) from exc
+                try:
+                    raw = json.loads(line)
+                except ValueError as exc:
+                    torn = (lineno, start, exc)
+                    continue
+                entry = CacheEntry.from_dict(raw)
+                self._entries[entry.request_hash] = entry.completion
+        if torn is not None:
+            bad_lineno, self._torn_at, _ = torn
+            logger.warning(
+                "%s:%d: skipping torn last cache line; the next write drops it",
+                self.path,
+                bad_lineno,
+            )
+        else:
+            self._unterminated = bool(last) and not last.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, request: CompletionRequest) -> Optional[Completion]:
-        return self._entries.get(request_hash(request))
+    def get(self, request: CompletionRequest, key: Optional[str] = None) -> Optional[Completion]:
+        """Cached completion for `request`; `key` is its `request_hash` if known."""
+        return self._entries.get(key or request_hash(request))
 
-    def put(self, request: CompletionRequest, completion: Completion) -> None:
-        key = request_hash(request)
+    def put(
+        self, request: CompletionRequest, completion: Completion, key: Optional[str] = None
+    ) -> None:
+        """Record `completion` unless `request` is cached; `key` as in `get`."""
+        key = key or request_hash(request)
         entry = CacheEntry(
             request_hash=key, request=request, completion=completion, created_at=time.time()
         )
+        line = json.dumps(entry.to_dict(), sort_keys=True) + "\n"
         with self._lock:
             if key in self._entries:
                 return
             self._entries[key] = completion
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+            if self._fh is None:
+                self._fh = self._open_for_append()
+            self._fh.write(line)
+            self._fh.flush()
+
+    def _open_for_append(self) -> TextIO:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fh = self.path.open("a", encoding="utf-8")
+        if self._torn_at is not None:
+            fh.truncate(self._torn_at)
+            self._torn_at = None
+        elif self._unterminated:
+            fh.write("\n")
+            self._unterminated = False
+        return fh
+
+    def close(self) -> None:
+        """Close the append handle; safe to call more than once."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 def complete(
@@ -220,8 +281,10 @@ def complete(
     Malformed responses are surfaced immediately; only transport and
     rate-limit failures are retried, with exponential backoff.
     """
+    key = None
     if cache is not None:
-        hit = cache.get(request)
+        key = request_hash(request)
+        hit = cache.get(request, key=key)
         if hit is not None:
             return hit
     last_error: Optional[Exception] = None
@@ -238,7 +301,7 @@ def complete(
     else:
         raise TransportError(f"giving up after {max_attempts} attempts: {last_error}")
     if cache is not None:
-        cache.put(request, completion)
+        cache.put(request, completion, key=key)
     return completion
 
 

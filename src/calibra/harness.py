@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -259,7 +258,8 @@ def run_eval(
 
     Item-level work may run on a bounded worker pool; aggregation happens
     after all transcripts have landed, so worker count never affects the
-    report.
+    report. Each dataset's transcripts are written in (strategy, item)
+    order once its evaluations are done, for the same reason.
     """
     if backend is None:
         backend = build_backend(config)
@@ -275,19 +275,10 @@ def run_eval(
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
-    transcripts_lock = threading.Lock()
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         transcripts_path = out_dir / "transcripts.jsonl"
         transcripts_path.write_text("", encoding="utf-8")
-
-    def persist(transcript: Transcript) -> None:
-        if transcripts_path is None:
-            return
-        line = json.dumps(transcript.to_dict(), sort_keys=True)
-        with transcripts_lock:
-            with transcripts_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
 
     def evaluate(item: QAItem, strategy_id: str) -> tuple[EvalRecord, Transcript]:
         try:
@@ -304,7 +295,6 @@ def run_eval(
             raise RuntimeError(
                 f"evaluation failed for item {item.id!r}, strategy {strategy_id!r}: {exc}"
             ) from exc
-        persist(transcript)
         concern, _ = detect_concern(transcript.final_answer.raw_text, lexicon)
         record = EvalRecord(
             item_id=item.id,
@@ -316,72 +306,82 @@ def run_eval(
         return record, transcript
 
     dataset_blocks: list[dict] = []
-    for ds_path in config.dataset_path:
-        items = load_dataset(ds_path)
-        if not items:
-            raise DataError(f"dataset {ds_path} is empty")
-        tasks = [(item, sid) for sid in config.strategy_ids for item in items]
-        results: dict[tuple[str, str], tuple[EvalRecord, Transcript]] = {}
-        if config.worker_count == 1:
-            for item, sid in tasks:
-                results[(sid, item.id)] = evaluate(item, sid)
-        else:
-            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                futures = {
-                    pool.submit(evaluate, item, sid): (sid, item.id) for item, sid in tasks
-                }
-                for future, key in futures.items():
-                    results[key] = future.result()
+    try:
+        for ds_path in config.dataset_path:
+            items = load_dataset(ds_path)
+            if not items:
+                raise DataError(f"dataset {ds_path} is empty")
+            tasks = [(item, sid) for sid in config.strategy_ids for item in items]
+            results: dict[tuple[str, str], tuple[EvalRecord, Transcript]] = {}
+            if config.worker_count == 1:
+                for item, sid in tasks:
+                    results[(sid, item.id)] = evaluate(item, sid)
+            else:
+                with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+                    futures = {
+                        pool.submit(evaluate, item, sid): (sid, item.id) for item, sid in tasks
+                    }
+                    for future, key in futures.items():
+                        results[key] = future.result()
+            if transcripts_path is not None:
+                with transcripts_path.open("a", encoding="utf-8") as fh:
+                    for sid in config.strategy_ids:
+                        for item in items:
+                            transcript = results[(sid, item.id)][1]
+                            fh.write(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
 
-        block: dict = {"path": str(ds_path), "n_items": len(items), "strategies": {}}
-        records_out: list[dict] = []
-        ece_rows: list[dict] = []
-        macro_rows: list[dict] = []
-        for sid in config.strategy_ids:
-            records = [results[(sid, item.id)][0] for item in items]
-            transcripts = [results[(sid, item.id)][1] for item in items]
-            strat_block: dict = {
-                "accuracy": sum(r.correct for r in records) / len(records),
-                "concern_rate": concern_rate(transcripts, lexicon),
-                "extractions": {},
+            block: dict = {"path": str(ds_path), "n_items": len(items), "strategies": {}}
+            records_out: list[dict] = []
+            ece_rows: list[dict] = []
+            macro_rows: list[dict] = []
+            for sid in config.strategy_ids:
+                records = [results[(sid, item.id)][0] for item in items]
+                transcripts = [results[(sid, item.id)][1] for item in items]
+                strat_block: dict = {
+                    "accuracy": sum(r.correct for r in records) / len(records),
+                    "concern_rate": concern_rate(transcripts, lexicon),
+                    "extractions": {},
+                }
+                ece_row: dict = {}
+                macro_row: dict = {}
+                for method in config.extraction_method_ids:
+                    summary = cal.summarize(records, method, config.num_buckets)
+                    confs = [r.confidence(method) for r in records]
+                    curves = {
+                        "histogram": cal.distribution_curve(
+                            confs, "histogram", config.num_buckets
+                        ).to_dict(),
+                        "kde": cal.distribution_curve(
+                            confs, "kde", config.kde_grid_size
+                        ).to_dict(),
+                    }
+                    entry = summary.to_dict()
+                    entry["curves"] = curves
+                    strat_block["extractions"][method] = entry
+                    ece_row[method] = summary.ece
+                    macro_row[method] = summary.macro_ce
+                block["strategies"][sid] = strat_block
+                ece_rows.append(ece_row)
+                macro_rows.append(macro_row)
+                records_out.extend(
+                    {
+                        "item_id": r.item_id,
+                        "strategy_id": r.strategy_id,
+                        "correct": r.correct,
+                        "concern": r.concern,
+                        "confidences": dict(sorted(r.confidences.items())),
+                    }
+                    for r in records
+                )
+            block["wins"] = {
+                "ece": cal.wins_table(ece_rows),
+                "macro_ce": cal.wins_table(macro_rows),
             }
-            ece_row: dict = {}
-            macro_row: dict = {}
-            for method in config.extraction_method_ids:
-                summary = cal.summarize(records, method, config.num_buckets)
-                confs = [r.confidence(method) for r in records]
-                curves = {
-                    "histogram": cal.distribution_curve(
-                        confs, "histogram", config.num_buckets
-                    ).to_dict(),
-                    "kde": cal.distribution_curve(
-                        confs, "kde", config.kde_grid_size
-                    ).to_dict(),
-                }
-                entry = summary.to_dict()
-                entry["curves"] = curves
-                strat_block["extractions"][method] = entry
-                ece_row[method] = summary.ece
-                macro_row[method] = summary.macro_ce
-            block["strategies"][sid] = strat_block
-            ece_rows.append(ece_row)
-            macro_rows.append(macro_row)
-            records_out.extend(
-                {
-                    "item_id": r.item_id,
-                    "strategy_id": r.strategy_id,
-                    "correct": r.correct,
-                    "concern": r.concern,
-                    "confidences": dict(sorted(r.confidences.items())),
-                }
-                for r in records
-            )
-        block["wins"] = {
-            "ece": cal.wins_table(ece_rows),
-            "macro_ce": cal.wins_table(macro_rows),
-        }
-        block["records"] = records_out
-        dataset_blocks.append(block)
+            block["records"] = records_out
+            dataset_blocks.append(block)
+    finally:
+        if cache is not None:
+            cache.close()
 
     macro_block: Optional[dict] = None
     if len(dataset_blocks) >= 2:

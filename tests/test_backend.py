@@ -1,9 +1,11 @@
 import json
+import logging
 import math
 import threading
 
 import pytest
 
+from calibra import backend as backend_module
 from calibra.backend import (
     CacheEntry,
     CapabilityError,
@@ -176,6 +178,76 @@ class TestCache:
         assert fresh.get(request) is not None
         complete(backend, request, cache=fresh)
         assert backend.call_count == 1
+
+    def test_each_put_visible_while_writer_open(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        writer = ResponseCache(path)
+        request = CompletionRequest(prompt="p")
+        complete(mock_from_script({"p": "True"}), request, cache=writer)
+        assert ResponseCache(path).get(request) is not None
+        writer.close()
+
+    def test_complete_hashes_each_request_once(self, tmp_path, monkeypatch):
+        hashed = []
+        original = backend_module.request_hash
+        monkeypatch.setattr(
+            backend_module, "request_hash", lambda r: hashed.append(r) or original(r)
+        )
+        backend = mock_from_script({"p": "True"})
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        request = CompletionRequest(prompt="p")
+        complete(backend, request, cache=cache)  # miss, then put
+        assert hashed == [request]
+        complete(backend, request, cache=cache)  # hit
+        assert hashed == [request, request]
+        assert backend.call_count == 1
+        cache.close()
+
+    def test_close_is_idempotent(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache.close()  # never opened
+        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        cache.close()
+        cache.close()
+        assert len(ResponseCache(tmp_path / "cache.jsonl")) == 1
+
+    @pytest.mark.parametrize("tail", ["torn", "unterminated"])
+    def test_append_after_damaged_tail_keeps_every_entry(self, tmp_path, caplog, tail):
+        path = tmp_path / "cache.jsonl"
+        backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        first = ResponseCache(path)
+        for prompt in "ab":
+            complete(backend, CompletionRequest(prompt=prompt), cache=first)
+        first.close()
+        text = path.read_text(encoding="utf-8")
+        if tail == "torn":
+            text += text.splitlines()[0][:40]  # a crash in the middle of a third line
+        else:
+            text = text.rstrip("\n")
+        path.write_text(text, encoding="utf-8")
+
+        with caplog.at_level(logging.WARNING, logger="calibra.backend"):
+            damaged = ResponseCache(path)
+        assert len(damaged) == 2
+        assert (str(path) in caplog.text) == (tail == "torn")
+        complete(backend, CompletionRequest(prompt="c"), cache=damaged)
+        damaged.close()
+
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert set(json.loads(line)) == {"request_hash", "request", "completion", "created_at"}
+        reloaded = ResponseCache(path)
+        assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
+
+    def test_malformed_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        cache.close()
+        path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        with pytest.raises(ValueError, match="cache.jsonl:1"):
+            ResponseCache(path)
 
 
 class FlakyBackend:

@@ -1,8 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from calibra import harness
 from calibra import metrics as cal
 from calibra.harness import (
     ConfigError,
@@ -13,7 +15,7 @@ from calibra.harness import (
     run_eval,
     sweep,
 )
-from calibra.backend import mock_from_script
+from calibra.backend import ResponseCache, ScriptError, load_mock_script, mock_from_script
 from conftest import E2E_ITEMS, build_script
 
 
@@ -89,6 +91,68 @@ class TestRunEval:
         report_a = (tmp_path / "a/out/report.json").read_bytes()
         report_b = (tmp_path / "b/out/report.json").read_bytes()
         assert report_a == report_b
+
+    def test_every_output_byte_identical_across_worker_counts(
+        self, e2e_dataset, e2e_script, tmp_path
+    ):
+        scripted = load_mock_script(e2e_script)
+
+        class FirstItemLast:
+            """Slows q1's calls so that, with several workers, q1 finishes last."""
+
+            def complete(self, request):
+                if E2E_ITEMS[0].question in request.prompt:
+                    time.sleep(0.02)
+                return scripted.complete(request)
+
+        trees = []
+        for workers in (1, 4):
+            out = tmp_path / f"workers_{workers}"
+            config = e2e_config(e2e_dataset, e2e_script, tmp_path, worker_count=workers,
+                                out_dir=str(out))
+            run_eval(config, backend=FirstItemLast())
+            trees.append({
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "run_meta.json"
+            })
+        assert {"report.json", "records.jsonl", "metrics.csv", "transcripts.jsonl"} <= set(trees[0])
+        assert any(name.startswith("curves/") for name in trees[0])
+        assert trees[0] == trees[1]
+
+    def test_cache_handle_closed_after_success_and_failure(
+        self, e2e_dataset, e2e_script, tmp_path, monkeypatch
+    ):
+        handles = []
+
+        class RecordingCache(ResponseCache):
+            def _open_for_append(self):
+                handles.append(super()._open_for_append())
+                return handles[-1]
+
+        monkeypatch.setattr(harness, "ResponseCache", RecordingCache)
+        scripted = load_mock_script(e2e_script)
+
+        class FailsOnThirdCall:
+            calls = 0
+
+            def complete(self, request):
+                self.calls += 1
+                if self.calls == 3:
+                    raise ScriptError("scripted failure")
+                return scripted.complete(request)
+
+        run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path,
+                            cache_path=str(tmp_path / "ok.jsonl")))
+        with pytest.raises(RuntimeError, match="scripted failure"):
+            run_eval(
+                e2e_config(e2e_dataset, e2e_script, tmp_path,
+                           cache_path=str(tmp_path / "failed.jsonl")),
+                backend=FailsOnThirdCall(),
+            )
+        assert len(handles) == 2
+        assert all(fh.closed for fh in handles)
+        assert len(ResponseCache(tmp_path / "failed.jsonl")) == 2
 
     def test_concern_flag_on_far_answer(self, e2e_dataset, e2e_script, tmp_path):
         report = run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path))
@@ -211,7 +275,7 @@ class TestEmitReport:
                     points = entry["curves"]["kde"]["points"]
                     xs = [p[0] for p in points]
                     ys = [p[1] for p in points]
-                    integral = getattr(np, "trapezoid", np.trapz)(ys, xs)
+                    integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
                     assert abs(integral - 1.0) <= 1e-3
 
 
