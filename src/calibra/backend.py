@@ -35,7 +35,7 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Retryable network or rate-limit failure."""
+    """Retryable network, rate-limit (429) or server (5xx) failure."""
 
 
 class MalformedResponseError(BackendError):
@@ -50,6 +50,24 @@ class ScriptError(BackendError):
     """Mock script construction or lookup failure."""
 
 
+# request_hash's canonical form; changing it changes every cache key.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# One JSON object per line, keys sorted: the line format of the response
+# cache, transcripts.jsonl and records.jsonl. Encoders are reentrant, so
+# threads share these.
+LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int) -> None:
+    """Range checks for a request's fields, whether built or read from a cache line."""
+    if max_tokens < 1:
+        raise ValueError("max_tokens must be >= 1")
+    if temperature < 0:
+        raise ValueError("temperature must be >= 0")
+    if not 0 <= top_logprobs <= 5:
+        raise ValueError("top_logprobs must be in [0, 5]")
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -60,12 +78,7 @@ class CompletionRequest:
     stop: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 <= self.top_logprobs <= 5:
-            raise ValueError("top_logprobs must be in [0, 5]")
+        _check_request_fields(self.max_tokens, self.temperature, self.top_logprobs)
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
 
@@ -106,10 +119,26 @@ class Completion:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
         object.__setattr__(self, "top_logprobs", tuple(dict(m) for m in self.top_logprobs))
+        self._check_aligned()
+
+    def _check_aligned(self) -> None:
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, copy: bool = True) -> dict:
+        """The fields as plain JSON values, in fresh lists and dicts.
+
+        With `copy=False` the result shares this completion's tuples and
+        dicts, which encode to the same JSON; it is for encoding only.
+        """
+        if not copy:
+            return {
+                "text": self.text,
+                "tokens": self.tokens,
+                "token_logprobs": self.token_logprobs,
+                "top_logprobs": self.top_logprobs,
+                "finish_reason": self.finish_reason,
+            }
         return {
             "text": self.text,
             "tokens": list(self.tokens),
@@ -120,13 +149,23 @@ class Completion:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Completion":
-        return cls(
+        """Build from freshly decoded JSON, taking over its `top_logprobs` dicts.
+
+        The caller must not keep or mutate `d`'s dicts: unlike the
+        constructor, this does not copy them.
+        """
+        completion = object.__new__(cls)
+        # The fields of a frozen dataclass live in its __dict__; fill that
+        # directly, skipping __init__ and __post_init__.
+        completion.__dict__.update(
             text=d["text"],
             tokens=tuple(d["tokens"]),
             token_logprobs=tuple(d["token_logprobs"]),
             top_logprobs=tuple(d["top_logprobs"]),
             finish_reason=d.get("finish_reason", "stop"),
         )
+        completion._check_aligned()
+        return completion
 
 
 class Backend(Protocol):
@@ -140,7 +179,7 @@ def tokenize(text: str) -> list[str]:
 
 def request_hash(request: CompletionRequest) -> str:
     """Stable hex digest of the canonical request serialization."""
-    canonical = json.dumps(request.to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = _CANONICAL_ENCODER.encode(request.to_dict())
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -151,11 +190,12 @@ class CacheEntry:
     completion: Completion
     created_at: float
 
-    def to_dict(self) -> dict:
+    def to_dict(self, copy: bool = True) -> dict:
+        """One cache line as plain JSON values; `copy` as in `Completion.to_dict`."""
         return {
             "request_hash": self.request_hash,
             "request": self.request.to_dict(),
-            "completion": self.completion.to_dict(),
+            "completion": self.completion.to_dict(copy),
             "created_at": self.created_at,
         }
 
@@ -169,15 +209,33 @@ class CacheEntry:
         )
 
 
+_LINE_KEYS = ("request_hash", "request", "completion", "created_at")
+
+
+def _read_line(raw: dict) -> tuple[str, Completion]:
+    """Key and completion of a decoded cache line, checked as `CacheEntry.from_dict` would."""
+    for name in _LINE_KEYS:
+        if name not in raw:
+            raise KeyError(name)
+    request = raw["request"]
+    if "prompt" not in request:
+        raise KeyError("prompt")
+    _check_request_fields(
+        request["max_tokens"], request["temperature"], request.get("top_logprobs", 0)
+    )
+    return raw["request_hash"], Completion.from_dict(raw["completion"])
+
+
 class ResponseCache:
     """Append-only JSONL cache keyed by the canonical request hash.
 
     Concurrent reads are lock-free once loaded; appends are serialized and
     go through one handle, opened on the first `put` and flushed after every
     line, so another reader (or a run that crashes) sees each entry written.
-    A torn last line, left by a crash mid-write, is skipped on load and cut
-    off before the next append. The file has a single writer at a time.
-    `close` releases the handle.
+    Load checks each line's keys, request fields and token alignment, and
+    names `file:line` for a line that fails. A torn last line, left by a
+    crash mid-write, is skipped on load and cut off before the next append.
+    The file has a single writer at a time. `close` releases the handle.
     """
 
     def __init__(self, path: str | Path):
@@ -209,12 +267,20 @@ class ResponseCache:
                         f"{self.path}:{bad_lineno}: malformed cache line: {exc}"
                     ) from exc
                 try:
-                    raw = json.loads(line)
+                    # Decoding first skips json.loads' encoding detection;
+                    # cache lines are UTF-8.
+                    raw = json.loads(line.decode("utf-8"))
                 except ValueError as exc:
                     torn = (lineno, start, exc)
                     continue
-                entry = CacheEntry.from_dict(raw)
-                self._entries[entry.request_hash] = entry.completion
+                try:
+                    key, completion = _read_line(raw)
+                except (KeyError, TypeError, ValueError) as exc:
+                    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(
+                        f"{self.path}:{lineno}: invalid cache line: {detail}"
+                    ) from exc
+                self._entries[key] = completion
         if torn is not None:
             bad_lineno, self._torn_at, _ = torn
             logger.warning(
@@ -240,7 +306,7 @@ class ResponseCache:
         entry = CacheEntry(
             request_hash=key, request=request, completion=completion, created_at=time.time()
         )
-        line = json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+        line = LINE_ENCODER.encode(entry.to_dict(copy=False)) + "\n"
         with self._lock:
             if key in self._entries:
                 return
@@ -487,6 +553,8 @@ class HttpBackend:
         }
         if request.top_logprobs > 0:
             body["logprobs"] = request.top_logprobs
+        if request.seed is not None:
+            body["seed"] = request.seed
         if request.stop:
             body["stop"] = list(request.stop)
         return body
@@ -506,6 +574,8 @@ class HttpBackend:
             raise TransportError(str(exc)) from exc
         if resp.status_code == 429:
             raise TransportError(f"rate limited: {resp.text[:200]}")
+        if resp.status_code >= 500:
+            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         if not 200 <= resp.status_code < 300:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:
@@ -531,10 +601,13 @@ class HttpBackend:
         finish = choice.get("finish_reason", "stop")
         if finish not in ("stop", "length"):
             finish = "error"
-        return Completion(
-            text=text,
-            tokens=tokens,
-            token_logprobs=token_logprobs,
-            top_logprobs=top,
-            finish_reason=finish,
-        )
+        try:
+            return Completion(
+                text=text,
+                tokens=tokens,
+                token_logprobs=token_logprobs,
+                top_logprobs=top,
+                finish_reason=finish,
+            )
+        except (TypeError, ValueError) as exc:
+            raise MalformedResponseError(f"inconsistent logprobs: {exc}") from exc

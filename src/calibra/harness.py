@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from . import metrics as cal
-from .backend import Backend, HttpBackend, ResponseCache, load_mock_script
+from .backend import LINE_ENCODER, Backend, HttpBackend, ResponseCache, load_mock_script
 from .concern import ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, exact_match
 from .strategies import (
@@ -328,7 +328,7 @@ def run_eval(
                     for sid in config.strategy_ids:
                         for item in items:
                             transcript = results[(sid, item.id)][1]
-                            fh.write(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+                            fh.write(LINE_ENCODER.encode(transcript.to_dict(copy=False)) + "\n")
 
             block: dict = {"path": str(ds_path), "n_items": len(items), "strategies": {}}
             records_out: list[dict] = []
@@ -461,7 +461,7 @@ def emit_report(
         with records_path.open("w", encoding="utf-8") as fh:
             for block in report.datasets:
                 for row in block["records"]:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.write(LINE_ENCODER.encode(row) + "\n")
         written["records"] = records_path
         import time
 

@@ -78,13 +78,8 @@ class Transcript:
     final_answer: ExtractedAnswer
     vote_detail: Optional[VoteDetail] = None
 
-    @property
-    def final_context(self) -> str:
-        """Final-answer prompt plus the answer text; confidence probes append here."""
-        last = self.step_records[-1]
-        return f"{last.prompt} {last.completion.text}"
-
-    def to_dict(self) -> dict:
+    def to_dict(self, copy: bool = True) -> dict:
+        """One transcripts.jsonl row; `copy` as in `Completion.to_dict`."""
         d = {
             "item_id": self.item_id,
             "strategy_id": self.strategy_id,
@@ -92,7 +87,7 @@ class Transcript:
                 {
                     "step": rec.step_name,
                     "prompt": rec.prompt,
-                    "completion": rec.completion.to_dict(),
+                    "completion": rec.completion.to_dict(copy),
                 }
                 for rec in self.step_records
             ],

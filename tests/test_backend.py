@@ -7,6 +7,7 @@ import pytest
 
 from calibra import backend as backend_module
 from calibra.backend import (
+    BackendError,
     CacheEntry,
     CapabilityError,
     Completion,
@@ -47,6 +48,39 @@ class TestCompletion:
         with pytest.raises(ValueError):
             Completion(text="a", tokens=("a",), token_logprobs=(), top_logprobs=())
 
+    def test_to_dict_returns_fresh_lists_and_dicts(self):
+        completion = Completion(
+            text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
+        )
+        d = completion.to_dict()
+        assert d == {
+            "text": "True",
+            "tokens": ["True"],
+            "token_logprobs": [-0.5],
+            "top_logprobs": [{"True": -0.5}],
+            "finish_reason": "stop",
+        }
+        d["tokens"].append("x")
+        d["token_logprobs"].append(0.0)
+        d["top_logprobs"][0]["False"] = -9.0
+        d["top_logprobs"].append({})
+        assert completion.tokens == ("True",)
+        assert completion.token_logprobs == (-0.5,)
+        assert completion.top_logprobs == ({"True": -0.5},)
+
+    def test_from_dict_equals_constructed(self):
+        completion = Completion(
+            text="A b", tokens=("A ", "b"), token_logprobs=(-0.1, -0.2),
+            top_logprobs=({"A ": -0.1}, {"b": -0.2, "c": -3.0}), finish_reason="length",
+        )
+        assert Completion.from_dict(json.loads(json.dumps(completion.to_dict()))) == completion
+
+    def test_from_dict_rejects_misaligned_tokens(self):
+        with pytest.raises(ValueError, match="align"):
+            Completion.from_dict(
+                {"text": "a", "tokens": ["a"], "token_logprobs": [], "top_logprobs": []}
+            )
+
     def test_tokenize_concatenates(self):
         text = "False. There will  need\nto be further research."
         assert "".join(tokenize(text)) == text
@@ -57,6 +91,20 @@ class TestRequestHash:
         a = CompletionRequest(prompt="q", max_tokens=5, temperature=0.7)
         b = CompletionRequest(prompt="q", temperature=0.7, max_tokens=5)
         assert request_hash(a) == request_hash(b)
+
+    def test_digest_is_pinned(self):
+        # Existing cache files are keyed by these digests; a change to the
+        # canonical encoding would turn every entry into a miss.
+        request = CompletionRequest(
+            prompt="Q: Is the sky blue?\nA: ", max_tokens=16, temperature=0.7,
+            top_logprobs=5, seed=3, stop=("\n\n", "Q:"),
+        )
+        assert request_hash(request) == (
+            "66de4cd4c436e361e1065dd57c8ff8b0feff5edb201eee53049b310168567f56"
+        )
+        assert request_hash(CompletionRequest(prompt="caf\u00e9")) == (
+            "8d1628df0df39f00810c7ec7e8b36518e6aec2e65b25d4d0fcb8566336409be0"
+        )
 
     def test_differs_on_prompt(self):
         assert request_hash(CompletionRequest(prompt="a")) != request_hash(
@@ -240,6 +288,65 @@ class TestCache:
         reloaded = ResponseCache(path)
         assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
 
+    def test_put_line_is_the_cache_entry_json(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        request = CompletionRequest(prompt="Is it caf\u00e9?", seed=2, stop=("\n",), top_logprobs=2)
+        completion = Completion(
+            text="True \"yes\"", tokens=("True ", "\"yes\""), token_logprobs=(-0.125, -1e-07),
+            top_logprobs=({"True ": -0.125, "False": -2.5}, {"\"yes\"": -1e-07}),
+        )
+        cache.put(request, completion)
+        cache.close()
+        (line,) = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry = CacheEntry(
+            request_hash=request_hash(request),
+            request=request,
+            completion=completion,
+            created_at=json.loads(line)["created_at"],
+        )
+        assert line == json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+
+    def test_loads_a_line_in_the_established_format(self, tmp_path):
+        request = CompletionRequest(prompt="p", top_logprobs=1)
+        line = (
+            '{"completion": {"finish_reason": "stop", "text": "True", "token_logprobs": [-0.5], '
+            '"tokens": ["True"], "top_logprobs": [{"True": -0.5}]}, "created_at": 1.5, '
+            '"request": {"max_tokens": 120, "prompt": "p", "temperature": 1.2, '
+            '"top_logprobs": 1}, "request_hash": "' + request_hash(request) + '"}\n'
+        )
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line, encoding="utf-8")
+        assert ResponseCache(path).get(request) == Completion(
+            text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
+        )
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda d: d.pop("created_at"), "missing key 'created_at'"),
+            (lambda d: d["request"].pop("prompt"), "missing key 'prompt'"),
+            (lambda d: d["request"].update(max_tokens=0), "max_tokens must be >= 1"),
+            (lambda d: d["request"].update(top_logprobs=6), "top_logprobs must be in"),
+            (lambda d: d["completion"]["tokens"].append("x"), "tokens, token_logprobs and"),
+        ],
+        ids=["missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned"],
+    )
+    def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        for prompt in "abc":
+            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+        cache.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = json.loads(lines[1])
+        damage(bad)
+        lines[1] = json.dumps(bad, sort_keys=True) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"cache.jsonl:2: invalid cache line: {message}"):
+            ResponseCache(path)
+
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path)
@@ -305,6 +412,18 @@ class FakeSession:
         return self.response
 
 
+class ScriptedSession:
+    """Answers each post with the next response in order."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        return self.responses.pop(0)
+
+
 class TestHttpBackend:
     def payload(self, with_logprobs=True):
         choice = {"text": " True", "finish_reason": "stop"}
@@ -339,6 +458,42 @@ class TestHttpBackend:
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(TransportError):
             backend.complete(CompletionRequest(prompt="q"))
+
+    def test_seed_is_forwarded(self):
+        session = FakeSession(FakeResponse(payload=self.payload()))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        backend.complete(CompletionRequest(prompt="q", seed=7))
+        assert session.last["json"]["seed"] == 7
+        backend.complete(CompletionRequest(prompt="q"))
+        assert "seed" not in session.last["json"]
+
+    def test_server_error_is_retried(self):
+        session = ScriptedSession(
+            FakeResponse(status_code=503, text="busy"), FakeResponse(payload=self.payload())
+        )
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        completion = complete(backend, CompletionRequest(prompt="q"), backoff_seconds=0.0)
+        assert completion.text == " True"
+        assert session.posts == 2
+
+    def test_client_error_is_not_retried(self):
+        session = ScriptedSession(
+            FakeResponse(status_code=400, text="bad request"), FakeResponse(payload=self.payload())
+        )
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(BackendError, match="bad request") as info:
+            complete(backend, CompletionRequest(prompt="q"), backoff_seconds=0.0)
+        assert not isinstance(info.value, TransportError)
+        assert session.posts == 1
+
+    def test_misaligned_logprobs_are_malformed_and_not_retried(self):
+        payload = self.payload()
+        payload["choices"][0]["logprobs"]["token_logprobs"].append(-1.0)
+        session = ScriptedSession(FakeResponse(payload=payload), FakeResponse(payload=payload))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(MalformedResponseError, match="align"):
+            complete(backend, CompletionRequest(prompt="q", top_logprobs=5), backoff_seconds=0.0)
+        assert session.posts == 1
 
     def test_malformed_body(self):
         session = FakeSession(FakeResponse(payload={"nope": []}))

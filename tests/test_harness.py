@@ -15,7 +15,14 @@ from calibra.harness import (
     run_eval,
     sweep,
 )
-from calibra.backend import ResponseCache, ScriptError, load_mock_script, mock_from_script
+from calibra.backend import (
+    Completion,
+    ResponseCache,
+    ScriptError,
+    load_mock_script,
+    mock_from_script,
+)
+from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 from conftest import E2E_ITEMS, build_script
 
 
@@ -190,6 +197,51 @@ class TestRunEval:
         assert len(lines) == 8  # 4 items x 2 strategies
         parsed = [json.loads(line) for line in lines]
         assert {t["strategy_id"] for t in parsed} == {"standard", "far_final"}
+
+    def test_transcript_lines_are_the_transcript_json(self, tmp_path):
+        class Varied:
+            """Replies vary with prompt and seed, so votes split and self_ask follows up."""
+
+            replies = ("Yes, \"quoted\" caf\u00e9.", "No.", "Yes.", "True \u2713")
+
+            def complete(self, request):
+                text = self.replies[(len(request.prompt) + (request.seed or 0)) % 4]
+                tokens = (text[:3], text[3:])
+                logprobs = (-0.125, -1.0 / 3.0)
+                top = tuple({tok: lp, "alt": lp - 2.0} for tok, lp in zip(tokens, logprobs))
+                return Completion(text, tokens, logprobs, top)
+
+        items = [
+            {"id": item.id, "question": item.question, "answers": list(item.gold_answers),
+             "answer_kind": item.answer_kind, "gold_facts": ["A fact.", "Another."]}
+            for item in E2E_ITEMS
+        ]
+        dataset = tmp_path / "d.jsonl"
+        write_lines(dataset, items)
+        config = RunConfig(
+            dataset_path=[str(dataset)],
+            strategy_ids=list(STRATEGY_IDS),
+            out_dir=str(tmp_path / "out"),
+            worker_count=1,
+        )
+        run_eval(config, backend=Varied())
+
+        lines = (tmp_path / "out" / "transcripts.jsonl").read_text(encoding="utf-8")
+        lines = lines.splitlines(keepends=True)
+        expected = []
+        for sid in STRATEGY_IDS:
+            for item in load_dataset(dataset):
+                transcript, _ = execute(plan(sid, item, StrategyConfig()), item, Varied())
+                expected.append(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+        assert lines == expected
+        parsed = [json.loads(line) for line in lines]
+        votes = [t["vote"] for t in parsed if t["strategy_id"] == "self_consistency"]
+        assert votes and all(len(v["counts"]) > 1 for v in votes)
+        followups = [
+            step for t in parsed if t["strategy_id"] == "self_ask"
+            for step in t["steps"] if step["step"] == "followup_answer"
+        ]
+        assert followups
 
     def test_cache_resume_skips_backend(self, e2e_dataset, e2e_script, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
