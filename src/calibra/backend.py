@@ -125,25 +125,13 @@ class Completion:
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
 
-    def to_dict(self, copy: bool = True) -> dict:
-        """The fields as plain JSON values, in fresh lists and dicts.
-
-        With `copy=False` the result shares this completion's tuples and
-        dicts, which encode to the same JSON; it is for encoding only.
-        """
-        if not copy:
-            return {
-                "text": self.text,
-                "tokens": self.tokens,
-                "token_logprobs": self.token_logprobs,
-                "top_logprobs": self.top_logprobs,
-                "finish_reason": self.finish_reason,
-            }
+    def to_dict(self) -> dict:
+        """The fields as JSON values, sharing this completion's tuples and dicts."""
         return {
             "text": self.text,
-            "tokens": list(self.tokens),
-            "token_logprobs": list(self.token_logprobs),
-            "top_logprobs": [dict(m) for m in self.top_logprobs],
+            "tokens": self.tokens,
+            "token_logprobs": self.token_logprobs,
+            "top_logprobs": self.top_logprobs,
             "finish_reason": self.finish_reason,
         }
 
@@ -154,6 +142,9 @@ class Completion:
         The caller must not keep or mutate `d`'s dicts: unlike the
         constructor, this does not copy them.
         """
+        top_logprobs = tuple(d["top_logprobs"])
+        if not all(isinstance(m, dict) for m in top_logprobs):
+            raise ValueError("top_logprobs entries must be objects")
         completion = object.__new__(cls)
         # The fields of a frozen dataclass live in its __dict__; fill that
         # directly, skipping __init__ and __post_init__.
@@ -161,7 +152,7 @@ class Completion:
             text=d["text"],
             tokens=tuple(d["tokens"]),
             token_logprobs=tuple(d["token_logprobs"]),
-            top_logprobs=tuple(d["top_logprobs"]),
+            top_logprobs=top_logprobs,
             finish_reason=d.get("finish_reason", "stop"),
         )
         completion._check_aligned()
@@ -190,30 +181,24 @@ class CacheEntry:
     completion: Completion
     created_at: float
 
-    def to_dict(self, copy: bool = True) -> dict:
-        """One cache line as plain JSON values; `copy` as in `Completion.to_dict`."""
+    def to_dict(self) -> dict:
+        """One cache line as JSON values; `ResponseCache` reads it back."""
         return {
             "request_hash": self.request_hash,
             "request": self.request.to_dict(),
-            "completion": self.completion.to_dict(copy),
+            "completion": self.completion.to_dict(),
             "created_at": self.created_at,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CacheEntry":
-        return cls(
-            request_hash=d["request_hash"],
-            request=CompletionRequest.from_dict(d["request"]),
-            completion=Completion.from_dict(d["completion"]),
-            created_at=d["created_at"],
-        )
 
 
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
 
 
 def _read_line(raw: dict) -> tuple[str, Completion]:
-    """Key and completion of a decoded cache line, checked as `CacheEntry.from_dict` would."""
+    """Key and completion of a decoded cache line, the one reader of that format.
+
+    Checks the line's keys, its request fields and the completion's tokens.
+    """
     for name in _LINE_KEYS:
         if name not in raw:
             raise KeyError(name)
@@ -306,7 +291,7 @@ class ResponseCache:
         entry = CacheEntry(
             request_hash=key, request=request, completion=completion, created_at=time.time()
         )
-        line = LINE_ENCODER.encode(entry.to_dict(copy=False)) + "\n"
+        line = LINE_ENCODER.encode(entry.to_dict()) + "\n"
         with self._lock:
             if key in self._entries:
                 return

@@ -328,7 +328,7 @@ def run_eval(
                     for sid in config.strategy_ids:
                         for item in items:
                             transcript = results[(sid, item.id)][1]
-                            fh.write(LINE_ENCODER.encode(transcript.to_dict(copy=False)) + "\n")
+                            fh.write(LINE_ENCODER.encode(transcript.to_dict()) + "\n")
 
             block: dict = {"path": str(ds_path), "n_items": len(items), "strategies": {}}
             records_out: list[dict] = []

@@ -78,8 +78,8 @@ class Transcript:
     final_answer: ExtractedAnswer
     vote_detail: Optional[VoteDetail] = None
 
-    def to_dict(self, copy: bool = True) -> dict:
-        """One transcripts.jsonl row; `copy` as in `Completion.to_dict`."""
+    def to_dict(self) -> dict:
+        """One transcripts.jsonl row; it shares the completions' tuples and dicts."""
         d = {
             "item_id": self.item_id,
             "strategy_id": self.strategy_id,
@@ -87,7 +87,7 @@ class Transcript:
                 {
                     "step": rec.step_name,
                     "prompt": rec.prompt,
-                    "completion": rec.completion.to_dict(copy),
+                    "completion": rec.completion.to_dict(),
                 }
                 for rec in self.step_records
             ],

@@ -48,26 +48,6 @@ class TestCompletion:
         with pytest.raises(ValueError):
             Completion(text="a", tokens=("a",), token_logprobs=(), top_logprobs=())
 
-    def test_to_dict_returns_fresh_lists_and_dicts(self):
-        completion = Completion(
-            text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
-        )
-        d = completion.to_dict()
-        assert d == {
-            "text": "True",
-            "tokens": ["True"],
-            "token_logprobs": [-0.5],
-            "top_logprobs": [{"True": -0.5}],
-            "finish_reason": "stop",
-        }
-        d["tokens"].append("x")
-        d["token_logprobs"].append(0.0)
-        d["top_logprobs"][0]["False"] = -9.0
-        d["top_logprobs"].append({})
-        assert completion.tokens == ("True",)
-        assert completion.token_logprobs == (-0.5,)
-        assert completion.top_logprobs == ({"True": -0.5},)
-
     def test_from_dict_equals_constructed(self):
         completion = Completion(
             text="A b", tokens=("A ", "b"), token_logprobs=(-0.1, -0.2),
@@ -195,18 +175,18 @@ class TestMockBackend:
 
 class TestCache:
     def test_round_trip_hash_fixed_point(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
         request = CompletionRequest(prompt="q", seed=5)
         completion = Completion(
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
-        entry = CacheEntry(
-            request_hash=request_hash(request),
-            request=request,
-            completion=completion,
-            created_at=0.0,
-        )
-        reloaded = CacheEntry.from_dict(json.loads(json.dumps(entry.to_dict())))
-        assert request_hash(reloaded.request) == reloaded.request_hash
+        cache = ResponseCache(path)
+        cache.put(request, completion)
+        cache.close()
+        line = json.loads(path.read_text(encoding="utf-8"))
+        reread = CompletionRequest.from_dict(line["request"])
+        assert request_hash(reread) == line["request_hash"]
+        assert ResponseCache(path).get(reread) == completion
 
     def test_cache_short_circuits_backend(self, tmp_path):
         backend = mock_from_script({"p": "True"})
@@ -329,8 +309,17 @@ class TestCache:
             (lambda d: d["request"].update(max_tokens=0), "max_tokens must be >= 1"),
             (lambda d: d["request"].update(top_logprobs=6), "top_logprobs must be in"),
             (lambda d: d["completion"]["tokens"].append("x"), "tokens, token_logprobs and"),
+            (
+                lambda d: d["completion"].update(
+                    tokens=["B"], token_logprobs=[-0.1], top_logprobs=[None]
+                ),
+                "top_logprobs entries must be objects",
+            ),
         ],
-        ids=["missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned"],
+        ids=[
+            "missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned",
+            "top_logprobs_null",
+        ],
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
         path = tmp_path / "cache.jsonl"
