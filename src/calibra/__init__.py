@@ -58,7 +58,6 @@ from .qa import (
 )
 from .strategies import (
     STRATEGY_IDS,
-    ExecutionSettings,
     StrategyConfig,
     StrategyPlan,
     Step,

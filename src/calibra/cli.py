@@ -67,7 +67,6 @@ def main() -> None:
 @click.option("--model", default=None)
 @click.option("--mock-script", default=None, type=click.Path(exists=True))
 @click.option("--buckets", default=None, type=int)
-@click.option("--seed", default=None, type=int)
 @click.option("--cache", "cache_path", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--no-clamp", is_flag=True, default=False)
@@ -80,7 +79,6 @@ def run(
     model,
     mock_script,
     buckets,
-    seed,
     cache_path,
     out_dir,
     no_clamp,
@@ -101,8 +99,6 @@ def run(
             config.backend = {"kind": "http", "base_url": backend_url, "model": model}
         if buckets is not None:
             config.num_buckets = buckets
-        if seed is not None:
-            config.seed = seed
         if cache_path is not None:
             config.cache_path = cache_path
         if out_dir is not None:

@@ -81,22 +81,10 @@ def detect_concern(
     return bool(matched), matched
 
 
-def concern_rate(transcripts: Sequence, lexicon: Optional[ConcernLexicon] = None) -> float:
-    """Fraction of final answers flagged as expressing concern.
-
-    Accepts transcripts (anything with a `final_answer.raw_text`), raw
-    answer strings, or precomputed boolean flags.
-    """
-    if not len(transcripts):
-        raise ConcernError("concern_rate requires at least one transcript")
-    flags = []
-    for t in transcripts:
-        if isinstance(t, bool):
-            flags.append(t)
-        elif isinstance(t, str):
-            flags.append(detect_concern(t, lexicon)[0])
-        else:
-            flags.append(detect_concern(t.final_answer.raw_text, lexicon)[0])
+def concern_rate(flags: Sequence[bool]) -> float:
+    """Fraction of final answers flagged as expressing concern by `detect_concern`."""
+    if not flags:
+        raise ConcernError("concern_rate requires at least one flag")
     return sum(flags) / len(flags)
 
 

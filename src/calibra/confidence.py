@@ -142,13 +142,10 @@ def verbalized_confidence(
     backend: Backend,
     answer_context: str,
     clamp: bool = True,
-    percent_interpretation: bool = False,
     cache: Optional[ResponseCache] = None,
 ) -> ConfidenceResult:
     """Ask the model to state its own confidence after the answer."""
     prompt = f"{answer_context}\n{VERBALIZED_SUFFIX}"
     request = CompletionRequest(prompt=prompt, max_tokens=8, temperature=0.0)
     completion = complete(backend, request, cache=cache)
-    return parse_verbalized(
-        completion.text, clamp=clamp, percent_interpretation=percent_interpretation
-    )
+    return parse_verbalized(completion.text, clamp=clamp)

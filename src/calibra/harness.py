@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
@@ -19,13 +19,7 @@ from . import metrics as cal
 from .backend import LINE_ENCODER, Backend, HttpBackend, ResponseCache, load_mock_script
 from .concern import ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, exact_match
-from .strategies import (
-    ExecutionSettings,
-    StrategyConfig,
-    Transcript,
-    execute,
-    plan,
-)
+from .strategies import StrategyConfig, Transcript, execute, plan
 
 logger = logging.getLogger(__name__)
 
@@ -38,30 +32,27 @@ class DataError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+# Where a run reads and writes, and how many workers it uses. No result
+# depends on them (the lexicon is recorded by its version instead), so the
+# report's config snapshot leaves them out.
+_RUN_ONLY_FIELDS = ("cache_path", "out_dir", "worker_count", "concern_lexicon_path")
+
+
+@dataclass(kw_only=True)
+class RunConfig(StrategyConfig):
     dataset_path: list[str]
     strategy_ids: list[str] = field(default_factory=lambda: ["standard"])
     extraction_method_ids: list[str] = field(default_factory=lambda: ["token_prob"])
     backend: dict = field(default_factory=dict)
     num_buckets: int = 10
-    max_tokens: int = 120
-    temperature: float = 1.2
-    self_consistency_n: int = 10
-    self_consistency_temperature: float = 0.7
-    clamp_confidences: bool = True
-    seed: int = 0
-    demonstrations: list = field(default_factory=list)
-    thought_char_budget: Optional[int] = None
+    kde_grid_size: int = 256
     cache_path: Optional[str] = None
     out_dir: Optional[str] = None
     worker_count: int = 4
     concern_lexicon_path: Optional[str] = None
-    p_true_normalized: bool = False
-    p_true_full_context: bool = True
-    kde_grid_size: int = 256
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if isinstance(self.dataset_path, (str, Path)):
             self.dataset_path = [str(self.dataset_path)]
         else:
@@ -87,22 +78,13 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def snapshot(self) -> dict:
-        return {
-            "dataset_path": list(self.dataset_path),
-            "strategy_ids": list(self.strategy_ids),
-            "extraction_method_ids": list(self.extraction_method_ids),
-            "backend": dict(self.backend),
-            "num_buckets": self.num_buckets,
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "self_consistency_n": self.self_consistency_n,
-            "self_consistency_temperature": self.self_consistency_temperature,
-            "clamp_confidences": self.clamp_confidences,
-            "seed": self.seed,
-            "demonstrations": [list(d) for d in self.demonstrations],
-            "thought_char_budget": self.thought_char_budget,
-        }
+    def snapshot(self, lexicon: ConcernLexicon) -> dict:
+        """The report's config block: every field that can change a result."""
+        snap = asdict(self)
+        for name in _RUN_ONLY_FIELDS:
+            del snap[name]
+        snap["concern_lexicon_version"] = lexicon.version
+        return snap
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
@@ -229,26 +211,6 @@ _MACRO_KEYS = (
 )
 
 
-def _strategy_config(config: RunConfig) -> StrategyConfig:
-    return StrategyConfig(
-        self_consistency_n=config.self_consistency_n,
-        self_consistency_temperature=config.self_consistency_temperature,
-        demonstrations=tuple(tuple(d) for d in config.demonstrations),
-        thought_char_budget=config.thought_char_budget,
-    )
-
-
-def _settings(config: RunConfig) -> ExecutionSettings:
-    return ExecutionSettings(
-        max_tokens=config.max_tokens,
-        temperature=config.temperature,
-        clamp_confidences=config.clamp_confidences,
-        p_true_normalized=config.p_true_normalized,
-        p_true_full_context=config.p_true_full_context,
-        thought_char_budget=config.thought_char_budget,
-    )
-
-
 def run_eval(
     config: RunConfig,
     backend: Optional[Backend] = None,
@@ -270,8 +232,6 @@ def run_eval(
             else ConcernLexicon()
         )
     cache = ResponseCache(config.cache_path) if config.cache_path else None
-    strategy_config = _strategy_config(config)
-    settings = _settings(config)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
@@ -282,13 +242,13 @@ def run_eval(
 
     def evaluate(item: QAItem, strategy_id: str) -> tuple[EvalRecord, Transcript]:
         try:
-            strategy_plan = plan(strategy_id, item, strategy_config)
+            strategy_plan = plan(strategy_id, item, config)
             transcript, confidences = execute(
                 strategy_plan,
                 item,
                 backend,
                 extraction_methods=config.extraction_method_ids,
-                settings=settings,
+                config=config,
                 cache=cache,
             )
         except Exception as exc:
@@ -336,10 +296,9 @@ def run_eval(
             macro_rows: list[dict] = []
             for sid in config.strategy_ids:
                 records = [results[(sid, item.id)][0] for item in items]
-                transcripts = [results[(sid, item.id)][1] for item in items]
                 strat_block: dict = {
                     "accuracy": sum(r.correct for r in records) / len(records),
-                    "concern_rate": concern_rate(transcripts, lexicon),
+                    "concern_rate": concern_rate([r.concern for r in records]),
                     "extractions": {},
                 }
                 ece_row: dict = {}
@@ -407,7 +366,7 @@ def run_eval(
             macro_block["strategies"][sid] = strat
 
     report = RunReport(
-        config=config.snapshot(),
+        config=config.snapshot(lexicon),
         datasets=dataset_blocks,
         macro=macro_block,
         transcripts_path=str(transcripts_path) if transcripts_path else None,
@@ -528,9 +487,8 @@ def sweep(
         raise ConfigError("sweep requires at least one value")
     reports: dict = {}
     for value in values:
-        variant = RunConfig(**{**_config_kwargs(config)})
         if axis == "thought_char_budget":
-            variant.thought_char_budget = int(value)
+            variant = replace(config, thought_char_budget=int(value))
         else:
             count = int(value)
             if count > len(config.demonstrations):
@@ -538,12 +496,9 @@ def sweep(
                     f"demonstrations_count {count} exceeds the {len(config.demonstrations)} "
                     "configured demonstrations"
                 )
-            variant.demonstrations = list(config.demonstrations[:count])
+            variant = replace(config, demonstrations=config.demonstrations[:count])
         if variant.out_dir:
             variant.out_dir = str(Path(variant.out_dir) / f"{axis}_{value}")
         reports[value] = run_eval(variant, backend=backend)
     return reports
 
-
-def _config_kwargs(config: RunConfig) -> dict:
-    return {name: getattr(config, name) for name in config.__dataclass_fields__}

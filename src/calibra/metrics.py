@@ -106,21 +106,27 @@ def bucket_index(confidence: float, num_buckets: int) -> int:
 def bucketize(
     confidences: Sequence[tuple[str, float]],
     num_buckets: int,
-    correct: Optional[Mapping[str, bool]] = None,
+    correct: Optional[Sequence[bool]] = None,
 ) -> list[Bucket]:
     """Assign (id, confidence) pairs to equal-width buckets over [0, 1].
 
-    Empty buckets are retained with zeroed statistics. Out-of-range
+    `correct[k]` is the correctness of the k-th pair, so ids need not be
+    unique. Empty buckets are retained with zeroed statistics. Out-of-range
     confidences are rejected with the offending record named.
     """
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
+    if correct is not None and len(correct) != len(confidences):
+        raise ValueError(
+            f"{len(correct)} correctness flags for {len(confidences)} confidences"
+        )
     buckets = [
         Bucket(index=m, lower=m / num_buckets, upper=(m + 1) / num_buckets)
         for m in range(num_buckets)
     ]
     members: list[list[float]] = [[] for _ in range(num_buckets)]
-    for item_id, conf in confidences:
+    hits = [0] * num_buckets
+    for k, (item_id, conf) in enumerate(confidences):
         if not 0.0 <= conf <= 1.0:
             raise ValueError(
                 f"confidence {conf} for record {item_id!r} is outside [0, 1]; "
@@ -129,12 +135,13 @@ def bucketize(
         m = bucket_index(conf, num_buckets)
         buckets[m].member_ids.append(item_id)
         members[m].append(conf)
-    for bucket, confs in zip(buckets, members):
+        if correct is not None and correct[k]:
+            hits[m] += 1
+    for bucket, confs, hit in zip(buckets, members, hits):
         if confs:
             bucket.avg_confidence = math.fsum(confs) / len(confs)
             if correct is not None:
-                hits = sum(1 for i in bucket.member_ids if correct[i])
-                bucket.accuracy = hits / len(bucket.member_ids)
+                bucket.accuracy = hit / len(confs)
     return buckets
 
 
@@ -146,13 +153,7 @@ def _pairs(records: Sequence[EvalRecord], method: str) -> list[tuple[str, float]
 
 def ece(records: Sequence[EvalRecord], method: str, num_buckets: int = DEFAULT_NUM_BUCKETS) -> float:
     """Bucket-weighted mean absolute gap between accuracy and confidence."""
-    pairs = _pairs(records, method)
-    correct = {r.item_id: r.correct for r in records}
-    buckets = bucketize(pairs, num_buckets, correct=correct)
-    n = len(records)
-    # weighting by size/n keeps the single-bucket case bitwise equal to
-    # |avg_conf - accuracy| (the weight is exactly 1.0)
-    return math.fsum(b.size / n * abs(b.accuracy - b.avg_confidence) for b in buckets)
+    return summarize(records, method, num_buckets).ece
 
 
 def ice_pos(records: Sequence[EvalRecord], method: str) -> float:
@@ -177,15 +178,24 @@ def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, Degener
     With one class empty, returns the other ICE plus a degeneracy flag
     instead of silently reporting zero.
     """
+    return _class_errors(records, method)[2:]
+
+
+def _class_errors(
+    records: Sequence[EvalRecord], method: str
+) -> tuple[float, float, float, DegenerateFlag]:
+    """ice_pos and ice_neg (NaN for an empty class), then `macro_ce`'s pair."""
     if not records:
         raise ValueError("at least one record required")
     has_pos = any(r.correct for r in records)
     has_neg = any(not r.correct for r in records)
+    pos = ice_pos(records, method) if has_pos else math.nan
+    neg = ice_neg(records, method) if has_neg else math.nan
     if has_pos and has_neg:
-        return (ice_pos(records, method) + ice_neg(records, method)) / 2.0, "none"
+        return pos, neg, (pos + neg) / 2.0, "none"
     if has_pos:
-        return ice_pos(records, method), "no_incorrect"
-    return ice_neg(records, method), "no_correct"
+        return pos, neg, pos, "no_incorrect"
+    return pos, neg, neg, "no_correct"
 
 
 def confidence_gap(records: Sequence[EvalRecord], method: str) -> tuple[float, float, float]:
@@ -204,15 +214,14 @@ def summarize(
 ) -> CalibrationSummary:
     """Compute the full calibration summary for one extraction method."""
     pairs = _pairs(records, method)
-    correct = {r.item_id: r.correct for r in records}
-    buckets = bucketize(pairs, num_buckets, correct=correct)
+    buckets = bucketize(pairs, num_buckets, correct=[r.correct for r in records])
     n = len(records)
     n_pos = sum(1 for r in records if r.correct)
     n_neg = n - n_pos
-    ece_value = math.fsum(b.size * abs(b.accuracy - b.avg_confidence) for b in buckets) / n
-    mce, flag = macro_ce(records, method)
-    pos = ice_pos(records, method) if n_pos else float("nan")
-    neg = ice_neg(records, method) if n_neg else float("nan")
+    # weighting by size/n keeps the single-bucket case bitwise equal to
+    # |avg_conf - accuracy| (the weight is exactly 1.0)
+    ece_value = math.fsum(b.size / n * abs(b.accuracy - b.avg_confidence) for b in buckets)
+    pos, neg, mce, flag = _class_errors(records, method)
     avg_conf, acc, _ = confidence_gap(records, method)
     return CalibrationSummary(
         ece=ece_value,

@@ -13,7 +13,15 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping, Optional, Sequence
 
-from .backend import Backend, Completion, CompletionRequest, ResponseCache, complete
+from .backend import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_TEMPERATURE,
+    Backend,
+    Completion,
+    CompletionRequest,
+    ResponseCache,
+    complete,
+)
 from .confidence import (
     ConfidenceResult,
     p_true_confidence,
@@ -35,7 +43,6 @@ class StrategyError(Exception):
 class Step:
     name: str
     template: str
-    request_overrides: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,6 @@ class StrategyPlan:
     control: ControlFlow = "linear"
     repeat_n: int = 1
     repeat_temperature: Optional[float] = None
-    max_followups: int = 3
     initial_priors: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -133,7 +139,7 @@ def _far_steps(
     with_reflection: bool,
     final_prompt: str,
     human_facts: bool = False,
-) -> list[Step]:
+) -> tuple[Step, ...]:
     steps: list[Step] = []
     context = "Question: {question}\n"
     if human_facts:
@@ -148,46 +154,56 @@ def _far_steps(
         steps.append(Step("reflection", context + FAR_REFLECTION_PROMPT))
         context += _FAR_CONTEXT["reflection"]
     steps.append(Step("answer", context + final_prompt))
-    return steps
+    return tuple(steps)
 
 
-def _strategy_steps(strategy_id: str) -> tuple[list[Step], ControlFlow]:
-    q = "Question: {question}\n"
-    if strategy_id == "standard":
-        return [Step("answer", q + "Answer:")], "linear"
-    if strategy_id == "knowledge":
-        return [
-            Step("knowledge", q + KNOWLEDGE_PROMPT),
-            Step("answer", q + "Knowledge: {prior:knowledge}\nAnswer:"),
-        ], "linear"
-    if strategy_id == "knowledge_explain":
-        return [
-            Step("knowledge", q + KNOWLEDGE_PROMPT),
-            Step("answer", q + "Knowledge: {prior:knowledge}\nExplain and Answer:"),
-        ], "linear"
-    if strategy_id == "cot":
-        return [
-            Step("reason", q + COT_PROMPT),
-            Step("answer", q + COT_PROMPT + " {prior:reason}\nAnswer:"),
-        ], "linear"
-    if strategy_id == "self_ask":
-        return [
-            Step("followup_check", q + SELF_ASK_CHECK),
-            Step("followup_question", q + "{prior:pairs}Follow up:"),
+_Q = "Question: {question}\n"
+_FAR_ANSWER = FAR_ANSWER_CONSTRAINT + "\nAnswer:"
+
+# Step templates and control flow of each strategy; STRATEGY_IDS keeps this order.
+STRATEGIES: dict[str, tuple[tuple[Step, ...], ControlFlow]] = {
+    "standard": ((Step("answer", _Q + "Answer:"),), "linear"),
+    "knowledge": (
+        (
+            Step("knowledge", _Q + KNOWLEDGE_PROMPT),
+            Step("answer", _Q + "Knowledge: {prior:knowledge}\nAnswer:"),
+        ),
+        "linear",
+    ),
+    "knowledge_explain": (
+        (
+            Step("knowledge", _Q + KNOWLEDGE_PROMPT),
+            Step("answer", _Q + "Knowledge: {prior:knowledge}\nExplain and Answer:"),
+        ),
+        "linear",
+    ),
+    "cot": (
+        (
+            Step("reason", _Q + COT_PROMPT),
+            Step("answer", _Q + COT_PROMPT + " {prior:reason}\nAnswer:"),
+        ),
+        "linear",
+    ),
+    "self_ask": (
+        (
+            Step("followup_check", _Q + SELF_ASK_CHECK),
+            Step("followup_question", _Q + "{prior:pairs}Follow up:"),
             Step(
                 "followup_answer",
-                q + "{prior:pairs}Follow up: {prior:followup_question}\nIntermediate answer:",
+                _Q + "{prior:pairs}Follow up: {prior:followup_question}\nIntermediate answer:",
             ),
             Step(
                 "answer",
                 "Question:{question}; Intermediate Questions and Answers: {prior:pairs} Answer:",
             ),
-        ], "conditional_branch"
-    if strategy_id == "self_ask_aggregate":
-        return [
+        ),
+        "conditional_branch",
+    ),
+    "self_ask_aggregate": (
+        (
             Step(
                 "decompose",
-                q
+                _Q
                 + SELF_ASK_CHECK
                 + " Generate the follow-up questions and the corresponding intermediate answers:",
             ),
@@ -195,82 +211,58 @@ def _strategy_steps(strategy_id: str) -> tuple[list[Step], ControlFlow]:
                 "answer",
                 "Question:{question}; Intermediate Questions and Answers: {prior:decompose} Answer:",
             ),
-        ], "linear"
-    if strategy_id == "self_consistency":
-        return [Step("sample", q + "Answer:")], "repeat_n_vote"
-    if strategy_id == "pseudo_tot":
-        return [
-            Step("discussion", q + PSEUDO_TOT_PROMPT),
-            Step("answer", q + "Expert discussion: {prior:discussion}\nAnswer:"),
-        ], "linear"
-    far_answer = FAR_ANSWER_CONSTRAINT + "\nAnswer:"
-    if strategy_id == "far_final":
-        return _far_steps(True, True, far_answer), "linear"
-    if strategy_id == "far_fact_only":
-        return _far_steps(True, False, far_answer), "linear"
-    if strategy_id == "far_fact_only_no_source":
-        return _far_steps(False, False, far_answer), "linear"
-    if strategy_id == "far_no_source":
-        return _far_steps(False, True, far_answer), "linear"
-    if strategy_id == "far_explain":
-        return _far_steps(True, True, FAR_ANSWER_CONSTRAINT + "\nExplain and Answer:"), "linear"
-    if strategy_id == "far_free":
-        return _far_steps(True, True, "Answer:"), "linear"
-    if strategy_id == "far_human_facts":
-        return _far_steps(False, True, far_answer, human_facts=True), "linear"
-    raise StrategyError(f"unknown strategy {strategy_id!r}")
+        ),
+        "linear",
+    ),
+    "self_consistency": ((Step("sample", _Q + "Answer:"),), "repeat_n_vote"),
+    "pseudo_tot": (
+        (
+            Step("discussion", _Q + PSEUDO_TOT_PROMPT),
+            Step("answer", _Q + "Expert discussion: {prior:discussion}\nAnswer:"),
+        ),
+        "linear",
+    ),
+    "far_final": (_far_steps(True, True, _FAR_ANSWER), "linear"),
+    "far_fact_only": (_far_steps(True, False, _FAR_ANSWER), "linear"),
+    "far_fact_only_no_source": (_far_steps(False, False, _FAR_ANSWER), "linear"),
+    "far_no_source": (_far_steps(False, True, _FAR_ANSWER), "linear"),
+    "far_explain": (
+        _far_steps(True, True, FAR_ANSWER_CONSTRAINT + "\nExplain and Answer:"),
+        "linear",
+    ),
+    "far_free": (_far_steps(True, True, "Answer:"), "linear"),
+    "far_human_facts": (_far_steps(False, True, _FAR_ANSWER, human_facts=True), "linear"),
+}
+
+STRATEGY_IDS = tuple(STRATEGIES)
+
+SELF_ASK_MAX_FOLLOWUPS = 3
 
 
-STRATEGY_IDS = (
-    "standard",
-    "knowledge",
-    "knowledge_explain",
-    "cot",
-    "self_ask",
-    "self_ask_aggregate",
-    "self_consistency",
-    "pseudo_tot",
-    "far_final",
-    "far_fact_only",
-    "far_fact_only_no_source",
-    "far_no_source",
-    "far_explain",
-    "far_free",
-    "far_human_facts",
-)
-
-
-@dataclass(frozen=True)
+@dataclass
 class StrategyConfig:
-    """Knobs shared by plan construction and execution."""
+    """Every knob that `plan` and `execute` read."""
 
+    max_tokens: int = DEFAULT_MAX_TOKENS
+    temperature: float = DEFAULT_TEMPERATURE
     self_consistency_n: int = 10
     self_consistency_temperature: float = 0.7
-    self_ask_max_followups: int = 3
     demonstrations: tuple[tuple[str, str], ...] = ()
     thought_char_budget: Optional[int] = None
-    template_overrides: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
+    clamp_confidences: bool = True
+    p_true_normalized: bool = False
+    p_true_full_context: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "demonstrations", tuple((q, a) for q, a in self.demonstrations)
-        )
-        object.__setattr__(
-            self,
-            "template_overrides",
-            {k: dict(v) for k, v in dict(self.template_overrides).items()},
-        )
+        self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
 
 
 def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None) -> StrategyPlan:
     """Build the deterministic step plan for one strategy on one item."""
     config = config or StrategyConfig()
-    steps, control = _strategy_steps(strategy_id)
-    overrides = config.template_overrides.get(strategy_id, {})
-    if overrides:
-        steps = [
-            replace(s, template=overrides.get(s.name, s.template)) for s in steps
-        ]
+    if strategy_id not in STRATEGIES:
+        raise StrategyError(f"unknown strategy {strategy_id!r}")
+    steps, control = STRATEGIES[strategy_id]
     initial_priors: dict = {}
     if strategy_id == "far_human_facts":
         if not item.gold_facts:
@@ -282,18 +274,17 @@ def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None
         demo_block = "".join(
             f"Question: {dq}\nAnswer: {da}\n\n" for dq, da in config.demonstrations
         )
-        steps = [replace(s, template=demo_block + s.template) for s in steps]
+        steps = tuple(replace(s, template=demo_block + s.template) for s in steps)
     repeat_n = config.self_consistency_n if control == "repeat_n_vote" else 1
     repeat_temp = (
         config.self_consistency_temperature if control == "repeat_n_vote" else None
     )
     return StrategyPlan(
         strategy_id=strategy_id,
-        steps=tuple(steps),
+        steps=steps,
         control=control,
         repeat_n=repeat_n,
         repeat_temperature=repeat_temp,
-        max_followups=config.self_ask_max_followups,
         initial_priors=initial_priors,
     )
 
@@ -343,60 +334,30 @@ def majority_vote(candidates: Sequence[ExtractedAnswer]) -> tuple[ExtractedAnswe
     raise AssertionError("unreachable")
 
 
-@dataclass
-class ExecutionSettings:
-    """Request defaults and extraction switches used by `execute`."""
-
-    max_tokens: int = 120
-    temperature: float = 1.2
-    clamp_confidences: bool = True
-    p_true_normalized: bool = False
-    p_true_full_context: bool = True
-    percent_interpretation: bool = False
-    thought_char_budget: Optional[int] = None
-
-
-def _run_step(
-    step: Step,
-    prompt: str,
-    backend: Backend,
-    settings: ExecutionSettings,
-    cache: Optional[ResponseCache],
-    seed: Optional[int] = None,
-    temperature: Optional[float] = None,
-) -> Completion:
-    overrides = dict(step.request_overrides)
-    request = CompletionRequest(
-        prompt=prompt,
-        max_tokens=overrides.get("max_tokens", settings.max_tokens),
-        temperature=temperature
-        if temperature is not None
-        else overrides.get("temperature", settings.temperature),
-        top_logprobs=overrides.get("top_logprobs", 0),
-        seed=seed,
-        stop=overrides.get("stop"),
-    )
-    return complete(backend, request, cache=cache)
-
-
 def execute(
     strategy_plan: StrategyPlan,
     item: QAItem,
     backend: Backend,
     extraction_methods: Sequence[str] = ("token_prob",),
-    settings: Optional[ExecutionSettings] = None,
+    config: Optional[StrategyConfig] = None,
     cache: Optional[ResponseCache] = None,
 ) -> tuple[Transcript, dict[str, ConfidenceResult]]:
     """Run a plan end to end and extract confidences on the final answer."""
-    settings = settings or ExecutionSettings()
+    config = config or StrategyConfig()
     priors: dict[str, str] = dict(strategy_plan.initial_priors)
     records: list[StepRecord] = []
     vote_detail: Optional[VoteDetail] = None
 
     def run(step: Step, seed: Optional[int] = None, temperature: Optional[float] = None) -> Completion:
-        prompt = render_step(step, item.question, priors, settings.thought_char_budget)
+        prompt = render_step(step, item.question, priors, config.thought_char_budget)
         try:
-            completion = _run_step(step, prompt, backend, settings, cache, seed, temperature)
+            request = CompletionRequest(
+                prompt=prompt,
+                max_tokens=config.max_tokens,
+                temperature=config.temperature if temperature is None else temperature,
+                seed=seed,
+            )
+            completion = complete(backend, request, cache=cache)
         except Exception as exc:
             raise StrategyError(
                 f"step {step.name!r} of strategy {strategy_plan.strategy_id!r} failed: {exc}"
@@ -425,7 +386,7 @@ def execute(
         check = run(by_name["followup_check"])
         priors["pairs"] = ""
         if normalize_answer(check.text).split()[:1] != ["no"]:
-            for _ in range(strategy_plan.max_followups):
+            for _ in range(SELF_ASK_MAX_FOLLOWUPS):
                 fq = run(by_name["followup_question"])
                 fa = run(by_name["followup_answer"])
                 priors["pairs"] += (
@@ -456,22 +417,21 @@ def execute(
         elif method == "p_true":
             context = (
                 final_context
-                if settings.p_true_full_context
+                if config.p_true_full_context
                 else f"Question: {item.question}"
             )
             confidences[method] = p_true_confidence(
                 backend,
                 context,
                 final_answer.raw_text,
-                normalized=settings.p_true_normalized,
+                normalized=config.p_true_normalized,
                 cache=cache,
             )
         elif method == "verbalized":
             confidences[method] = verbalized_confidence(
                 backend,
                 final_context,
-                clamp=settings.clamp_confidences,
-                percent_interpretation=settings.percent_interpretation,
+                clamp=config.clamp_confidences,
                 cache=cache,
             )
         else:

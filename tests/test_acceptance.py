@@ -25,7 +25,6 @@ from calibra.harness import run_eval
 from calibra.qa import EvalRecord, ExtractedAnswer, QAItem
 from calibra.strategies import (
     STRATEGY_IDS,
-    ExecutionSettings,
     StrategyConfig,
     execute,
     majority_vote,
@@ -105,7 +104,7 @@ def test_criterion_2_metric_oracles():
         records = random_records(rng, n)
         buckets = cal.bucketize(
             [(r.item_id, r.confidences["m"]) for r in records], m,
-            correct={r.item_id: r.correct for r in records},
+            correct=[r.correct for r in records],
         )
         ok = ok and sum(b.size for b in buckets) == n
         ok = ok and abs(cal.ece(records, "m", m) - ece_oracle(records, m)) <= 1e-12
@@ -184,7 +183,7 @@ def run_counted(strategy_id, step_texts, config=None):
     entries = build_script(strategy_id, ITEM, step_texts, config)
     backend = mock_from_script(entries)
     execute(plan(strategy_id, ITEM, config), ITEM, backend,
-            extraction_methods=("token_prob",), settings=ExecutionSettings())
+            extraction_methods=("token_prob",), config=config)
     return backend.call_count
 
 

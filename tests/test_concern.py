@@ -93,15 +93,15 @@ class TestLexicon:
 
 class TestConcernRate:
     def test_zero(self):
-        assert concern_rate(["True"] * 10) == 0.0
+        assert concern_rate([detect_concern("True")[0]] * 10) == 0.0
 
     def test_one_of_eight(self):
         answers = [CONCERN_POSITIVES[0]] + ["True"] * 7
-        assert concern_rate(answers) == 0.125
+        assert concern_rate([detect_concern(a)[0] for a in answers]) == 0.125
 
     def test_table_fixture_half(self):
         answers = CONCERN_POSITIVES + ["True", "False", "Paris", "No"]
-        assert concern_rate(answers) == 0.5
+        assert concern_rate([detect_concern(a)[0] for a in answers]) == 0.5
 
     def test_empty_errors(self):
         with pytest.raises(ConcernError):

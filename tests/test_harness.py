@@ -389,9 +389,30 @@ class TestRunConfig:
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"dataset_path": ["d"], "bogus": 1}))
-        with pytest.raises(ConfigError, match="bogus"):
-            RunConfig.from_json(path)
+        # seed never reached a request and is no longer a config key.
+        for key in ("bogus", "seed"):
+            path.write_text(json.dumps({"dataset_path": ["d"], key: 1}))
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_json(path)
+
+    def test_snapshot_holds_every_field_that_can_change_a_result(
+        self, e2e_dataset, e2e_script, tmp_path
+    ):
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        block = run_eval(config).config
+        run_only = {"cache_path", "out_dir", "worker_count", "concern_lexicon_path"}
+        fields = set(RunConfig.__dataclass_fields__)
+        assert set(block) == fields - run_only | {"concern_lexicon_version"}
+        assert block["concern_lexicon_version"] == "builtin-1"
+
+        normalized = e2e_config(e2e_dataset, e2e_script, tmp_path, p_true_normalized=True)
+        assert run_eval(normalized).config != block
+
+        elsewhere = e2e_config(
+            e2e_dataset, e2e_script, tmp_path, worker_count=3,
+            out_dir=str(tmp_path / "elsewhere"), cache_path=str(tmp_path / "cache.jsonl"),
+        )
+        assert run_eval(elsewhere).config == block
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -125,6 +125,16 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([], "m", 10)
 
+    def test_duplicate_ids_keep_their_own_correctness(self):
+        # Two datasets can share an item id; correctness goes with each record.
+        records = [rec("q1", True, 0.95), rec("q1", False, 0.95)]
+        assert ece(records, "m", 10) == pytest.approx(0.45)
+        assert summarize(records, "m", 10).buckets[9].accuracy == 0.5
+
+    def test_correctness_flags_must_match_confidences(self):
+        with pytest.raises(ValueError, match="1 correctness flags for 2"):
+            bucketize([("a", 0.1), ("b", 0.2)], 2, correct=[True])
+
 
 class TestIceAndMacro:
     def test_ice_pos_perfect(self):

@@ -7,8 +7,8 @@ from calibra.backend import mock_from_script
 from calibra.qa import ExtractedAnswer, QAItem
 from calibra.strategies import (
     COT_PROMPT,
+    SELF_ASK_MAX_FOLLOWUPS,
     STRATEGY_IDS,
-    ExecutionSettings,
     StrategyConfig,
     StrategyError,
     execute,
@@ -70,11 +70,6 @@ class TestPlan:
 
     def test_plan_is_pure(self):
         assert plan("far_final", ITEM) == plan("far_final", ITEM)
-
-    def test_template_override(self):
-        config = StrategyConfig(template_overrides={"standard": {"answer": "Q: {question} A:"}})
-        p = plan("standard", ITEM, config)
-        assert p.steps[0].template == "Q: {question} A:"
 
     def test_demonstrations_prepended(self):
         config = StrategyConfig(demonstrations=(("2+2?", "4"),))
@@ -152,7 +147,7 @@ def run_strategy(strategy_id, step_texts, config=None, methods=("token_prob",), 
     backend = mock_from_script(entries)
     transcript, confidences = execute(
         plan(strategy_id, item, config), item, backend,
-        extraction_methods=methods, settings=ExecutionSettings(),
+        extraction_methods=methods, config=config,
     )
     return transcript, confidences, backend
 
@@ -197,15 +192,16 @@ class TestExecute:
         assert [r.step_name for r in transcript.step_records] == ["followup_check", "answer"]
 
     def test_self_ask_yes_branch_call_count(self):
-        config = StrategyConfig(self_ask_max_followups=2)
         texts = {
             "followup_check": "Yes.",
-            "followup_question": ["When was the laptop invented?", "When did Aristotle live?"],
-            "followup_answer": ["Around 1980.", "384-322 BC."],
+            "followup_question": [
+                "When was the laptop invented?", "When did Aristotle live?", "Who was he?",
+            ],
+            "followup_answer": ["Around 1980.", "384-322 BC.", "A philosopher."],
             "answer": "No",
         }
-        transcript, _, backend = run_strategy("self_ask", texts, config)
-        assert backend.call_count == 2 + 2 * 2
+        transcript, _, backend = run_strategy("self_ask", texts)
+        assert backend.call_count == 2 + 2 * SELF_ASK_MAX_FOLLOWUPS == 8
         assert transcript.final_answer.boolean_value == "false"
 
     def test_self_consistency_vote_and_calls(self):
