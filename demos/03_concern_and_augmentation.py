@@ -89,44 +89,45 @@ def run(workdir, items, answers, tag):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="calibra_demo_"))
-    before = run(workdir, ITEMS, PLAIN_ANSWERS, "plain")
-    block = before.datasets[0]["strategies"]["standard"]
-    print("== Plain run ==")
-    print(f"accuracy:     {block['accuracy']:.3f}")
-    print(f"concern rate: {block['concern_rate']:.3f}")
-    summary = block["extractions"]["token_prob"]
-    print(f"ECE:          {summary['ece']:.4f}")
-    print(f"MacroCE:      {summary['macro_ce']:.4f}")
-    print()
+    with tempfile.TemporaryDirectory(prefix="calibra_demo_") as tmp:
+        workdir = Path(tmp)
+        before = run(workdir, ITEMS, PLAIN_ANSWERS, "plain")
+        block = before.datasets[0]["strategies"]["standard"]
+        print("== Plain run ==")
+        print(f"accuracy:     {block['accuracy']:.3f}")
+        print(f"concern rate: {block['concern_rate']:.3f}")
+        summary = block["extractions"]["token_prob"]
+        print(f"ECE:          {summary['ece']:.4f}")
+        print(f"MacroCE:      {summary['macro_ce']:.4f}")
+        print()
 
-    records = before.records(0, "standard")
-    hard = select_hard(records, "concern_triggered")
-    control = select_hard(records, "random_control", seed=0)
-    print("== Hard-example selection ==")
-    print(f"concern-triggered ids: {hard}")
-    print(f"random control ids:    {control}  (same cardinality, seeded)")
-    print()
+        records = before.records(0, "standard")
+        hard = select_hard(records, "concern_triggered")
+        control = select_hard(records, "random_control", seed=0)
+        print("== Hard-example selection ==")
+        print(f"concern-triggered ids: {hard}")
+        print(f"random control ids:    {control}  (same cardinality, seeded)")
+        print()
 
-    by_id = {item.id: item for item in ITEMS}
-    augmented = [
-        augment_with_knowledge(by_id[i]) if i in set(hard) else by_id[i]
-        for i in by_id
-    ]
-    print("== Augmented question ==")
-    print(augmented[1].question)
-    print()
+        by_id = {item.id: item for item in ITEMS}
+        augmented = [
+            augment_with_knowledge(by_id[i]) if i in set(hard) else by_id[i]
+            for i in by_id
+        ]
+        print("== Augmented question ==")
+        print(augmented[1].question)
+        print()
 
-    after = run(workdir, augmented, AUGMENTED_ANSWERS, "augmented")
-    outcome = improvement(records, after.records(0, "standard"), hard)
-    print("== Improvement on the selected subset ==")
-    print(f"before accuracy: {outcome.accuracy_before:.3f}")
-    print(f"after accuracy:  {outcome.accuracy_after:.3f}")
-    if outcome.undefined:
-        print("relative improvement undefined (zero baseline)")
-        print(f"absolute improvement: {outcome.absolute_improvement:+.3f}")
-    else:
-        print(f"relative improvement: {outcome.relative_improvement:+.0%}")
+        after = run(workdir, augmented, AUGMENTED_ANSWERS, "augmented")
+        outcome = improvement(records, after.records(0, "standard"), hard)
+        print("== Improvement on the selected subset ==")
+        print(f"before accuracy: {outcome.accuracy_before:.3f}")
+        print(f"after accuracy:  {outcome.accuracy_after:.3f}")
+        if outcome.undefined:
+            print("relative improvement undefined (zero baseline)")
+            print(f"absolute improvement: {outcome.absolute_improvement:+.3f}")
+        else:
+            print(f"relative improvement: {outcome.relative_improvement:+.0%}")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ cache can short-circuit repeated requests.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -97,13 +98,14 @@ class CompletionRequest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
+        """The inverse of `to_dict`; the constructor checks the fields."""
         return cls(
             prompt=d["prompt"],
             max_tokens=d["max_tokens"],
             temperature=d["temperature"],
             top_logprobs=d.get("top_logprobs", 0),
             seed=d.get("seed"),
-            stop=tuple(d["stop"]) if d.get("stop") else None,
+            stop=None if d.get("stop") is None else tuple(d["stop"]),
         )
 
 
@@ -120,6 +122,29 @@ class Completion:
         object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
         object.__setattr__(self, "top_logprobs", tuple(dict(m) for m in self.top_logprobs))
         self._check_aligned()
+
+    @classmethod
+    def _adopt(
+        cls,
+        text: str,
+        tokens: tuple[str, ...],
+        token_logprobs: tuple[float, ...],
+        top_logprobs: tuple[dict, ...],
+        finish_reason: str,
+    ) -> "Completion":
+        """Build from tuples and dicts the caller owns and gives up, without copying."""
+        completion = object.__new__(cls)
+        # Set the frozen fields one by one, as __init__ does but without
+        # __post_init__'s copies; filling __dict__ in one update would give
+        # each instance a full dict of its own, about 130 bytes larger.
+        set_field = object.__setattr__
+        set_field(completion, "text", text)
+        set_field(completion, "tokens", tokens)
+        set_field(completion, "token_logprobs", token_logprobs)
+        set_field(completion, "top_logprobs", top_logprobs)
+        set_field(completion, "finish_reason", finish_reason)
+        completion._check_aligned()
+        return completion
 
     def _check_aligned(self) -> None:
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
@@ -145,18 +170,13 @@ class Completion:
         top_logprobs = tuple(d["top_logprobs"])
         if not all(isinstance(m, dict) for m in top_logprobs):
             raise ValueError("top_logprobs entries must be objects")
-        completion = object.__new__(cls)
-        # The fields of a frozen dataclass live in its __dict__; fill that
-        # directly, skipping __init__ and __post_init__.
-        completion.__dict__.update(
-            text=d["text"],
-            tokens=tuple(d["tokens"]),
-            token_logprobs=tuple(d["token_logprobs"]),
-            top_logprobs=top_logprobs,
-            finish_reason=d.get("finish_reason", "stop"),
+        return cls._adopt(
+            d["text"],
+            tuple(d["tokens"]),
+            tuple(d["token_logprobs"]),
+            top_logprobs,
+            d.get("finish_reason", "stop"),
         )
-        completion._check_aligned()
-        return completion
 
 
 class Backend(Protocol):
@@ -194,27 +214,24 @@ class CacheEntry:
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
 
 
-def _read_line(raw: dict) -> tuple[str, Completion]:
-    """Key and completion of a decoded cache line, the one reader of that format.
+def _read_line(raw: dict) -> tuple[CompletionRequest, Completion]:
+    """Request and completion of a decoded cache line, the one reader of that format.
 
     Checks the line's keys, its request fields and the completion's tokens.
+    The stored `request_hash` is not read back: lookups key on the request.
     """
     for name in _LINE_KEYS:
         if name not in raw:
             raise KeyError(name)
-    request = raw["request"]
-    if "prompt" not in request:
-        raise KeyError("prompt")
-    _check_request_fields(
-        request["max_tokens"], request["temperature"], request.get("top_logprobs", 0)
-    )
-    return raw["request_hash"], Completion.from_dict(raw["completion"])
+    return CompletionRequest.from_dict(raw["request"]), Completion.from_dict(raw["completion"])
 
 
 class ResponseCache:
-    """Append-only JSONL cache keyed by the canonical request hash.
+    """Append-only JSONL cache keyed by the request itself.
 
-    Concurrent reads are lock-free once loaded; appends are serialized and
+    Each line also stores the request's canonical hash (`request_hash`), so
+    the file format stays the same for other readers; lookups never compute
+    it. Concurrent reads are lock-free once loaded; appends are serialized and
     go through one handle, opened on the first `put` and flushed after every
     line, so another reader (or a run that crashes) sees each entry written.
     Load checks each line's keys, request fields and token alignment, and
@@ -226,7 +243,7 @@ class ResponseCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, Completion] = {}
+        self._entries: dict[CompletionRequest, Completion] = {}
         self._fh: Optional[TextIO] = None
         # Byte offset of a torn last line, cut off before the first append.
         self._torn_at: Optional[int] = None
@@ -236,6 +253,17 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
+        # Every decoded line stays alive, so the cyclic collector would only
+        # rescan them again and again as load allocates; pause it meanwhile.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._load_lines()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _load_lines(self) -> None:
         offset = 0
         last = b""
         # (line number, byte offset, error) of a line that did not parse;
@@ -259,13 +287,14 @@ class ResponseCache:
                     torn = (lineno, start, exc)
                     continue
                 try:
-                    key, completion = _read_line(raw)
+                    request, completion = _read_line(raw)
+                    # Hashing the request rejects a field that decoded to a list.
+                    self._entries[request] = completion
                 except (KeyError, TypeError, ValueError) as exc:
                     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                     raise ValueError(
                         f"{self.path}:{lineno}: invalid cache line: {detail}"
                     ) from exc
-                self._entries[key] = completion
         if torn is not None:
             bad_lineno, self._torn_at, _ = torn
             logger.warning(
@@ -279,23 +308,23 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, request: CompletionRequest, key: Optional[str] = None) -> Optional[Completion]:
-        """Cached completion for `request`; `key` is its `request_hash` if known."""
-        return self._entries.get(key or request_hash(request))
+    def get(self, request: CompletionRequest) -> Optional[Completion]:
+        """Cached completion for `request`, or None."""
+        return self._entries.get(request)
 
-    def put(
-        self, request: CompletionRequest, completion: Completion, key: Optional[str] = None
-    ) -> None:
-        """Record `completion` unless `request` is cached; `key` as in `get`."""
-        key = key or request_hash(request)
+    def put(self, request: CompletionRequest, completion: Completion) -> None:
+        """Record `completion` unless `request` is cached."""
         entry = CacheEntry(
-            request_hash=key, request=request, completion=completion, created_at=time.time()
+            request_hash=request_hash(request),
+            request=request,
+            completion=completion,
+            created_at=time.time(),
         )
         line = LINE_ENCODER.encode(entry.to_dict()) + "\n"
         with self._lock:
-            if key in self._entries:
+            if request in self._entries:
                 return
-            self._entries[key] = completion
+            self._entries[request] = completion
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)
@@ -332,10 +361,8 @@ def complete(
     Malformed responses are surfaced immediately; only transport and
     rate-limit failures are retried, with exponential backoff.
     """
-    key = None
     if cache is not None:
-        key = request_hash(request)
-        hit = cache.get(request, key=key)
+        hit = cache.get(request)
         if hit is not None:
             return hit
     last_error: Optional[Exception] = None
@@ -352,7 +379,7 @@ def complete(
     else:
         raise TransportError(f"giving up after {max_attempts} attempts: {last_error}")
     if cache is not None:
-        cache.put(request, completion, key=key)
+        cache.put(request, completion)
     return completion
 
 
@@ -443,9 +470,7 @@ def _synthesize(
     top_logprobs: Optional[Sequence[dict]],
 ) -> Completion:
     tokens = tokenize(text)
-    if not logprobs:
-        logprobs = [0.0] * len(tokens)
-    logprobs = list(logprobs)
+    logprobs = tuple(logprobs) if logprobs else (0.0,) * len(tokens)
     # Scripted logprobs take precedence over whitespace tokenization; reshape
     # the token list to match while keeping concatenation equal to the text.
     if len(logprobs) < len(tokens):
@@ -454,14 +479,11 @@ def _synthesize(
     elif len(logprobs) > len(tokens):
         tokens = tokens + [""] * (len(logprobs) - len(tokens))
     if top_logprobs is None:
-        top_logprobs = [{tok: lp} for tok, lp in zip(tokens, logprobs)]
-    return Completion(
-        text=text,
-        tokens=tuple(tokens),
-        token_logprobs=tuple(logprobs),
-        top_logprobs=tuple(top_logprobs),
-        finish_reason="stop",
-    )
+        top = tuple({tok: lp} for tok, lp in zip(tokens, logprobs))
+    else:
+        # Every call matching the script entry shares its dicts; copy them once.
+        top = tuple(dict(m) for m in top_logprobs)
+    return Completion._adopt(text, tuple(tokens), logprobs, top, "stop")
 
 
 def mock_from_script(

@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from . import metrics as cal
-from .backend import LINE_ENCODER, Backend, HttpBackend, ResponseCache, load_mock_script
+from .backend import (
+    LINE_ENCODER,
+    Backend,
+    HttpBackend,
+    ResponseCache,
+    _check_request_fields,
+    load_mock_script,
+)
 from .concern import ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, exact_match
 from .strategies import StrategyConfig, Transcript, execute, plan
@@ -67,6 +74,14 @@ class RunConfig(StrategyConfig):
             raise ConfigError("num_buckets must be >= 1")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
+        if self.self_consistency_n < 1:
+            raise ConfigError("self_consistency_n must be >= 1")
+        if self.self_consistency_temperature < 0:
+            raise ConfigError("self_consistency_temperature must be >= 0")
+        try:
+            _check_request_fields(self.max_tokens, self.temperature, 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -155,7 +170,8 @@ class RunReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """One line of sorted-key JSON, written by json's C encoder."""
+        return LINE_ENCODER.encode(self.to_dict())
 
     def records(self, dataset_index: int = 0, strategy_id: Optional[str] = None) -> list[EvalRecord]:
         out = []

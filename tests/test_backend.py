@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import math
@@ -41,6 +42,25 @@ class TestCompletionRequest:
     def test_round_trip(self):
         request = CompletionRequest(prompt="q", seed=3, stop=("\n\n",))
         assert CompletionRequest.from_dict(request.to_dict()) == request
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            CompletionRequest(prompt="q", seed=7),
+            CompletionRequest(prompt="q", seed=0, stop=()),
+            CompletionRequest(prompt="q", stop=("x",)),
+            CompletionRequest(prompt="q", temperature=1),
+            CompletionRequest(prompt="q", temperature=0, top_logprobs=5),
+        ],
+        ids=["seed", "empty_stop", "stop", "int_temperature", "zero_temperature"],
+    )
+    def test_from_dict_inverts_to_dict(self, request_):
+        back = CompletionRequest.from_dict(request_.to_dict())
+        assert back == request_
+        # Through JSON too, keeping the field types a cache line's hash depends on.
+        reread = CompletionRequest.from_dict(json.loads(json.dumps(request_.to_dict())))
+        assert reread == request_
+        assert request_hash(reread) == request_hash(request_)
 
 
 class TestCompletion:
@@ -166,6 +186,21 @@ class TestMockBackend:
             t.join()
         assert all(c == results[0] for c in results)
 
+    def test_scripted_top_logprobs_not_shared_between_calls(self):
+        backend = mock_from_script(
+            {"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{"True": -0.1}]}}
+        )
+        first = backend.complete(CompletionRequest(prompt="p"))
+        first.top_logprobs[0]["False"] = -9.0
+        assert backend.complete(CompletionRequest(prompt="p")).top_logprobs == ({"True": -0.1},)
+
+    def test_misaligned_scripted_top_logprobs_rejected(self):
+        backend = mock_from_script(
+            {"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{}, {}]}}
+        )
+        with pytest.raises(ValueError, match="align"):
+            backend.complete(CompletionRequest(prompt="p"))
+
     def test_top_logprobs_contain_chosen_token(self):
         backend = mock_from_script({"p": "True"})
         completion = backend.complete(CompletionRequest(prompt="p"))
@@ -224,12 +259,68 @@ class TestCache:
         backend = mock_from_script({"p": "True"})
         cache = ResponseCache(tmp_path / "cache.jsonl")
         request = CompletionRequest(prompt="p")
-        complete(backend, request, cache=cache)  # miss, then put
+        complete(backend, request, cache=cache)  # miss: put hashes once for the line
         assert hashed == [request]
-        complete(backend, request, cache=cache)  # hit
-        assert hashed == [request, request]
+        complete(backend, request, cache=cache)  # hit: a plain lookup
+        assert hashed == [request]
         assert backend.call_count == 1
         cache.close()
+        hashed.clear()
+        assert ResponseCache(tmp_path / "cache.jsonl").get(request) is not None
+        assert hashed == []  # load does not hash either
+
+    def test_stale_request_hash_serves_only_its_own_request(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        for prompt in "ab":
+            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+        cache.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        stale = json.loads(lines[0])
+        # The line for "a" claims the hash of "c", a request it does not hold.
+        stale["request_hash"] = request_hash(CompletionRequest(prompt="c"))
+        lines[0] = json.dumps(stale, sort_keys=True) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        reloaded = ResponseCache(path)
+        assert reloaded.get(CompletionRequest(prompt="a")).text == "A"
+        assert reloaded.get(CompletionRequest(prompt="b")).text == "B"
+        assert reloaded.get(CompletionRequest(prompt="c")) is None
+        backend.reset_call_count()
+        assert complete(backend, CompletionRequest(prompt="c"), cache=reloaded).text == "C"
+        assert backend.call_count == 1
+        reloaded.close()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
+    def test_load_pauses_and_restores_collector(self, tmp_path, monkeypatch, enabled, valid):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        cache.close()
+        if not valid:
+            path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        read_line = backend_module._read_line
+        collecting = []  # the collector's state as each line is read
+
+        def recording(raw):
+            collecting.append(gc.isenabled())
+            return read_line(raw)
+
+        monkeypatch.setattr(backend_module, "_read_line", recording)
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if valid:
+                assert len(ResponseCache(path)) == 1
+                assert collecting == [False]
+            else:
+                with pytest.raises(ValueError, match="cache.jsonl:1"):
+                    ResponseCache(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_close_is_idempotent(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
@@ -315,10 +406,13 @@ class TestCache:
                 ),
                 "top_logprobs entries must be objects",
             ),
+            # A request field that decoded to a list cannot be a lookup key.
+            (lambda d: d["request"].update(prompt=["p"]), "unhashable type"),
+            (lambda d: d["request"].update(stop=[["x"]]), "unhashable type"),
         ],
         ids=[
             "missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned",
-            "top_logprobs_null",
+            "top_logprobs_null", "prompt_list", "stop_nested_list",
         ],
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):

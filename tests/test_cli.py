@@ -58,6 +58,22 @@ class TestRun:
         assert result.exit_code == 1
         assert "bogus" in result.output
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_tokens", 0),
+            ("temperature", -1),
+            ("self_consistency_n", 0),
+            ("self_consistency_temperature", -0.5),
+        ],
+    )
+    def test_invalid_request_setting_exit_1(self, runner, tmp_path, e2e_dataset, e2e_script,
+                                            field, value):
+        config = write_config(tmp_path, e2e_dataset, e2e_script, **{field: value})
+        result = runner.invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 1, result.output
+        assert f"error: {field} must be >= " in result.output
+
     def test_unknown_strategy_exit_2(self, runner, tmp_path, e2e_dataset, e2e_script):
         config = write_config(tmp_path, e2e_dataset, e2e_script, strategy_ids=["nope"])
         result = runner.invoke(main, ["run", "--config", str(config)])

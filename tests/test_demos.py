@@ -19,3 +19,13 @@ def test_demo_exits_cleanly(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_demo_leaves_no_temp_dir(tmp_path):
+    demo = ROOT / "demos" / "03_concern_and_augmentation.py"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, check=True,
+        capture_output=True, timeout=120,
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -16,6 +16,7 @@ from calibra.harness import (
     sweep,
 )
 from calibra.backend import (
+    LINE_ENCODER,
     Completion,
     ResponseCache,
     ScriptError,
@@ -330,6 +331,13 @@ class TestEmitReport:
                     integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
                     assert abs(integral - 1.0) <= 1e-3
 
+    def test_report_json_is_one_sorted_line_that_reloads(self, e2e_dataset, e2e_script, tmp_path):
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        report = run_eval(config)
+        path = Path(config.out_dir) / "report.json"
+        assert path.read_text(encoding="utf-8") == LINE_ENCODER.encode(report.to_dict()) + "\n"
+        assert RunReport.from_json(path).to_dict() == json.loads(json.dumps(report.to_dict()))
+
 
 class TestSweep:
     def test_budget_sweep_two_reports(self, e2e_dataset, e2e_script, tmp_path):
@@ -419,3 +427,16 @@ class TestRunConfig:
             RunConfig(dataset_path=[])
         with pytest.raises(ConfigError):
             RunConfig(dataset_path=["d"], num_buckets=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_tokens", 0, "max_tokens must be >= 1"),
+            ("temperature", -0.5, "temperature must be >= 0"),
+            ("self_consistency_n", 0, "self_consistency_n must be >= 1"),
+            ("self_consistency_temperature", -0.1, "self_consistency_temperature must be >= 0"),
+        ],
+    )
+    def test_request_fields_checked_once_at_construction(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(dataset_path=["d"], **{field: value})
