@@ -17,6 +17,7 @@ from calibra import (
     augment_with_knowledge,
     improvement,
     plan,
+    read_records,
     run_eval,
     select_hard,
     write_dataset,
@@ -74,6 +75,7 @@ def script_for(items, answers):
 
 
 def run(workdir, items, answers, tag):
+    """Evaluate `items`; return the report and the records read back from records.jsonl."""
     dataset = workdir / f"{tag}.jsonl"
     write_dataset(items, dataset)
     script = workdir / f"{tag}_script.json"
@@ -84,14 +86,16 @@ def run(workdir, items, answers, tag):
         extraction_method_ids=["token_prob"],
         backend={"kind": "mock", "script_path": str(script)},
         worker_count=1,
+        out_dir=str(workdir / f"{tag}_out"),
     )
-    return run_eval(config)
+    report = run_eval(config)
+    return report, read_records(Path(config.out_dir) / "records.jsonl")
 
 
 def main():
     with tempfile.TemporaryDirectory(prefix="calibra_demo_") as tmp:
         workdir = Path(tmp)
-        before = run(workdir, ITEMS, PLAIN_ANSWERS, "plain")
+        before, records = run(workdir, ITEMS, PLAIN_ANSWERS, "plain")
         block = before.datasets[0]["strategies"]["standard"]
         print("== Plain run ==")
         print(f"accuracy:     {block['accuracy']:.3f}")
@@ -101,7 +105,6 @@ def main():
         print(f"MacroCE:      {summary['macro_ce']:.4f}")
         print()
 
-        records = before.records(0, "standard")
         hard = select_hard(records, "concern_triggered")
         control = select_hard(records, "random_control", seed=0)
         print("== Hard-example selection ==")
@@ -118,8 +121,8 @@ def main():
         print(augmented[1].question)
         print()
 
-        after = run(workdir, augmented, AUGMENTED_ANSWERS, "augmented")
-        outcome = improvement(records, after.records(0, "standard"), hard)
+        _, after = run(workdir, augmented, AUGMENTED_ANSWERS, "augmented")
+        outcome = improvement(records, after, hard)
         print("== Improvement on the selected subset ==")
         print(f"before accuracy: {outcome.accuracy_before:.3f}")
         print(f"after accuracy:  {outcome.accuracy_after:.3f}")

@@ -29,6 +29,7 @@ from .harness import (
     RunReport,
     emit_report,
     load_dataset,
+    read_records,
     run_eval,
     sweep,
     write_dataset,

@@ -15,9 +15,10 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Optional, Protocol, Sequence, TextIO
+from typing import Iterator, Literal, Optional, Protocol, Sequence, TextIO
 
 import requests
 
@@ -52,11 +53,12 @@ class ScriptError(BackendError):
 
 
 # request_hash's canonical form; changing it changes every cache key.
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 # One JSON object per line, keys sorted: the line format of the response
 # cache, transcripts.jsonl and records.jsonl. Encoders are reentrant, so
-# threads share these.
-LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+# threads share these. Every value they encode is a tree of tuples, dicts
+# and decoded JSON, never a cycle, so neither checks for one.
+LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int) -> None:
@@ -77,11 +79,20 @@ class CompletionRequest:
     top_logprobs: int = 0
     seed: Optional[int] = None
     stop: Optional[tuple[str, ...]] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_request_fields(self.max_tokens, self.temperature, self.top_logprobs)
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
+        # Hashed once here rather than on every cache lookup and insert; a
+        # field that is a list (say, read from a bad cache line) fails here.
+        object.__setattr__(self, "_hash", hash((
+            self.prompt, self.max_tokens, self.temperature, self.top_logprobs, self.seed, self.stop
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_dict(self) -> dict:
         d = {
@@ -150,8 +161,13 @@ class Completion:
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
 
-    def to_dict(self) -> dict:
-        """The fields as JSON values, sharing this completion's tuples and dicts."""
+    def to_dict(self, logprobs: bool = True) -> dict:
+        """The fields as JSON values, sharing this completion's tuples and dicts.
+
+        With `logprobs=False`, only the text and the finish reason.
+        """
+        if not logprobs:
+            return {"text": self.text, "finish_reason": self.finish_reason}
         return {
             "text": self.text,
             "tokens": self.tokens,
@@ -194,24 +210,22 @@ def request_hash(request: CompletionRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class CacheEntry:
-    request_hash: str
-    request: CompletionRequest
-    completion: Completion
-    created_at: float
-
-    def to_dict(self) -> dict:
-        """One cache line as JSON values; `ResponseCache` reads it back."""
-        return {
-            "request_hash": self.request_hash,
-            "request": self.request.to_dict(),
-            "completion": self.completion.to_dict(),
-            "created_at": self.created_at,
-        }
-
-
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a load whose objects all stay alive.
+
+    Collecting meanwhile would only rescan them again and again.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _read_line(raw: dict) -> tuple[CompletionRequest, Completion]:
@@ -250,20 +264,10 @@ class ResponseCache:
         # The last line is complete but has no newline; add one before appending.
         self._unterminated = False
         if self.path.exists():
-            self._load()
+            with _collector_paused():
+                self._load()
 
     def _load(self) -> None:
-        # Every decoded line stays alive, so the cyclic collector would only
-        # rescan them again and again as load allocates; pause it meanwhile.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._load_lines()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _load_lines(self) -> None:
         offset = 0
         last = b""
         # (line number, byte offset, error) of a line that did not parse;
@@ -288,7 +292,6 @@ class ResponseCache:
                     continue
                 try:
                     request, completion = _read_line(raw)
-                    # Hashing the request rejects a field that decoded to a list.
                     self._entries[request] = completion
                 except (KeyError, TypeError, ValueError) as exc:
                     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -314,13 +317,12 @@ class ResponseCache:
 
     def put(self, request: CompletionRequest, completion: Completion) -> None:
         """Record `completion` unless `request` is cached."""
-        entry = CacheEntry(
-            request_hash=request_hash(request),
-            request=request,
-            completion=completion,
-            created_at=time.time(),
-        )
-        line = LINE_ENCODER.encode(entry.to_dict()) + "\n"
+        line = LINE_ENCODER.encode({
+            "request_hash": request_hash(request),
+            "request": request.to_dict(),
+            "completion": completion.to_dict(),
+            "created_at": time.time(),
+        }) + "\n"
         with self._lock:
             if request in self._entries:
                 return
@@ -440,10 +442,6 @@ class MockBackend:
     def call_count(self) -> int:
         return self._calls
 
-    def reset_call_count(self) -> None:
-        with self._lock:
-            self._calls = 0
-
     def _lookup(self, prompt: str) -> Optional[MockResponse]:
         if prompt in self._exact:
             return self._exact[prompt]
@@ -529,9 +527,9 @@ def mock_from_script(
 
 def load_mock_script(path: str | Path) -> MockBackend:
     """Load a JSON mock script: {"fallback": ..., "entries": {...}}."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with _collector_paused(), Path(path).open("r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return mock_from_script(data.get("entries", {}), fallback=data.get("fallback", "error"))
+        return mock_from_script(data.get("entries", {}), fallback=data.get("fallback", "error"))
 
 
 class HttpBackend:

@@ -15,7 +15,7 @@ import click
 from . import metrics as cal
 from .backend import BackendError
 from .concern import ConcernError, select_hard
-from .harness import ConfigError, DataError, RunConfig, load_dataset, run_eval
+from .harness import ConfigError, DataError, RunConfig, load_dataset, read_records, run_eval
 from .harness import sweep as run_sweep
 from .concern import augment_with_knowledge
 from .harness import write_dataset
@@ -30,28 +30,6 @@ EXIT_DATA = 3
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _load_records(path: str) -> list[EvalRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            records.append(
-                EvalRecord(
-                    item_id=row["item_id"],
-                    correct=row["correct"],
-                    confidences=row["confidences"],
-                    concern=row.get("concern", False),
-                    strategy_id=row.get("strategy_id", ""),
-                )
-            )
-    if not records:
-        raise DataError(f"no records in {path}")
-    return records
 
 
 @click.group()
@@ -133,19 +111,22 @@ def run(
 @click.option("--buckets", default=10, type=int)
 @click.option("--method", "methods", multiple=True, help="Extraction methods (default: all present).")
 def metrics(records_path, buckets, methods) -> None:
-    """Recompute calibration metrics from a records JSONL file."""
+    """Recompute calibration metrics from a records JSONL file, per (dataset, strategy).
+
+    Records without a dataset or strategy column are grouped under "(all)".
+    """
     try:
-        records = _load_records(records_path)
+        records = read_records(records_path)
     except (DataError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_DATA, str(exc))
     if not methods:
         methods = sorted({m for r in records for m in r.confidences})
-    by_strategy: dict[str, list[EvalRecord]] = {}
+    groups: dict[tuple[str, str], list[EvalRecord]] = {}
     for record in records:
-        by_strategy.setdefault(record.strategy_id, []).append(record)
-    out = {}
-    for sid, recs in sorted(by_strategy.items()):
-        out[sid or "(all)"] = {
+        groups.setdefault((record.dataset, record.strategy_id), []).append(record)
+    out: dict[str, dict] = {}
+    for (dataset, sid), recs in groups.items():
+        out.setdefault(dataset or "(all)", {})[sid or "(all)"] = {
             method: cal.summarize(recs, method, buckets).to_dict() for method in methods
         }
     click.echo(json.dumps(out, sort_keys=True, indent=2))
@@ -165,7 +146,7 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
     if not records_path.exists():
         _fail(EXIT_DATA, f"no records.jsonl under {report_dir}")
     try:
-        records = _load_records(str(records_path))
+        records = read_records(records_path)
     except (DataError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_DATA, str(exc))
     if strategy_id:

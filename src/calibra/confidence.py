@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 from .backend import Backend, Completion, CompletionRequest, complete, ResponseCache
@@ -42,6 +42,8 @@ class ConfidenceResult:
     raw_value: float
     clamped: bool = False
     aux: Optional[dict] = None
+    # The probe completion's text, for the methods that send one.
+    reply: Optional[str] = None
 
     def to_dict(self) -> dict:
         d = {
@@ -52,6 +54,8 @@ class ConfidenceResult:
         }
         if self.aux is not None:
             d["aux"] = dict(self.aux)
+        if self.reply is not None:
+            d["reply"] = self.reply
         return d
 
 
@@ -112,11 +116,14 @@ def p_true_confidence(
         )
     p_a = math.exp(lp_a) if lp_a is not None else 0.0
     p_b = math.exp(lp_b) if lp_b is not None else 0.0
-    aux = {"p_a": p_a, "p_b": p_b}
-    if normalized:
-        value = p_a / (p_a + p_b)
-        return ConfidenceResult(method="p_true", value=value, raw_value=value, aux=aux)
-    return ConfidenceResult(method="p_true", value=p_a, raw_value=p_a, aux=aux)
+    value = p_a / (p_a + p_b) if normalized else p_a
+    return ConfidenceResult(
+        method="p_true",
+        value=value,
+        raw_value=value,
+        aux={"p_a": p_a, "p_b": p_b},
+        reply=completion.text,
+    )
 
 
 def parse_verbalized(
@@ -148,4 +155,4 @@ def verbalized_confidence(
     prompt = f"{answer_context}\n{VERBALIZED_SUFFIX}"
     request = CompletionRequest(prompt=prompt, max_tokens=8, temperature=0.0)
     completion = complete(backend, request, cache=cache)
-    return parse_verbalized(completion.text, clamp=clamp)
+    return replace(parse_verbalized(completion.text, clamp=clamp), reply=completion.text)

@@ -13,7 +13,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Literal, Optional, Sequence
+from typing import Literal, Mapping, Optional, Sequence, TextIO
 
 from . import metrics as cal
 from .backend import (
@@ -26,7 +26,7 @@ from .backend import (
 )
 from .concern import ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, exact_match
-from .strategies import StrategyConfig, Transcript, execute, plan
+from .strategies import StrategyConfig, execute, plan
 
 logger = logging.getLogger(__name__)
 
@@ -156,6 +156,8 @@ def write_dataset(items: Sequence[QAItem], path: str | Path) -> None:
 
 @dataclass
 class RunReport:
+    """The config and the summaries; records and curve points are written elsewhere."""
+
     config: dict
     datasets: list[dict]
     macro: Optional[dict] = None
@@ -173,32 +175,29 @@ class RunReport:
         """One line of sorted-key JSON, written by json's C encoder."""
         return LINE_ENCODER.encode(self.to_dict())
 
-    def records(self, dataset_index: int = 0, strategy_id: Optional[str] = None) -> list[EvalRecord]:
-        out = []
-        for row in self.datasets[dataset_index]["records"]:
-            if strategy_id is not None and row["strategy_id"] != strategy_id:
+
+def read_records(path: str | Path) -> list[EvalRecord]:
+    """Read a records.jsonl file, the one place a run writes its records."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
                 continue
-            out.append(
+            row = json.loads(line)
+            records.append(
                 EvalRecord(
                     item_id=row["item_id"],
                     correct=row["correct"],
                     confidences=row["confidences"],
-                    concern=row["concern"],
-                    strategy_id=row["strategy_id"],
+                    concern=row.get("concern", False),
+                    strategy_id=row.get("strategy_id", ""),
+                    dataset=row.get("dataset", ""),
                 )
             )
-        return out
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RunReport":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(
-            config=data["config"],
-            datasets=data["datasets"],
-            macro=data.get("macro"),
-            transcripts_path=data.get("transcripts_path"),
-        )
+    if not records:
+        raise DataError(f"no records in {path}")
+    return records
 
 
 def build_backend(config: RunConfig) -> Backend:
@@ -235,9 +234,10 @@ def run_eval(
     """Run every (item x strategy), then aggregate metrics in a single pass.
 
     Item-level work may run on a bounded worker pool; aggregation happens
-    after all transcripts have landed, so worker count never affects the
-    report. Each dataset's transcripts are written in (strategy, item)
-    order once its evaluations are done, for the same reason.
+    after all evaluations have landed, so worker count never affects the
+    report. Evaluations are collected in (strategy, item) order, and each
+    transcript is written as its line when it is collected, for the same
+    reason; no transcript is held after that.
     """
     if backend is None:
         backend = build_backend(config)
@@ -251,12 +251,15 @@ def run_eval(
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
+    transcripts: Optional[TextIO] = None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         transcripts_path = out_dir / "transcripts.jsonl"
-        transcripts_path.write_text("", encoding="utf-8")
+        transcripts = transcripts_path.open("w", encoding="utf-8")
 
-    def evaluate(item: QAItem, strategy_id: str) -> tuple[EvalRecord, Transcript]:
+    def evaluate(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
+        """The record, and the transcript as its line when transcripts are written."""
+        dataset, item, strategy_id = task
         try:
             strategy_plan = plan(strategy_id, item, config)
             transcript, confidences = execute(
@@ -278,40 +281,36 @@ def run_eval(
             confidences={m: r.value for m, r in confidences.items()},
             concern=concern,
             strategy_id=strategy_id,
+            dataset=dataset,
         )
-        return record, transcript
+        line = LINE_ENCODER.encode(transcript.to_dict()) + "\n" if transcripts is not None else None
+        return record, line
 
     dataset_blocks: list[dict] = []
+    all_records: list[EvalRecord] = []
+    # Every curve by its CSV file's stem; report.json keeps only their summaries.
+    curves: dict[str, cal.DistributionCurve] = {}
     try:
         for ds_path in config.dataset_path:
             items = load_dataset(ds_path)
             if not items:
                 raise DataError(f"dataset {ds_path} is empty")
-            tasks = [(item, sid) for sid in config.strategy_ids for item in items]
-            results: dict[tuple[str, str], tuple[EvalRecord, Transcript]] = {}
-            if config.worker_count == 1:
-                for item, sid in tasks:
-                    results[(sid, item.id)] = evaluate(item, sid)
-            else:
-                with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                    futures = {
-                        pool.submit(evaluate, item, sid): (sid, item.id) for item, sid in tasks
-                    }
-                    for future, key in futures.items():
-                        results[key] = future.result()
-            if transcripts_path is not None:
-                with transcripts_path.open("a", encoding="utf-8") as fh:
-                    for sid in config.strategy_ids:
-                        for item in items:
-                            transcript = results[(sid, item.id)][1]
-                            fh.write(LINE_ENCODER.encode(transcript.to_dict()) + "\n")
+            tasks = [(ds_path, item, sid) for sid in config.strategy_ids for item in items]
+            results: dict[tuple[str, str], EvalRecord] = {}
+            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+                # Both maps yield in task order, whatever order the work ends in.
+                run_all = pool.map if config.worker_count > 1 else map
+                for (_, item, sid), (record, line) in zip(tasks, run_all(evaluate, tasks)):
+                    results[(sid, item.id)] = record
+                    if transcripts is not None:
+                        transcripts.write(line)
 
-            block: dict = {"path": str(ds_path), "n_items": len(items), "strategies": {}}
-            records_out: list[dict] = []
+            block: dict = {"path": ds_path, "n_items": len(items), "strategies": {}}
+            ds_tag = Path(ds_path).stem
             ece_rows: list[dict] = []
             macro_rows: list[dict] = []
             for sid in config.strategy_ids:
-                records = [results[(sid, item.id)][0] for item in items]
+                records = [results[(sid, item.id)] for item in items]
                 strat_block: dict = {
                     "accuracy": sum(r.correct for r in records) / len(records),
                     "concern_rate": concern_rate([r.concern for r in records]),
@@ -322,41 +321,32 @@ def run_eval(
                 for method in config.extraction_method_ids:
                     summary = cal.summarize(records, method, config.num_buckets)
                     confs = [r.confidence(method) for r in records]
-                    curves = {
-                        "histogram": cal.distribution_curve(
-                            confs, "histogram", config.num_buckets
-                        ).to_dict(),
-                        "kde": cal.distribution_curve(
-                            confs, "kde", config.kde_grid_size
-                        ).to_dict(),
-                    }
                     entry = summary.to_dict()
-                    entry["curves"] = curves
+                    entry["curves"] = {}
+                    for kind, grid_size in (
+                        ("histogram", config.num_buckets),
+                        ("kde", config.kde_grid_size),
+                    ):
+                        curve = cal.distribution_curve(confs, kind, grid_size)
+                        entry["curves"][kind] = curve.to_dict()
+                        curves[f"{ds_tag}__{sid}__{method}__{kind}"] = curve
                     strat_block["extractions"][method] = entry
                     ece_row[method] = summary.ece
                     macro_row[method] = summary.macro_ce
                 block["strategies"][sid] = strat_block
                 ece_rows.append(ece_row)
                 macro_rows.append(macro_row)
-                records_out.extend(
-                    {
-                        "item_id": r.item_id,
-                        "strategy_id": r.strategy_id,
-                        "correct": r.correct,
-                        "concern": r.concern,
-                        "confidences": dict(sorted(r.confidences.items())),
-                    }
-                    for r in records
-                )
+                all_records.extend(records)
             block["wins"] = {
                 "ece": cal.wins_table(ece_rows),
                 "macro_ce": cal.wins_table(macro_rows),
             }
-            block["records"] = records_out
             dataset_blocks.append(block)
     finally:
         if cache is not None:
             cache.close()
+        if transcripts is not None:
+            transcripts.close()
 
     macro_block: Optional[dict] = None
     if len(dataset_blocks) >= 2:
@@ -388,7 +378,7 @@ def run_eval(
         transcripts_path=str(transcripts_path) if transcripts_path else None,
     )
     if out_dir:
-        emit_report(report, out_dir)
+        emit_report(report, out_dir, all_records, curves)
     return report
 
 
@@ -418,10 +408,14 @@ CSV_COLUMNS = (
 def emit_report(
     report: RunReport,
     out_dir: str | Path,
+    records: Sequence[EvalRecord],
+    curves: Mapping[str, cal.DistributionCurve],
     formats: Sequence[Literal["json", "csv"]] = ("json", "csv"),
 ) -> dict[str, Path]:
-    """Write report.json, records.jsonl, metrics.csv, and per-curve CSVs.
+    """Write report.json, records.jsonl, metrics.csv, and one CSV per curve.
 
+    Each fact is written once: the records only to records.jsonl, and the
+    curve points (keyed by file stem in `curves`) only to their CSVs.
     Wall-clock metadata goes to a sidecar so the report body stays
     byte-reproducible.
     """
@@ -434,9 +428,16 @@ def emit_report(
         written["report"] = path
         records_path = out_dir / "records.jsonl"
         with records_path.open("w", encoding="utf-8") as fh:
-            for block in report.datasets:
-                for row in block["records"]:
-                    fh.write(LINE_ENCODER.encode(row) + "\n")
+            for r in records:
+                row = {
+                    "dataset": r.dataset,
+                    "item_id": r.item_id,
+                    "strategy_id": r.strategy_id,
+                    "correct": r.correct,
+                    "concern": r.concern,
+                    "confidences": r.confidences,
+                }
+                fh.write(LINE_ENCODER.encode(row) + "\n")
         written["records"] = records_path
         import time
 
@@ -473,16 +474,11 @@ def emit_report(
         written["metrics"] = path
         curves_dir = out_dir / "curves"
         curves_dir.mkdir(exist_ok=True)
-        for block in report.datasets:
-            ds_tag = Path(block["path"]).stem
-            for sid, strat in block["strategies"].items():
-                for method, entry in strat["extractions"].items():
-                    for kind, curve in entry["curves"].items():
-                        cpath = curves_dir / f"{ds_tag}__{sid}__{method}__{kind}.csv"
-                        with cpath.open("w", encoding="utf-8", newline="") as fh:
-                            writer = csv.writer(fh)
-                            writer.writerow(["x", "density"])
-                            writer.writerows(curve["points"])
+        for stem, curve in curves.items():
+            with (curves_dir / f"{stem}.csv").open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["x", "density"])
+                writer.writerows(curve.points)
         written["curves"] = curves_dir
     return written
 

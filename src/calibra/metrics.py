@@ -8,7 +8,7 @@ over-confidence gap, per-row wins counting, and histogram/KDE exports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,13 +27,9 @@ class Bucket:
     index: int
     lower: float
     upper: float
-    member_ids: list[str] = field(default_factory=list)
+    size: int = 0
     avg_confidence: float = 0.0
     accuracy: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.member_ids)
 
 
 @dataclass
@@ -69,7 +65,7 @@ class CalibrationSummary:
                     "index": b.index,
                     "lower": b.lower,
                     "upper": b.upper,
-                    "member_ids": list(b.member_ids),
+                    "size": b.size,
                     "avg_confidence": b.avg_confidence,
                     "accuracy": b.accuracy,
                 }
@@ -80,7 +76,10 @@ class CalibrationSummary:
 
 @dataclass
 class DistributionCurve:
-    """Histogram or KDE density points for a confidence distribution."""
+    """Histogram or KDE density points for a confidence distribution.
+
+    `to_dict` leaves the points out: they are written once, as a CSV.
+    """
 
     points: list[tuple[float, float]]
     bandwidth: float
@@ -92,7 +91,6 @@ class DistributionCurve:
             "kind": self.kind,
             "bandwidth": self.bandwidth,
             "fallback_bandwidth": self.fallback_bandwidth,
-            "points": [[x, d] for x, d in self.points],
         }
 
 
@@ -133,7 +131,7 @@ def bucketize(
                 "enable clamping or fix the input"
             )
         m = bucket_index(conf, num_buckets)
-        buckets[m].member_ids.append(item_id)
+        buckets[m].size += 1
         members[m].append(conf)
         if correct is not None and correct[k]:
             hits[m] += 1

@@ -106,6 +106,7 @@ class EvalRecord:
     confidences: Mapping[str, float]
     concern: bool = False
     strategy_id: str = ""
+    dataset: str = ""
 
     def __post_init__(self) -> None:
         if not self.confidences:

@@ -82,10 +82,19 @@ class Transcript:
     strategy_id: str
     step_records: list[StepRecord]
     final_answer: ExtractedAnswer
+    # Index into step_records of the completion token_prob reads: the last
+    # step, or self_consistency's winning first sample.
+    final_index: int
     vote_detail: Optional[VoteDetail] = None
+    confidences: dict[str, ConfidenceResult] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """One transcripts.jsonl row; it shares the completions' tuples and dicts."""
+        """One transcripts.jsonl row; it shares the completions' tuples and dicts.
+
+        Every step keeps its prompt, text and finish reason; only the final
+        record keeps its tokens and logprobs. `probes` holds the reply of
+        each confidence probe that ran, plus P(True)'s p_a and p_b.
+        """
         d = {
             "item_id": self.item_id,
             "strategy_id": self.strategy_id,
@@ -93,14 +102,19 @@ class Transcript:
                 {
                     "step": rec.step_name,
                     "prompt": rec.prompt,
-                    "completion": rec.completion.to_dict(),
+                    "completion": rec.completion.to_dict(logprobs=index == self.final_index),
                 }
-                for rec in self.step_records
+                for index, rec in enumerate(self.step_records)
             ],
             "final_answer": {
                 "raw_text": self.final_answer.raw_text,
                 "normalized": self.final_answer.normalized,
                 "boolean_value": self.final_answer.boolean_value,
+            },
+            "probes": {
+                method: {"reply": result.reply, **(result.aux or {})}
+                for method, result in self.confidences.items()
+                if result.reply is not None
             },
         }
         if self.vote_detail is not None:
@@ -379,8 +393,7 @@ def execute(
         final_answer = winner
         # The winner's first sampled completion stands in as the final answer
         # record for confidence extraction.
-        winner_index = vote_detail.candidates.index(winner.normalized)
-        final_record = records[winner_index]
+        final_index = vote_detail.candidates.index(winner.normalized)
     elif strategy_plan.control == "conditional_branch":
         by_name = {s.name: s for s in strategy_plan.steps}
         check = run(by_name["followup_check"])
@@ -394,21 +407,14 @@ def execute(
                 )
         completion = run(by_name["answer"])
         final_answer = ExtractedAnswer.from_text(completion.text, item.answer_kind)
-        final_record = records[-1]
+        final_index = len(records) - 1
     else:
         for step in strategy_plan.steps:
             completion = run(step)
         final_answer = ExtractedAnswer.from_text(completion.text, item.answer_kind)
-        final_record = records[-1]
+        final_index = len(records) - 1
 
-    transcript = Transcript(
-        item_id=item.id,
-        strategy_id=strategy_plan.strategy_id,
-        step_records=records,
-        final_answer=final_answer,
-        vote_detail=vote_detail,
-    )
-
+    final_record = records[final_index]
     confidences: dict[str, ConfidenceResult] = {}
     final_context = f"{final_record.prompt} {final_record.completion.text}"
     for method in extraction_methods:
@@ -436,4 +442,13 @@ def execute(
             )
         else:
             raise StrategyError(f"unknown extraction method {method!r}")
+    transcript = Transcript(
+        item_id=item.id,
+        strategy_id=strategy_plan.strategy_id,
+        step_records=records,
+        final_answer=final_answer,
+        final_index=final_index,
+        vote_detail=vote_detail,
+        confidences=confidences,
+    )
     return transcript, confidences

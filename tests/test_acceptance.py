@@ -272,16 +272,14 @@ def test_criterion_11_augmentation_accounting():
 
 
 def test_criterion_12_kde_normalization(e2e_dataset, e2e_script, tmp_path):
-    run = run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path))
+    config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+    run_eval(config)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     ok = True
     count = 0
-    for block in run.datasets:
-        for strat in block["strategies"].values():
-            for entry in strat["extractions"].values():
-                points = entry["curves"]["kde"]["points"]
-                xs, ys = zip(*points)
-                ok = ok and abs(trapezoid(ys, xs) - 1.0) <= 1e-3
-                count += 1
+    for path in sorted((Path(config.out_dir) / "curves").glob("*__kde.csv")):
+        xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        ok = ok and abs(trapezoid(ys, xs) - 1.0) <= 1e-3
+        count += 1
     ok = ok and count > 0
     report("12 every emitted KDE curve integrates to 1 within 1e-3", ok)

@@ -3,13 +3,13 @@ import json
 import logging
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
 from calibra import backend as backend_module
 from calibra.backend import (
     BackendError,
-    CacheEntry,
     CapabilityError,
     Completion,
     CompletionRequest,
@@ -61,6 +61,23 @@ class TestCompletionRequest:
         reread = CompletionRequest.from_dict(json.loads(json.dumps(request_.to_dict())))
         assert reread == request_
         assert request_hash(reread) == request_hash(request_)
+
+    def test_hash_is_computed_once_and_keeps_equality(self):
+        request = CompletionRequest(prompt="q", temperature=1)
+        twin = CompletionRequest(prompt="q", temperature=1.0)
+        assert request == twin and hash(request) == hash(twin)
+        assert len({request: 1, twin: 2}) == 1
+        assert "_hash" not in repr(request)
+        fields = ("q", 120, 1, 0, None, None)
+        assert hash(request) == request._hash == hash(fields)
+        object.__setattr__(request, "prompt", "changed")  # no rehash on lookup
+        assert hash(request) == hash(fields)
+        reseeded = replace(twin, seed=4)
+        assert hash(reseeded) == hash(CompletionRequest(prompt="q", temperature=1.0, seed=4))
+
+    def test_list_valued_field_fails_at_construction(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            CompletionRequest(prompt=["q"])
 
 
 class TestCompletion:
@@ -287,9 +304,9 @@ class TestCache:
         assert reloaded.get(CompletionRequest(prompt="a")).text == "A"
         assert reloaded.get(CompletionRequest(prompt="b")).text == "B"
         assert reloaded.get(CompletionRequest(prompt="c")) is None
-        backend.reset_call_count()
+        calls = backend.call_count
         assert complete(backend, CompletionRequest(prompt="c"), cache=reloaded).text == "C"
-        assert backend.call_count == 1
+        assert backend.call_count == calls + 1
         reloaded.close()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
@@ -370,13 +387,21 @@ class TestCache:
         cache.put(request, completion)
         cache.close()
         (line,) = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        entry = CacheEntry(
-            request_hash=request_hash(request),
-            request=request,
-            completion=completion,
-            created_at=json.loads(line)["created_at"],
-        )
-        assert line == json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+        expected = {
+            "request_hash": request_hash(request),
+            "request": {
+                "prompt": "Is it caf\u00e9?", "max_tokens": 120, "temperature": 1.2,
+                "top_logprobs": 2, "seed": 2, "stop": ["\n"],
+            },
+            "completion": {
+                "text": "True \"yes\"", "tokens": ["True ", "\"yes\""],
+                "token_logprobs": [-0.125, -1e-07],
+                "top_logprobs": [{"True ": -0.125, "False": -2.5}, {"\"yes\"": -1e-07}],
+                "finish_reason": "stop",
+            },
+            "created_at": json.loads(line)["created_at"],
+        }
+        assert line == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_loads_a_line_in_the_established_format(self, tmp_path):
         request = CompletionRequest(prompt="p", top_logprobs=1)
@@ -598,3 +623,29 @@ class TestLoadScript:
         backend = load_mock_script(path)
         assert backend.complete(CompletionRequest(prompt="p")).text == "True"
         assert backend.complete(CompletionRequest(prompt="other")).text == "UNKNOWN"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "bad_value"])
+    def test_load_pauses_and_restores_collector(self, tmp_path, monkeypatch, enabled, valid):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"entries": {"p": "True" if valid else 1}}))
+        build = backend_module.mock_from_script
+        collecting = []  # the collector's state as the script is built
+
+        def recording(entries, fallback):
+            collecting.append(gc.isenabled())
+            return build(entries, fallback)
+
+        monkeypatch.setattr(backend_module, "mock_from_script", recording)
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if valid:
+                load_mock_script(path)
+            else:
+                with pytest.raises(ScriptError, match="unsupported script value"):
+                    load_mock_script(path)
+            assert collecting == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

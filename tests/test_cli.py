@@ -119,11 +119,32 @@ class TestMetrics:
         assert result.exit_code == 0, result.output
         recomputed = json.loads(result.output)
         report = json.loads((out / "report.json").read_text())
+        assert list(recomputed) == [str(e2e_dataset)]
         for sid in ("standard", "far_final"):
             stored = report["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
-            assert recomputed[sid]["token_prob"]["ece"] == pytest.approx(
+            assert recomputed[str(e2e_dataset)][sid]["token_prob"]["ece"] == pytest.approx(
                 stored["ece"], abs=1e-12
             )
+
+    def test_groups_by_dataset_then_strategy(self, runner, tmp_path):
+        rows = [
+            {"dataset": "a.jsonl", "item_id": "1", "strategy_id": "standard", "correct": True,
+             "concern": False, "confidences": {"token_prob": 0.9}},
+            {"dataset": "b.jsonl", "item_id": "1", "strategy_id": "standard", "correct": False,
+             "concern": False, "confidences": {"token_prob": 0.9}},
+            # A file written before the dataset column existed.
+            {"item_id": "1", "strategy_id": "standard", "correct": True,
+             "concern": False, "confidences": {"token_prob": 0.4}},
+        ]
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = runner.invoke(main, ["metrics", "--records", str(path)])
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.output)
+        assert set(out) == {"a.jsonl", "b.jsonl", "(all)"}
+        assert out["a.jsonl"]["standard"]["token_prob"]["accuracy"] == 1.0
+        assert out["b.jsonl"]["standard"]["token_prob"]["accuracy"] == 0.0
+        assert out["(all)"]["standard"]["token_prob"]["avg_confidence"] == 0.4
 
     def test_empty_records_exit_3(self, runner, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -10,8 +11,8 @@ from calibra.harness import (
     ConfigError,
     DataError,
     RunConfig,
-    RunReport,
     load_dataset,
+    read_records,
     run_eval,
     sweep,
 )
@@ -25,6 +26,8 @@ from calibra.backend import (
 )
 from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 from conftest import E2E_ITEMS, build_script
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_lines(path, rows):
@@ -163,20 +166,22 @@ class TestRunEval:
         assert len(ResponseCache(tmp_path / "failed.jsonl")) == 2
 
     def test_concern_flag_on_far_answer(self, e2e_dataset, e2e_script, tmp_path):
-        report = run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path))
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        report = run_eval(config)
         far = report.datasets[0]["strategies"]["far_final"]
         assert far["concern_rate"] == 0.25  # q4 expresses concern
         flagged = [
-            r for r in report.datasets[0]["records"]
-            if r["strategy_id"] == "far_final" and r["concern"]
+            r for r in read_records(Path(config.out_dir) / "records.jsonl")
+            if r.strategy_id == "far_final" and r.concern
         ]
-        assert [r["item_id"] for r in flagged] == ["q4"]
+        assert [r.item_id for r in flagged] == ["q4"]
 
     def test_self_audit_from_records(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         report = run_eval(config)
+        all_records = read_records(Path(config.out_dir) / "records.jsonl")
         for sid in config.strategy_ids:
-            records = report.records(0, sid)
+            records = [r for r in all_records if r.strategy_id == sid]
             stored = report.datasets[0]["strategies"][sid]["extractions"]["token_prob"]
             assert cal.ece(records, "token_prob", 10) == pytest.approx(stored["ece"], abs=1e-12)
             assert cal.macro_ce(records, "token_prob")[0] == pytest.approx(
@@ -186,9 +191,12 @@ class TestRunEval:
     def test_report_json_reload_self_audit(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         run_eval(config)
-        reloaded = RunReport.from_json(Path(config.out_dir) / "report.json")
-        records = reloaded.records(0, "standard")
-        stored = reloaded.datasets[0]["strategies"]["standard"]["extractions"]["token_prob"]
+        reloaded = json.loads((Path(config.out_dir) / "report.json").read_text(encoding="utf-8"))
+        records = [
+            r for r in read_records(Path(config.out_dir) / "records.jsonl")
+            if r.strategy_id == "standard"
+        ]
+        stored = reloaded["datasets"][0]["strategies"]["standard"]["extractions"]["token_prob"]
         assert cal.ece(records, "token_prob", 10) == pytest.approx(stored["ece"], abs=1e-12)
 
     def test_transcripts_persisted(self, e2e_dataset, e2e_script, tmp_path):
@@ -319,24 +327,77 @@ class TestEmitReport:
 
     def test_kde_curves_integrate_to_one(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
-        report = run_eval(config)
+        run_eval(config)
         import numpy as np
 
-        for block in report.datasets:
-            for strat in block["strategies"].values():
-                for entry in strat["extractions"].values():
-                    points = entry["curves"]["kde"]["points"]
-                    xs = [p[0] for p in points]
-                    ys = [p[1] for p in points]
-                    integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
-                    assert abs(integral - 1.0) <= 1e-3
+        paths = sorted((Path(config.out_dir) / "curves").glob("*__kde.csv"))
+        assert len(paths) == len(config.strategy_ids) * len(config.extraction_method_ids)
+        for path in paths:
+            xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+            integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
+            assert abs(integral - 1.0) <= 1e-3
 
     def test_report_json_is_one_sorted_line_that_reloads(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         report = run_eval(config)
         path = Path(config.out_dir) / "report.json"
         assert path.read_text(encoding="utf-8") == LINE_ENCODER.encode(report.to_dict()) + "\n"
-        assert RunReport.from_json(path).to_dict() == json.loads(json.dumps(report.to_dict()))
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(report.to_json())
+
+    def test_report_json_holds_summaries_only(self, e2e_dataset, e2e_script, tmp_path):
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        run_eval(config)
+        report = json.loads((Path(config.out_dir) / "report.json").read_text(encoding="utf-8"))
+
+        def keys(value):
+            if isinstance(value, dict):
+                for key, inner in value.items():
+                    yield key
+                    yield from keys(inner)
+            elif isinstance(value, list):
+                for inner in value:
+                    yield from keys(inner)
+
+        assert not {"records", "points", "member_ids"} & set(keys(report))
+        entries = [
+            entry for strat in report["datasets"][0]["strategies"].values()
+            for entry in strat["extractions"].values()
+        ]
+        assert len(entries) == 2
+        for entry in entries:
+            assert sum(b["size"] for b in entry["buckets"]) == entry["n"] == len(E2E_ITEMS)
+            assert set(entry["curves"]) == {"histogram", "kde"}
+
+    def test_records_carry_the_dataset_column(self, e2e_dataset, e2e_script, tmp_path):
+        second = tmp_path / "second.jsonl"
+        rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
+        write_lines(second, [dict(row, id=row["id"].replace("q", "r")) for row in rows])
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        config.dataset_path = [str(e2e_dataset), str(second)]
+        report = run_eval(config)
+        records = read_records(Path(config.out_dir) / "records.jsonl")
+        assert [r.dataset for r in records] == [str(e2e_dataset)] * 8 + [str(second)] * 8
+        assert [block["path"] for block in report.datasets] == config.dataset_path
+
+    def test_bench_inputs_fit_the_size_budget(self, tmp_path):
+        # Read-only use of the benchmark's seeded generator: 250 items, three
+        # strategies, every extraction method.
+        spec = importlib.util.spec_from_file_location("bench_workload", BENCH / "workload.py")
+        workload = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workload)
+        inputs = tmp_path / "inputs"
+        workload.generate(5, 250, inputs)
+        out = tmp_path / "out"
+        run_eval(RunConfig(
+            dataset_path=[str(inputs / "dataset.jsonl")],
+            strategy_ids=list(workload.STRATEGIES),
+            extraction_method_ids=list(workload.METHODS),
+            backend={"kind": "mock", "script_path": str(inputs / "script.json")},
+            worker_count=1,
+            out_dir=str(out),
+        ))
+        assert (out / "report.json").stat().st_size <= 20_000
+        assert (out / "transcripts.jsonl").stat().st_size <= 1_650_000
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
+import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from calibra.backend import mock_from_script
+from calibra.backend import LINE_ENCODER, Completion, mock_from_script
+from calibra.confidence import token_prob_confidence
 from calibra.qa import ExtractedAnswer, QAItem
 from calibra.strategies import (
     COT_PROMPT,
@@ -258,3 +261,73 @@ class TestExecute:
         with pytest.raises(StrategyError, match="mystery"):
             execute(plan("standard", ITEM), ITEM, mock_from_script(entries),
                     extraction_methods=("mystery",))
+
+
+LOGPROB_FIELDS = {"tokens", "token_logprobs", "top_logprobs"}
+
+
+class TestTranscriptRow:
+    """transcripts.jsonl keeps logprob arrays only where token_prob reads them."""
+
+    def row(self, transcript):
+        return json.loads(LINE_ENCODER.encode(transcript.to_dict()))
+
+    def check_only_final_has_logprobs(self, transcript, confidences, final_index):
+        assert transcript.final_index == final_index
+        steps = self.row(transcript)["steps"]
+        for index, (step, rec) in enumerate(zip(steps, transcript.step_records)):
+            assert step["step"] == rec.step_name
+            assert step["prompt"] == rec.prompt
+            assert step["completion"]["text"] == rec.completion.text
+            assert step["completion"]["finish_reason"] == rec.completion.finish_reason
+            has_arrays = LOGPROB_FIELDS & set(step["completion"])
+            assert has_arrays == (LOGPROB_FIELDS if index == final_index else set())
+        # The kept arrays are the ones token_prob read.
+        kept = Completion.from_dict(steps[final_index]["completion"])
+        assert kept == transcript.step_records[final_index].completion
+        assert token_prob_confidence(kept) == confidences["token_prob"]
+
+    def test_standard(self):
+        transcript, confidences, _ = run_strategy(
+            "standard", {"answer": {"text": "No", "logprobs": [-0.25]}}
+        )
+        self.check_only_final_has_logprobs(transcript, confidences, 0)
+
+    def test_far_final_keeps_only_the_answer_step(self):
+        texts = {**FAR_TEXTS, "answer": {"text": "No, never.", "logprobs": [-0.5, -0.125]}}
+        transcript, confidences, _ = run_strategy("far_final", texts)
+        self.check_only_final_has_logprobs(transcript, confidences, 3)
+
+    def test_self_consistency_split_vote_keeps_the_winners_first_sample(self):
+        config = StrategyConfig(self_consistency_n=5)
+        texts = {"sample": {
+            "texts": ["False", "True", "True", "False", "True"], "logprobs": [-0.75],
+        }}
+        transcript, confidences, _ = run_strategy("self_consistency", texts, config)
+        assert transcript.vote_detail.counts == {"true": 3, "false": 2}
+        self.check_only_final_has_logprobs(transcript, confidences, 1)
+        assert self.row(transcript)["steps"][1]["completion"]["text"] == "True"
+
+    def test_probes_hold_each_reply_and_p_true_aux(self):
+        from conftest import add_p_true_entry, add_verbalized_entry
+
+        entries = build_script("standard", ITEM, {"answer": "No"})
+        context = f"{next(iter(entries))} No"
+        add_p_true_entry(entries, context, "No", {"A": math.log(0.7), "B": math.log(0.2)})
+        add_verbalized_entry(entries, context, "0.85 (fairly sure)")
+        transcript, confidences = execute(
+            plan("standard", ITEM), ITEM, mock_from_script(entries),
+            extraction_methods=("token_prob", "p_true", "verbalized"),
+        )
+        aux = confidences["p_true"].aux
+        assert self.row(transcript)["probes"] == {
+            "p_true": {"reply": "A", "p_a": aux["p_a"], "p_b": aux["p_b"]},
+            "verbalized": {"reply": "0.85 (fairly sure)"},
+        }
+        assert confidences["p_true"].reply == "A"
+        assert confidences["verbalized"].reply == "0.85 (fairly sure)"
+        assert confidences["verbalized"].value == 0.85
+
+    def test_no_probes_without_probe_methods(self):
+        transcript, _, _ = run_strategy("standard", {"answer": "No"})
+        assert self.row(transcript)["probes"] == {}
