@@ -51,7 +51,7 @@ def show(strategy_id, config=None):
     backend = mock_from_script(script_for(strategy_id, config))
     transcript, confidences = execute(
         plan(strategy_id, ITEM, config), ITEM, backend,
-        extraction_methods=("token_prob",),
+        extraction_methods=("token_prob",), config=config,
     )
     print(f"== {strategy_id} ==")
     for record in transcript.step_records:
@@ -79,7 +79,9 @@ def main():
     sc_plan = plan("self_consistency", ITEM, config)
     prompt = render_step(sc_plan.steps[0], ITEM.question, {})
     backend = mock_from_script({prompt: ["No"] * 7 + ["Yes"] * 3})
-    transcript, _ = execute(sc_plan, ITEM, backend, extraction_methods=("token_prob",))
+    transcript, _ = execute(
+        sc_plan, ITEM, backend, extraction_methods=("token_prob",), config=config
+    )
     print("== self_consistency ==")
     print(f"  backend calls: {backend.call_count}")
     print(f"  vote counts:   {transcript.vote_detail.counts}")

@@ -398,42 +398,19 @@ class MockResponse:
         return self.texts[index]
 
 
-@dataclass(frozen=True)
-class MockRule:
-    match: Literal["exact", "prefix"]
-    pattern: str
-    response: MockResponse
-
-
 class MockBackend:
-    """Deterministic scripted backend.
+    """Deterministic scripted backend keyed by exact prompt.
 
     Lookup is pure: the reply depends only on the request (including its
-    seed), never on call order. Exact rules beat prefix rules; an ambiguous
-    prefix rule set is rejected at construction. The call counter is
-    telemetry only.
+    seed), never on call order. The call counter is telemetry only.
     """
 
     def __init__(
         self,
-        rules: Sequence[MockRule],
+        responses: dict[str, MockResponse],
         fallback: Literal["error", "unknown"] = "error",
     ):
-        self._exact = {}
-        self._prefixes = []
-        for rule in rules:
-            if rule.match == "exact":
-                if rule.pattern in self._exact:
-                    raise ScriptError(f"duplicate exact rule for prompt {rule.pattern[:60]!r}")
-                self._exact[rule.pattern] = rule.response
-            else:
-                self._prefixes.append(rule)
-        for i, a in enumerate(self._prefixes):
-            for b in self._prefixes[i + 1 :]:
-                if a.pattern.startswith(b.pattern) or b.pattern.startswith(a.pattern):
-                    raise ScriptError(
-                        f"ambiguous prefix rules: {a.pattern[:40]!r} and {b.pattern[:40]!r}"
-                    )
+        self._responses = responses
         self.fallback = fallback
         self._calls = 0
         self._lock = threading.Lock()
@@ -442,18 +419,10 @@ class MockBackend:
     def call_count(self) -> int:
         return self._calls
 
-    def _lookup(self, prompt: str) -> Optional[MockResponse]:
-        if prompt in self._exact:
-            return self._exact[prompt]
-        for rule in self._prefixes:
-            if prompt.startswith(rule.pattern):
-                return rule.response
-        return None
-
     def complete(self, request: CompletionRequest) -> Completion:
         with self._lock:
             self._calls += 1
-        response = self._lookup(request.prompt)
+        response = self._responses.get(request.prompt)
         if response is None:
             if self.fallback == "unknown":
                 return _synthesize("UNKNOWN", None, None)
@@ -490,13 +459,12 @@ def mock_from_script(
 ) -> MockBackend:
     """Build a mock backend from a plain dict script.
 
-    Keys are prompts; values are either a reply string, a list of reply
-    strings (cycled by request seed), or a dict with keys `text`/`texts`,
-    optional `logprobs`, `top_logprobs`, and `match` ("exact"|"prefix").
+    Keys are exact prompts; values are either a reply string, a list of
+    reply strings (cycled by request seed), or a dict with keys
+    `text`/`texts` and optional `logprobs` and `top_logprobs`.
     """
-    rules = []
-    for pattern, value in entries.items():
-        match: Literal["exact", "prefix"] = "exact"
+    responses = {}
+    for prompt, value in entries.items():
         logprobs = None
         top_lp = None
         if isinstance(value, str):
@@ -508,21 +476,14 @@ def mock_from_script(
                 texts = tuple(value["texts"])
             else:
                 texts = (value["text"],)
-            match = value.get("match", "exact")
             if value.get("logprobs") is not None:
                 logprobs = tuple(value["logprobs"])
             if value.get("top_logprobs") is not None:
                 top_lp = tuple(value["top_logprobs"])
         else:
-            raise ScriptError(f"unsupported script value for {pattern[:60]!r}")
-        rules.append(
-            MockRule(
-                match=match,
-                pattern=pattern,
-                response=MockResponse(texts=texts, logprobs=logprobs, top_logprobs=top_lp),
-            )
-        )
-    return MockBackend(rules, fallback=fallback)
+            raise ScriptError(f"unsupported script value for {prompt[:60]!r}")
+        responses[prompt] = MockResponse(texts=texts, logprobs=logprobs, top_logprobs=top_lp)
+    return MockBackend(responses, fallback=fallback)
 
 
 def load_mock_script(path: str | Path) -> MockBackend:
@@ -595,14 +556,11 @@ class HttpBackend:
                 "backend returned no logprobs but top_logprobs was requested; "
                 "token-probability and P(True) extraction need a logprobs-capable endpoint"
             )
-        if logprobs:
-            tokens = tuple(logprobs.get("tokens", ()))
-            token_logprobs = tuple(logprobs.get("token_logprobs", ()))
-            top = tuple(logprobs.get("top_logprobs") or ({},) * len(tokens))
-        else:
-            tokens = tuple(tokenize(text))
-            token_logprobs = (0.0,) * len(tokens)
-            top = tuple({t: 0.0} for t in tokens)
+        # A reply without logprobs has no tokens to report; none are made up.
+        logprobs = logprobs or {}
+        tokens = tuple(logprobs.get("tokens", ()))
+        token_logprobs = tuple(logprobs.get("token_logprobs", ()))
+        top = tuple(logprobs.get("top_logprobs") or ({},) * len(tokens))
         finish = choice.get("finish_reason", "stop")
         if finish not in ("stop", "length"):
             finish = "error"

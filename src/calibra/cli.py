@@ -47,7 +47,6 @@ def main() -> None:
 @click.option("--buckets", default=None, type=int)
 @click.option("--cache", "cache_path", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--no-clamp", is_flag=True, default=False)
 @click.option("--concern-lexicon", default=None, type=click.Path(exists=True))
 def run(
     config_path,
@@ -59,7 +58,6 @@ def run(
     buckets,
     cache_path,
     out_dir,
-    no_clamp,
     concern_lexicon,
 ) -> None:
     """Run an evaluation described by a JSON config file."""
@@ -81,8 +79,6 @@ def run(
             config.cache_path = cache_path
         if out_dir is not None:
             config.out_dir = out_dir
-        if no_clamp:
-            config.clamp_confidences = False
         if concern_lexicon is not None:
             config.concern_lexicon_path = concern_lexicon
     except ConfigError as exc:

@@ -57,15 +57,15 @@ class ConcernLexicon:
         object.__setattr__(self, "_compiled", tuple(compiled))
 
     @classmethod
-    def from_file(cls, path: str | Path, version: Optional[str] = None) -> "ConcernLexicon":
-        """One pattern per line; blank lines and '#' comments ignored."""
+    def from_file(cls, path: str | Path) -> "ConcernLexicon":
+        """One pattern per line; blank lines and '#' comments ignored; versioned by file name."""
         path = Path(path)
         patterns = []
         for line in path.read_text(encoding="utf-8").splitlines():
             line = line.split("#", 1)[0].strip()
             if line:
                 patterns.append(line)
-        return cls(patterns=tuple(patterns), version=version or path.name)
+        return cls(patterns=tuple(patterns), version=path.name)
 
 
 def detect_concern(

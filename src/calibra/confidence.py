@@ -45,28 +45,6 @@ class ConfidenceResult:
     # The probe completion's text, for the methods that send one.
     reply: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "value": self.value,
-            "raw_value": self.raw_value,
-            "clamped": self.clamped,
-        }
-        if self.aux is not None:
-            d["aux"] = dict(self.aux)
-        if self.reply is not None:
-            d["reply"] = self.reply
-        return d
-
-
-def _clamp(method: MethodId, raw: float, clamp: bool, aux: Optional[dict] = None) -> ConfidenceResult:
-    if clamp:
-        value = min(1.0, max(0.0, raw))
-        return ConfidenceResult(
-            method=method, value=value, raw_value=raw, clamped=value != raw, aux=aux
-        )
-    return ConfidenceResult(method=method, value=raw, raw_value=raw, clamped=False, aux=aux)
-
 
 def token_prob_confidence(completion: Completion) -> ConfidenceResult:
     """exp(mean per-token logprob): the reciprocal perplexity of the sequence."""
@@ -126,33 +104,27 @@ def p_true_confidence(
     )
 
 
-def parse_verbalized(
-    text: str,
-    clamp: bool = True,
-    percent_interpretation: bool = False,
-) -> ConfidenceResult:
-    """Read the first numeral in the text as a confidence.
+def parse_verbalized(text: str) -> ConfidenceResult:
+    """Read the first numeral in the text as a confidence, clamped to [0, 1].
 
-    With `percent_interpretation`, values in (1, 100] are divided by 100.
-    Clamping to [0, 1] is on by default; the raw value is always preserved.
+    The raw value is always preserved.
     """
     match = _NUMERAL_RE.search(text)
     if match is None:
         raise UnparseableConfidenceError(f"no numeral in confidence reply: {text[:120]!r}")
     raw = float(match.group())
-    if percent_interpretation and 1.0 < raw <= 100.0:
-        raw = raw / 100.0
-    return _clamp("verbalized", raw, clamp)
+    # The numeral pattern has no sign, so only the upper bound can be crossed.
+    value = min(1.0, raw)
+    return ConfidenceResult(method="verbalized", value=value, raw_value=raw, clamped=value != raw)
 
 
 def verbalized_confidence(
     backend: Backend,
     answer_context: str,
-    clamp: bool = True,
     cache: Optional[ResponseCache] = None,
 ) -> ConfidenceResult:
     """Ask the model to state its own confidence after the answer."""
     prompt = f"{answer_context}\n{VERBALIZED_SUFFIX}"
     request = CompletionRequest(prompt=prompt, max_tokens=8, temperature=0.0)
     completion = complete(backend, request, cache=cache)
-    return replace(parse_verbalized(completion.text, clamp=clamp), reply=completion.text)
+    return replace(parse_verbalized(completion.text), reply=completion.text)

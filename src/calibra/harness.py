@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Literal, Mapping, Optional, Sequence, TextIO
+from typing import Mapping, Optional, Sequence, TextIO
 
 from . import metrics as cal
 from .backend import (
@@ -25,7 +26,7 @@ from .backend import (
     load_mock_script,
 )
 from .concern import ConcernLexicon, concern_rate, detect_concern
-from .qa import EvalRecord, QAItem, exact_match
+from .qa import EvalRecord, QAItem, accuracy, exact_match
 from .strategies import StrategyConfig, execute, plan
 
 logger = logging.getLogger(__name__)
@@ -66,6 +67,11 @@ class RunConfig(StrategyConfig):
             self.dataset_path = [str(p) for p in self.dataset_path]
         if not self.dataset_path:
             raise ConfigError("at least one dataset path required")
+        # Curve CSVs are named by dataset file stem, so stems must differ.
+        stems = [Path(p).stem for p in self.dataset_path]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise ConfigError(f"two dataset paths share the file stem {stem!r}")
         if not self.strategy_ids:
             raise ConfigError("at least one strategy required")
         if not self.extraction_method_ids:
@@ -296,12 +302,12 @@ def run_eval(
             if not items:
                 raise DataError(f"dataset {ds_path} is empty")
             tasks = [(ds_path, item, sid) for sid in config.strategy_ids for item in items]
-            results: dict[tuple[str, str], EvalRecord] = {}
+            results: list[EvalRecord] = []
             with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
                 # Both maps yield in task order, whatever order the work ends in.
                 run_all = pool.map if config.worker_count > 1 else map
-                for (_, item, sid), (record, line) in zip(tasks, run_all(evaluate, tasks)):
-                    results[(sid, item.id)] = record
+                for record, line in run_all(evaluate, tasks):
+                    results.append(record)
                     if transcripts is not None:
                         transcripts.write(line)
 
@@ -309,10 +315,11 @@ def run_eval(
             ds_tag = Path(ds_path).stem
             ece_rows: list[dict] = []
             macro_rows: list[dict] = []
-            for sid in config.strategy_ids:
-                records = [results[(sid, item.id)] for item in items]
+            for index, sid in enumerate(config.strategy_ids):
+                # Tasks run strategy by strategy, so each strategy's records are one slice.
+                records = results[index * len(items) : (index + 1) * len(items)]
                 strat_block: dict = {
-                    "accuracy": sum(r.correct for r in records) / len(records),
+                    "accuracy": accuracy(records),
                     "concern_rate": concern_rate([r.concern for r in records]),
                     "extractions": {},
                 }
@@ -410,7 +417,6 @@ def emit_report(
     out_dir: str | Path,
     records: Sequence[EvalRecord],
     curves: Mapping[str, cal.DistributionCurve],
-    formats: Sequence[Literal["json", "csv"]] = ("json", "csv"),
 ) -> dict[str, Path]:
     """Write report.json, records.jsonl, metrics.csv, and one CSV per curve.
 
@@ -422,64 +428,60 @@ def emit_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
-        written["report"] = path
-        records_path = out_dir / "records.jsonl"
-        with records_path.open("w", encoding="utf-8") as fh:
-            for r in records:
-                row = {
-                    "dataset": r.dataset,
-                    "item_id": r.item_id,
-                    "strategy_id": r.strategy_id,
-                    "correct": r.correct,
-                    "concern": r.concern,
-                    "confidences": r.confidences,
-                }
-                fh.write(LINE_ENCODER.encode(row) + "\n")
-        written["records"] = records_path
-        import time
-
-        meta_path = out_dir / "run_meta.json"
-        meta = {"written_at": time.time()}
-        if report.transcripts_path:
-            meta["transcripts_path"] = report.transcripts_path
-        meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-        written["meta"] = meta_path
-    if "csv" in formats:
-        path = out_dir / "metrics.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
+    path = out_dir / "report.json"
+    path.write_text(report.to_json() + "\n", encoding="utf-8")
+    written["report"] = path
+    records_path = out_dir / "records.jsonl"
+    with records_path.open("w", encoding="utf-8") as fh:
+        for r in records:
+            row = {
+                "dataset": r.dataset,
+                "item_id": r.item_id,
+                "strategy_id": r.strategy_id,
+                "correct": r.correct,
+                "concern": r.concern,
+                "confidences": r.confidences,
+            }
+            fh.write(LINE_ENCODER.encode(row) + "\n")
+    written["records"] = records_path
+    meta_path = out_dir / "run_meta.json"
+    meta = {"written_at": time.time()}
+    if report.transcripts_path:
+        meta["transcripts_path"] = report.transcripts_path
+    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    written["meta"] = meta_path
+    path = out_dir / "metrics.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for block in report.datasets:
+            for sid, strat in block["strategies"].items():
+                for method, entry in strat["extractions"].items():
+                    writer.writerow(
+                        [
+                            block["path"],
+                            sid,
+                            method,
+                            entry["n"],
+                            entry["accuracy"],
+                            entry["avg_confidence"],
+                            entry["avg_confidence"] - entry["accuracy"],
+                            entry["ece"],
+                            entry["ice_pos"],
+                            entry["ice_neg"],
+                            entry["macro_ce"],
+                            strat["concern_rate"],
+                        ]
+                    )
+    written["metrics"] = path
+    curves_dir = out_dir / "curves"
+    curves_dir.mkdir(exist_ok=True)
+    for stem, curve in curves.items():
+        with (curves_dir / f"{stem}.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for block in report.datasets:
-                for sid, strat in block["strategies"].items():
-                    for method, entry in strat["extractions"].items():
-                        writer.writerow(
-                            [
-                                block["path"],
-                                sid,
-                                method,
-                                entry["n"],
-                                entry["accuracy"],
-                                entry["avg_confidence"],
-                                entry["avg_confidence"] - entry["accuracy"],
-                                entry["ece"],
-                                entry["ice_pos"],
-                                entry["ice_neg"],
-                                entry["macro_ce"],
-                                strat["concern_rate"],
-                            ]
-                        )
-        written["metrics"] = path
-        curves_dir = out_dir / "curves"
-        curves_dir.mkdir(exist_ok=True)
-        for stem, curve in curves.items():
-            with (curves_dir / f"{stem}.csv").open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "density"])
-                writer.writerows(curve.points)
-        written["curves"] = curves_dir
+            writer.writerow(["x", "density"])
+            writer.writerows(curve.points)
+    written["curves"] = curves_dir
     return written
 
 

@@ -127,8 +127,7 @@ def bucketize(
     for k, (item_id, conf) in enumerate(confidences):
         if not 0.0 <= conf <= 1.0:
             raise ValueError(
-                f"confidence {conf} for record {item_id!r} is outside [0, 1]; "
-                "enable clamping or fix the input"
+                f"confidence {conf} for record {item_id!r} is outside [0, 1]; fix the input"
             )
         m = bucket_index(conf, num_buckets)
         buckets[m].size += 1
@@ -141,12 +140,6 @@ def bucketize(
             if correct is not None:
                 bucket.accuracy = hit / len(confs)
     return buckets
-
-
-def _pairs(records: Sequence[EvalRecord], method: str) -> list[tuple[str, float]]:
-    if not records:
-        raise ValueError("at least one record required")
-    return [(r.item_id, r.confidence(method)) for r in records]
 
 
 def ece(records: Sequence[EvalRecord], method: str, num_buckets: int = DEFAULT_NUM_BUCKETS) -> float:
@@ -211,7 +204,9 @@ def summarize(
     num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> CalibrationSummary:
     """Compute the full calibration summary for one extraction method."""
-    pairs = _pairs(records, method)
+    if not records:
+        raise ValueError("at least one record required")
+    pairs = [(r.item_id, r.confidence(method)) for r in records]
     buckets = bucketize(pairs, num_buckets, correct=[r.correct for r in records])
     n = len(records)
     n_pos = sum(1 for r in records if r.correct)

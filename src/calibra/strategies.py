@@ -50,16 +50,7 @@ class StrategyPlan:
     strategy_id: str
     steps: tuple[Step, ...]
     control: ControlFlow = "linear"
-    repeat_n: int = 1
-    repeat_temperature: Optional[float] = None
     initial_priors: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.control == "repeat_n_vote" and self.repeat_n < 1:
-            raise StrategyError("repeat_n_vote requires n >= 1")
-        if not self.steps:
-            raise StrategyError("a plan needs at least one step")
 
 
 @dataclass(frozen=True)
@@ -263,7 +254,6 @@ class StrategyConfig:
     self_consistency_temperature: float = 0.7
     demonstrations: tuple[tuple[str, str], ...] = ()
     thought_char_budget: Optional[int] = None
-    clamp_confidences: bool = True
     p_true_normalized: bool = False
     p_true_full_context: bool = True
 
@@ -289,17 +279,8 @@ def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None
             f"Question: {dq}\nAnswer: {da}\n\n" for dq, da in config.demonstrations
         )
         steps = tuple(replace(s, template=demo_block + s.template) for s in steps)
-    repeat_n = config.self_consistency_n if control == "repeat_n_vote" else 1
-    repeat_temp = (
-        config.self_consistency_temperature if control == "repeat_n_vote" else None
-    )
     return StrategyPlan(
-        strategy_id=strategy_id,
-        steps=steps,
-        control=control,
-        repeat_n=repeat_n,
-        repeat_temperature=repeat_temp,
-        initial_priors=initial_priors,
+        strategy_id=strategy_id, steps=steps, control=control, initial_priors=initial_priors
     )
 
 
@@ -361,6 +342,10 @@ def execute(
     priors: dict[str, str] = dict(strategy_plan.initial_priors)
     records: list[StepRecord] = []
     vote_detail: Optional[VoteDetail] = None
+    # token_prob reads a completion of the plan's last step: the answer, or
+    # a self_consistency sample. Only those requests ask for logprobs.
+    answer_step = strategy_plan.steps[-1]
+    answer_logprobs = 1 if "token_prob" in extraction_methods else 0
 
     def run(step: Step, seed: Optional[int] = None, temperature: Optional[float] = None) -> Completion:
         prompt = render_step(step, item.question, priors, config.thought_char_budget)
@@ -369,6 +354,7 @@ def execute(
                 prompt=prompt,
                 max_tokens=config.max_tokens,
                 temperature=config.temperature if temperature is None else temperature,
+                top_logprobs=answer_logprobs if step is answer_step else 0,
                 seed=seed,
             )
             completion = complete(backend, request, cache=cache)
@@ -383,8 +369,8 @@ def execute(
     if strategy_plan.control == "repeat_n_vote":
         step = strategy_plan.steps[0]
         candidates = []
-        for i in range(strategy_plan.repeat_n):
-            completion = run(step, seed=i, temperature=strategy_plan.repeat_temperature)
+        for i in range(config.self_consistency_n):
+            completion = run(step, seed=i, temperature=config.self_consistency_temperature)
             candidates.append(ExtractedAnswer.from_text(completion.text, item.answer_kind))
         winner, counts = majority_vote(candidates)
         vote_detail = VoteDetail(
@@ -434,12 +420,7 @@ def execute(
                 cache=cache,
             )
         elif method == "verbalized":
-            confidences[method] = verbalized_confidence(
-                backend,
-                final_context,
-                clamp=config.clamp_confidences,
-                cache=cache,
-            )
+            confidences[method] = verbalized_confidence(backend, final_context, cache=cache)
         else:
             raise StrategyError(f"unknown extraction method {method!r}")
     transcript = Transcript(

@@ -80,20 +80,6 @@ def build_script(
     return entries
 
 
-def final_context(entries: dict, strategy_id: str, item: QAItem, config=None) -> str:
-    """Reconstruct the final-answer context (prompt + answer) for suffix probes."""
-    config = config or StrategyConfig()
-    strategy_plan = plan(strategy_id, item, config)
-    last_name = strategy_plan.steps[-1].name
-    # The last entry added by build_script is the final answer step.
-    prompt, value = list(entries.items())[-1]
-    text = value["text"] if isinstance(value, dict) else value
-    if isinstance(text, list):
-        text = text[0]
-    assert last_name  # final step always exists
-    return f"{prompt} {text}"
-
-
 def add_p_true_entry(entries: dict, context: str, possible_answer: str, top_logprobs: dict) -> None:
     prompt = f"{context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
     choice = max(top_logprobs, key=top_logprobs.get)

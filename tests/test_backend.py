@@ -135,25 +135,6 @@ class TestMockBackend:
         completion = backend.complete(CompletionRequest(prompt="Q1-prompt"))
         assert completion.text == "True"
 
-    def test_exact_beats_prefix(self):
-        backend = mock_from_script(
-            {
-                "Question: x": {"text": "exact", "match": "exact"},
-                "Question:": {"text": "prefix", "match": "prefix"},
-            }
-        )
-        assert backend.complete(CompletionRequest(prompt="Question: x")).text == "exact"
-        assert backend.complete(CompletionRequest(prompt="Question: y")).text == "prefix"
-
-    def test_ambiguous_prefixes_rejected(self):
-        with pytest.raises(ScriptError, match="ambiguous"):
-            mock_from_script(
-                {
-                    "Question:": {"text": "a", "match": "prefix"},
-                    "Question: x": {"text": "b", "match": "prefix"},
-                }
-            )
-
     def test_all_zero_logprobs_default(self):
         backend = mock_from_script({"p": "two words"})
         completion = backend.complete(CompletionRequest(prompt="p"))
@@ -554,6 +535,14 @@ class TestHttpBackend:
         assert body["stop"] == ["\n\n"]
         assert session.last["headers"]["Authorization"] == "Bearer k"
         assert completion.token_logprobs == (-0.1,)
+
+    def test_reply_without_logprobs_has_no_tokens(self):
+        session = FakeSession(FakeResponse(payload=self.payload(with_logprobs=False)))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        completion = backend.complete(CompletionRequest(prompt="q"))
+        assert "logprobs" not in session.last["json"]
+        assert completion.text == " True"
+        assert completion.tokens == completion.token_logprobs == completion.top_logprobs == ()
 
     def test_missing_logprobs_capability_error(self):
         session = FakeSession(FakeResponse(payload=self.payload(with_logprobs=False)))

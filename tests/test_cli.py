@@ -74,6 +74,19 @@ class TestRun:
         assert result.exit_code == 1, result.output
         assert f"error: {field} must be >= " in result.output
 
+    def test_datasets_sharing_a_file_stem_exit_1(self, runner, tmp_path, e2e_dataset, e2e_script):
+        paths = [tmp_path / "a" / "d.jsonl", tmp_path / "b" / "d.jsonl"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_bytes(e2e_dataset.read_bytes())
+        config = write_config(tmp_path, e2e_dataset, e2e_script,
+                              dataset_path=[str(p) for p in paths])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "stem 'd'" in result.output
+        assert not out.exists()
+
     def test_unknown_strategy_exit_2(self, runner, tmp_path, e2e_dataset, e2e_script):
         config = write_config(tmp_path, e2e_dataset, e2e_script, strategy_ids=["nope"])
         result = runner.invoke(main, ["run", "--config", str(config)])

@@ -117,21 +117,12 @@ class TestParseVerbalized:
         result = parse_verbalized("1.2")
         assert result.value == 1.0 and result.raw_value == 1.2 and result.clamped
 
-    def test_no_clamp_mode(self):
-        result = parse_verbalized("1.2", clamp=False)
-        assert result.value == 1.2 and not result.clamped
-
     def test_unparseable(self):
         with pytest.raises(UnparseableConfidenceError):
             parse_verbalized("I am not sure.")
 
     def test_first_numeral_wins(self):
         assert parse_verbalized("0.3 maybe 0.9").value == 0.3
-
-    def test_percent_interpretation_opt_in(self):
-        assert parse_verbalized("85", percent_interpretation=True).value == 0.85
-        assert parse_verbalized("85").value == 1.0  # clamped, raw preserved
-        assert parse_verbalized("85").raw_value == 85.0
 
     def test_pure_function(self):
         assert parse_verbalized("0.4") == parse_verbalized("0.4")

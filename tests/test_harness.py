@@ -454,12 +454,12 @@ class TestRunConfig:
         assert config.self_consistency_n == 10
         assert config.self_consistency_temperature == 0.7
         assert config.num_buckets == 10
-        assert config.clamp_confidences is True
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"
-        # seed never reached a request and is no longer a config key.
-        for key in ("bogus", "seed"):
+        # Neither seed nor clamp_confidences could change a result, and
+        # neither is a config key any more.
+        for key in ("bogus", "seed", "clamp_confidences"):
             path.write_text(json.dumps({"dataset_path": ["d"], key: 1}))
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_json(path)
@@ -488,6 +488,18 @@ class TestRunConfig:
             RunConfig(dataset_path=[])
         with pytest.raises(ConfigError):
             RunConfig(dataset_path=["d"], num_buckets=0)
+
+    @pytest.mark.parametrize("paths", [["a/d.jsonl", "b/d.jsonl"], ["d.jsonl", "d.jsonl"]])
+    def test_datasets_sharing_a_file_stem_rejected(self, paths):
+        # Their curve CSVs would have the same names and overwrite each other.
+        with pytest.raises(ConfigError, match="stem 'd'"):
+            RunConfig(dataset_path=paths)
+
+    def test_readme_key_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Every key, with its default", 1)[1].split("\n\n", 2)[1]
+        keys = [row.split("`")[1] for row in table.splitlines()[2:]]
+        assert sorted(keys) == sorted(RunConfig.__dataclass_fields__)
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from calibra.backend import LINE_ENCODER, Completion, mock_from_script
-from calibra.confidence import token_prob_confidence
+from calibra.backend import LINE_ENCODER, Completion, HttpBackend, mock_from_script
+from calibra.confidence import VERBALIZED_SUFFIX, token_prob_confidence
 from calibra.qa import ExtractedAnswer, QAItem
 from calibra.strategies import (
     COT_PROMPT,
+    SELF_ASK_CHECK,
     SELF_ASK_MAX_FOLLOWUPS,
     STRATEGY_IDS,
     StrategyConfig,
@@ -67,9 +68,12 @@ class TestPlan:
             plan("nope", ITEM)
 
     def test_self_consistency_knobs(self):
-        p = plan("self_consistency", ITEM, StrategyConfig(self_consistency_n=10))
-        assert p.control == "repeat_n_vote" and p.repeat_n == 10
-        assert p.repeat_temperature == 0.7
+        # execute reads the sampling settings from its own config, not the plan's.
+        backend = RecordingBackend()
+        config = StrategyConfig(self_consistency_n=4, self_consistency_temperature=0.3)
+        execute(plan("self_consistency", ITEM), ITEM, backend, config=config)
+        assert [r.seed for r in backend.requests] == [0, 1, 2, 3]
+        assert {r.temperature for r in backend.requests} == {0.3}
 
     def test_plan_is_pure(self):
         assert plan("far_final", ITEM) == plan("far_final", ITEM)
@@ -142,6 +146,85 @@ class TestMajorityVote:
     def test_empty_rejected(self):
         with pytest.raises(StrategyError):
             majority_vote([])
+
+
+class RecordingBackend:
+    """Answers every request and keeps it: "A" to P(True) probes, "0.5" to
+    verbalized ones, `check_reply` to Self-Ask's follow-up check, "No" otherwise."""
+
+    def __init__(self, check_reply="No."):
+        self.check_reply = check_reply
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        if request.top_logprobs == 5:
+            text = "A"
+        elif request.prompt.endswith(VERBALIZED_SUFFIX):
+            text = "0.5"
+        elif request.prompt.endswith(SELF_ASK_CHECK):
+            text = self.check_reply
+        else:
+            text = "No"
+        return Completion(text=text, tokens=(text,), token_logprobs=(-0.5,),
+                          top_logprobs=({text: -0.5},))
+
+
+# Backend calls per evaluation before any probe, with self_consistency_n = 3.
+CALL_CONTRACT = [
+    ("standard", "No.", 1),
+    *((sid, "No.", 2) for sid in (
+        "cot", "knowledge", "knowledge_explain", "self_ask_aggregate", "pseudo_tot",
+        "far_fact_only_no_source", "far_human_facts",
+    )),
+    ("far_fact_only", "No.", 3),
+    ("far_no_source", "No.", 3),
+    ("far_final", "No.", 4),
+    ("far_explain", "No.", 4),
+    ("far_free", "No.", 4),
+    ("self_consistency", "No.", 3),
+    ("self_ask", "No.", 2),
+    ("self_ask", "Yes.", 2 + 2 * SELF_ASK_MAX_FOLLOWUPS),
+]
+
+
+@pytest.mark.parametrize(
+    "methods, probes",
+    [(("token_prob",), 0), (("p_true",), 1), (("verbalized",), 1),
+     (("token_prob", "p_true", "verbalized"), 2)],
+)
+@pytest.mark.parametrize("strategy_id, check_reply, calls", CALL_CONTRACT)
+def test_call_count_contract(strategy_id, check_reply, calls, methods, probes):
+    backend = RecordingBackend(check_reply)
+    config = StrategyConfig(self_consistency_n=3)
+    execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
+    assert len(backend.requests) == calls + probes
+
+
+def test_call_contract_covers_every_strategy():
+    assert {sid for sid, _, _ in CALL_CONTRACT} == set(STRATEGY_IDS)
+
+
+class TestPTrueContext:
+    def p_true_prompt(self, config):
+        backend = RecordingBackend()
+        transcript, _ = execute(plan("cot", ITEM), ITEM, backend, ("p_true",), config)
+        (probe,) = [r for r in backend.requests if r.top_logprobs == 5]
+        return probe.prompt, transcript.step_records[-1]
+
+    def test_bare_question(self):
+        prompt, _ = self.p_true_prompt(StrategyConfig(p_true_full_context=False))
+        assert prompt == (
+            f"Question: {ITEM.question}\nPossible answer: No\n"
+            "Is the possible answer: (A) True (B) False\n"
+        )
+
+    def test_full_final_answer_context_by_default(self):
+        prompt, final = self.p_true_prompt(StrategyConfig())
+        assert prompt == (
+            f"{final.prompt} {final.completion.text}\nPossible answer: No\n"
+            "Is the possible answer: (A) True (B) False\n"
+        )
 
 
 def run_strategy(strategy_id, step_texts, config=None, methods=("token_prob",), item=ITEM):
@@ -331,3 +414,61 @@ class TestTranscriptRow:
     def test_no_probes_without_probe_methods(self):
         transcript, _, _ = run_strategy("standard", {"answer": "No"})
         assert self.row(transcript)["probes"] == {}
+
+
+class LogprobSession:
+    """A fake `requests.Session` that returns logprobs only when the body asks."""
+
+    class Response:
+        status_code = 200
+        text = ""
+
+        def __init__(self, payload):
+            self.payload = payload
+
+        def json(self):
+            return self.payload
+
+    def __init__(self):
+        self.bodies = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.bodies.append(json)
+        choice = {"text": "No.", "finish_reason": "stop"}
+        if "logprobs" in json:
+            choice["logprobs"] = {
+                "tokens": ["No", "."],
+                "token_logprobs": [-0.5, -0.25],
+                "top_logprobs": [{"No": -0.5}, {".": -0.25}],
+            }
+        return self.Response({"choices": [choice]})
+
+
+class TestHttpTokenProb:
+    """token_prob over HTTP reads logprobs the endpoint returned, never made-up ones."""
+
+    def run(self, strategy_id, methods=("token_prob",)):
+        session = LogprobSession()
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        config = StrategyConfig(self_consistency_n=3)
+        _, confidences = execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
+        return session.bodies, confidences
+
+    def test_standard_answer_asks_for_logprobs(self):
+        bodies, confidences = self.run("standard")
+        assert [b.get("logprobs") for b in bodies] == [1]
+        assert confidences["token_prob"].value == pytest.approx(math.exp(-0.375))
+        assert confidences["token_prob"].value != 1.0
+
+    def test_far_final_asks_only_on_the_answer(self):
+        bodies, _ = self.run("far_final")
+        assert [b.get("logprobs") for b in bodies] == [None, None, None, 1]
+
+    def test_self_consistency_asks_on_every_sample(self):
+        bodies, _ = self.run("self_consistency")
+        assert [b.get("logprobs") for b in bodies] == [1, 1, 1]
+
+    @pytest.mark.parametrize("strategy_id", ["standard", "far_final", "self_consistency"])
+    def test_no_logprobs_without_token_prob(self, strategy_id):
+        bodies, _ = self.run(strategy_id, methods=())
+        assert bodies and all("logprobs" not in b for b in bodies)
