@@ -1,8 +1,9 @@
 """Completion backends: an OpenAI-compatible HTTP client and a scripted mock.
 
-Both expose a single `complete(request)` method returning a `Completion`
-with per-token log-probabilities and top-K alternatives. A JSONL response
-cache can short-circuit repeated requests.
+Both expose a single `complete(request)` method returning a `Completion`;
+its per-token log-probabilities and top-K alternatives are filled only for
+a request with `top_logprobs >= 1`. A JSONL response cache can
+short-circuit repeated requests.
 """
 
 from __future__ import annotations
@@ -398,11 +399,18 @@ class MockResponse:
         return self.texts[index]
 
 
+# The reply to an unscripted prompt under fallback="unknown".
+_UNKNOWN = MockResponse(texts=("UNKNOWN",))
+
+
 class MockBackend:
     """Deterministic scripted backend keyed by exact prompt.
 
     Lookup is pure: the reply depends only on the request (including its
-    seed), never on call order. The call counter is telemetry only.
+    seed), never on call order. The call counter is telemetry only. Like
+    `HttpBackend`, a request with `top_logprobs == 0` gets only the text,
+    with empty token and logprob arrays; the script's logprobs (0.0 per
+    token where it gives none) answer requests with `top_logprobs >= 1`.
     """
 
     def __init__(
@@ -424,10 +432,13 @@ class MockBackend:
             self._calls += 1
         response = self._responses.get(request.prompt)
         if response is None:
-            if self.fallback == "unknown":
-                return _synthesize("UNKNOWN", None, None)
-            raise ScriptError(f"no script entry matches prompt: {request.prompt[:120]!r}")
+            if self.fallback != "unknown":
+                raise ScriptError(f"no script entry matches prompt: {request.prompt[:120]!r}")
+            response = _UNKNOWN
         text = response.pick(request.seed)
+        if request.top_logprobs == 0:
+            # As over HTTP: a request that asks for no logprobs gets no tokens.
+            return Completion._adopt(text, (), (), (), "stop")
         return _synthesize(text, response.logprobs, response.top_logprobs)
 
 
@@ -480,6 +491,13 @@ def mock_from_script(
                 logprobs = tuple(value["logprobs"])
             if value.get("top_logprobs") is not None:
                 top_lp = tuple(value["top_logprobs"])
+            # Lengths only: tokenizing every entry here would slow the load.
+            # An empty `logprobs` means 0.0 per token, as if not given.
+            if logprobs and top_lp is not None and len(logprobs) != len(top_lp):
+                raise ScriptError(
+                    f"logprobs and top_logprobs must align for {prompt[:60]!r}: "
+                    f"{len(logprobs)} != {len(top_lp)}"
+                )
         else:
             raise ScriptError(f"unsupported script value for {prompt[:60]!r}")
         responses[prompt] = MockResponse(texts=texts, logprobs=logprobs, top_logprobs=top_lp)

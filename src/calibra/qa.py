@@ -39,7 +39,12 @@ def extract_boolean(raw: str) -> Verdict:
     token found; answers that lead with the verdict and then append
     commentary resolve correctly. No boolean token yields "unresolved".
     """
-    for token in normalize_answer(raw).split():
+    return _verdict(normalize_answer(raw))
+
+
+def _verdict(normalized: str) -> Verdict:
+    """`extract_boolean` on text that `normalize_answer` has already normalized."""
+    for token in normalized.split():
         if token in _TRUE_TOKENS:
             return "true"
         if token in _FALSE_TOKENS:
@@ -90,10 +95,11 @@ class ExtractedAnswer:
 
     @classmethod
     def from_text(cls, raw_text: str, answer_kind: AnswerKind = "free_form") -> "ExtractedAnswer":
+        normalized = normalize_answer(raw_text)
         return cls(
             raw_text=raw_text,
-            normalized=normalize_answer(raw_text),
-            boolean_value=extract_boolean(raw_text) if answer_kind == "boolean" else None,
+            normalized=normalized,
+            boolean_value=_verdict(normalized) if answer_kind == "boolean" else None,
         )
 
 

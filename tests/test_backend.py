@@ -25,6 +25,7 @@ from calibra.backend import (
     request_hash,
     tokenize,
 )
+from calibra.confidence import ConfidenceError, token_prob_confidence
 
 
 class TestCompletionRequest:
@@ -137,13 +138,14 @@ class TestMockBackend:
 
     def test_all_zero_logprobs_default(self):
         backend = mock_from_script({"p": "two words"})
-        completion = backend.complete(CompletionRequest(prompt="p"))
+        completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+        assert completion.tokens == ("two ", "words")
         assert all(lp == 0.0 for lp in completion.token_logprobs)
         assert math.exp(sum(completion.token_logprobs)) == 1.0
 
     def test_scripted_logprobs_verbatim(self):
         backend = mock_from_script({"p": {"text": "True", "logprobs": [-0.5, -1.5]}})
-        completion = backend.complete(CompletionRequest(prompt="p"))
+        completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
         assert completion.token_logprobs == (-0.5, -1.5)
         assert "".join(completion.tokens) == "True"
 
@@ -188,20 +190,32 @@ class TestMockBackend:
         backend = mock_from_script(
             {"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{"True": -0.1}]}}
         )
-        first = backend.complete(CompletionRequest(prompt="p"))
+        request = CompletionRequest(prompt="p", top_logprobs=1)
+        first = backend.complete(request)
         first.top_logprobs[0]["False"] = -9.0
-        assert backend.complete(CompletionRequest(prompt="p")).top_logprobs == ({"True": -0.1},)
+        assert backend.complete(request).top_logprobs == ({"True": -0.1},)
 
     def test_misaligned_scripted_top_logprobs_rejected(self):
-        backend = mock_from_script(
-            {"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{}, {}]}}
-        )
+        with pytest.raises(ScriptError, match="align for 'p'"):
+            mock_from_script({"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{}, {}]}})
+
+    def test_misaligned_top_logprobs_alone_checked_per_call(self):
+        backend = mock_from_script({"p": {"text": "True", "top_logprobs": [{}, {}]}})
+        assert backend.complete(CompletionRequest(prompt="p")).text == "True"
         with pytest.raises(ValueError, match="align"):
-            backend.complete(CompletionRequest(prompt="p"))
+            backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+
+    def test_empty_logprobs_are_not_checked_against_top_logprobs(self):
+        backend = mock_from_script(
+            {"p": {"text": "True", "logprobs": [], "top_logprobs": [{"True": 0.0}]}}
+        )
+        completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+        assert completion.token_logprobs == (0.0,)
 
     def test_top_logprobs_contain_chosen_token(self):
         backend = mock_from_script({"p": "True"})
-        completion = backend.complete(CompletionRequest(prompt="p"))
+        completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+        assert completion.tokens == ("True",)
         for token, top in zip(completion.tokens, completion.top_logprobs):
             assert token in top
 
@@ -603,6 +617,40 @@ class TestHttpBackend:
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(Exception, match="kaput"):
             backend.complete(CompletionRequest(prompt="q"))
+
+
+class TestMockMatchesHttp:
+    """The mock answers the logprob field of a request as an HTTP endpoint does."""
+
+    script = {"p": {"text": " True", "logprobs": [-0.1], "top_logprobs": [{" True": -0.1}]}}
+
+    def http_reply_without_logprobs(self):
+        payload = {"choices": [{"text": " True", "finish_reason": "stop"}]}
+        session = FakeSession(FakeResponse(payload=payload))
+        return HttpBackend("http://host", "m", api_key="k", session=session)
+
+    def test_no_logprobs_requested_no_tokens_on_either(self):
+        request = CompletionRequest(prompt="p")
+        mock = mock_from_script(self.script).complete(request)
+        http = self.http_reply_without_logprobs().complete(request)
+        assert mock == http == Completion(" True", (), (), (), "stop")
+
+    def test_unknown_fallback_asks_like_any_request(self):
+        backend = mock_from_script({}, fallback="unknown")
+        assert backend.complete(CompletionRequest(prompt="q")) == Completion("UNKNOWN", (), (), ())
+        asked = backend.complete(CompletionRequest(prompt="q", top_logprobs=1))
+        assert asked.token_logprobs == (0.0,)
+
+    def test_token_prob_fails_without_logprobs(self):
+        completion = mock_from_script(self.script).complete(CompletionRequest(prompt="p"))
+        with pytest.raises(ConfidenceError, match="no token logprobs"):
+            token_prob_confidence(completion)
+
+    def test_logprobs_requested_scripted_verbatim(self):
+        backend = mock_from_script(self.script)
+        completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+        assert completion == Completion(" True", (" True",), (-0.1,), ({" True": -0.1},))
+        assert token_prob_confidence(completion).value == pytest.approx(math.exp(-0.1))
 
 
 class TestLoadScript:

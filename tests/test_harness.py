@@ -25,7 +25,15 @@ from calibra.backend import (
     mock_from_script,
 )
 from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
-from conftest import E2E_ITEMS, build_script
+from conftest import (
+    E2E_FAR_ANSWER,
+    E2E_FAR_THOUGHTS,
+    E2E_ITEMS,
+    E2E_STANDARD,
+    add_p_true_entry,
+    add_verbalized_entry,
+    build_script,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -264,6 +272,45 @@ class TestRunEval:
         assert backend.call_count == 0
         assert cache_path.stat().st_size == first_size
         assert report.datasets[0]["strategies"]["standard"]["accuracy"] == 0.75
+
+    def test_cache_holds_tokens_only_for_requests_that_asked(self, e2e_dataset, tmp_path):
+        entries: dict = {}
+        for item in E2E_ITEMS:
+            for sid, steps in (
+                ("standard", {"answer": E2E_STANDARD[item.id]}),
+                ("far_final", {**E2E_FAR_THOUGHTS, "answer": E2E_FAR_ANSWER[item.id]}),
+            ):
+                script = build_script(sid, item, steps)
+                entries.update(script)
+                answer_prompt, answer = list(script.items())[-1]
+                context = f"{answer_prompt} {answer['text']}"
+                add_p_true_entry(entries, context, answer["text"], {" A": -0.2, " B": -1.8})
+                add_verbalized_entry(entries, context, "0.8")
+        cache_path = tmp_path / "cache.jsonl"
+        config = RunConfig(
+            dataset_path=[str(e2e_dataset)],
+            strategy_ids=["standard", "far_final"],
+            extraction_method_ids=["token_prob", "p_true", "verbalized"],
+            cache_path=str(cache_path),
+            worker_count=1,
+        )
+        run_eval(config, backend=mock_from_script(entries))
+        lines = [json.loads(line) for line in cache_path.read_text(encoding="utf-8").splitlines()]
+        arrays = ("tokens", "token_logprobs", "top_logprobs")
+        asked = [line for line in lines if line["request"]["top_logprobs"] > 0]
+        not_asked = [line for line in lines if line["request"]["top_logprobs"] == 0]
+        # 4 items: far_final's fact, source and reflection steps, and the
+        # verbalized probe of both strategies, ask for no logprobs.
+        assert len(not_asked) == 4 * (3 + 2)
+        thoughts = set(E2E_FAR_THOUGHTS.values())
+        for line in not_asked:
+            completion = line["completion"]
+            assert completion["text"] in thoughts or completion["text"] == "0.8"
+            assert all(completion[name] == [] for name in arrays)
+        # The answer steps and the P(True) probes of both strategies.
+        assert len(asked) == 4 * (2 + 2)
+        for line in asked:
+            assert all(line["completion"][name] for name in arrays)
 
     def test_empty_dataset_errors(self, e2e_script, tmp_path):
         empty = tmp_path / "empty.jsonl"
