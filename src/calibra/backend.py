@@ -53,12 +53,13 @@ class ScriptError(BackendError):
     """Mock script construction or lookup failure."""
 
 
-# request_hash's canonical form; changing it changes every cache key.
+# Compact, keys sorted: request_hash's canonical form (changing it changes
+# every cache key) and the format of each response cache line.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-# One JSON object per line, keys sorted: the line format of the response
-# cache, transcripts.jsonl and records.jsonl. Encoders are reentrant, so
-# threads share these. Every value they encode is a tree of tuples, dicts
-# and decoded JSON, never a cycle, so neither checks for one.
+# One JSON object per line, keys sorted: the line format of
+# transcripts.jsonl and records.jsonl, and of report.json. Encoders are
+# reentrant, so threads share these. Every value they encode is a tree of
+# tuples, dicts and decoded JSON, never a cycle, so neither checks for one.
 LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
@@ -205,10 +206,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+def _canonical_request(request: CompletionRequest) -> tuple[str, str]:
+    """The request's canonical JSON and the SHA-256 hex digest of those bytes."""
+    canonical = _CANONICAL_ENCODER.encode(request.to_dict())
+    return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def request_hash(request: CompletionRequest) -> str:
     """Stable hex digest of the canonical request serialization."""
-    canonical = _CANONICAL_ENCODER.encode(request.to_dict())
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical_request(request)[1]
 
 
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
@@ -244,8 +250,8 @@ def _read_line(raw: dict) -> tuple[CompletionRequest, Completion]:
 class ResponseCache:
     """Append-only JSONL cache keyed by the request itself.
 
-    Each line also stores the request's canonical hash (`request_hash`), so
-    the file format stays the same for other readers; lookups never compute
+    Each line is the entry's compact, key-sorted JSON, with the request's
+    canonical hash (`request_hash`) for other readers; lookups never compute
     it. Concurrent reads are lock-free once loaded; appends are serialized and
     go through one handle, opened on the first `put` and flushed after every
     line, so another reader (or a run that crashes) sees each entry written.
@@ -318,12 +324,13 @@ class ResponseCache:
 
     def put(self, request: CompletionRequest, completion: Completion) -> None:
         """Record `completion` unless `request` is cached."""
-        line = LINE_ENCODER.encode({
-            "request_hash": request_hash(request),
-            "request": request.to_dict(),
-            "completion": completion.to_dict(),
-            "created_at": time.time(),
-        }) + "\n"
+        # The entry's canonical JSON, keys in sorted order, built from pieces
+        # so the request is encoded once: its bytes are what request_hash hashes.
+        canonical, digest = _canonical_request(request)
+        line = (
+            f'{{"completion":{_CANONICAL_ENCODER.encode(completion.to_dict())},'
+            f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'
+        )
         with self._lock:
             if request in self._entries:
                 return

@@ -67,7 +67,7 @@ class RunConfig(StrategyConfig):
             self.dataset_path = [str(p) for p in self.dataset_path]
         if not self.dataset_path:
             raise ConfigError("at least one dataset path required")
-        # Curve CSVs are named by dataset file stem, so stems must differ.
+        # Curve CSVs and the records' dataset column use the file stem, so stems must differ.
         stems = [Path(p).stem for p in self.dataset_path]
         for stem in stems:
             if stems.count(stem) > 1:
@@ -253,7 +253,10 @@ def run_eval(
             if config.concern_lexicon_path
             else ConcernLexicon()
         )
-    cache = ResponseCache(config.cache_path) if config.cache_path else None
+    try:
+        cache = ResponseCache(config.cache_path) if config.cache_path else None
+    except ValueError as exc:  # a line that does not load, named by file:line
+        raise DataError(str(exc)) from exc
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
@@ -301,7 +304,8 @@ def run_eval(
             items = load_dataset(ds_path)
             if not items:
                 raise DataError(f"dataset {ds_path} is empty")
-            tasks = [(ds_path, item, sid) for sid in config.strategy_ids for item in items]
+            ds_tag = Path(ds_path).stem
+            tasks = [(ds_tag, item, sid) for sid in config.strategy_ids for item in items]
             results: list[EvalRecord] = []
             with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
                 # Both maps yield in task order, whatever order the work ends in.
@@ -312,7 +316,6 @@ def run_eval(
                         transcripts.write(line)
 
             block: dict = {"path": ds_path, "n_items": len(items), "strategies": {}}
-            ds_tag = Path(ds_path).stem
             ece_rows: list[dict] = []
             macro_rows: list[dict] = []
             for index, sid in enumerate(config.strategy_ids):
@@ -459,7 +462,7 @@ def emit_report(
                 for method, entry in strat["extractions"].items():
                     writer.writerow(
                         [
-                            block["path"],
+                            Path(block["path"]).stem,
                             sid,
                             method,
                             entry["n"],

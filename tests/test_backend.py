@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import logging
 import math
@@ -263,23 +264,24 @@ class TestCache:
         writer.close()
 
     def test_complete_hashes_each_request_once(self, tmp_path, monkeypatch):
-        hashed = []
-        original = backend_module.request_hash
+        # Every encode of a request, canonical or not, starts from to_dict.
+        encoded = []
+        to_dict = CompletionRequest.to_dict
         monkeypatch.setattr(
-            backend_module, "request_hash", lambda r: hashed.append(r) or original(r)
+            CompletionRequest, "to_dict", lambda r: encoded.append(r) or to_dict(r)
         )
         backend = mock_from_script({"p": "True"})
         cache = ResponseCache(tmp_path / "cache.jsonl")
         request = CompletionRequest(prompt="p")
-        complete(backend, request, cache=cache)  # miss: put hashes once for the line
-        assert hashed == [request]
+        complete(backend, request, cache=cache)  # miss: put encodes it once for the line
+        assert encoded == [request]
         complete(backend, request, cache=cache)  # hit: a plain lookup
-        assert hashed == [request]
+        assert encoded == [request]
         assert backend.call_count == 1
         cache.close()
-        hashed.clear()
+        encoded.clear()
         assert ResponseCache(tmp_path / "cache.jsonl").get(request) is not None
-        assert hashed == []  # load does not hash either
+        assert encoded == []  # load does not encode either
 
     def test_stale_request_hash_serves_only_its_own_request(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -371,7 +373,8 @@ class TestCache:
         reloaded = ResponseCache(path)
         assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
 
-    def test_put_line_is_the_cache_entry_json(self, tmp_path):
+    def test_put_line_is_the_cache_entry_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backend_module.time, "time", lambda: 1792327612.6909175)
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path)
         request = CompletionRequest(prompt="Is it caf\u00e9?", seed=2, stop=("\n",), top_logprobs=2)
@@ -381,22 +384,22 @@ class TestCache:
         )
         cache.put(request, completion)
         cache.close()
-        (line,) = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        expected = {
-            "request_hash": request_hash(request),
-            "request": {
-                "prompt": "Is it caf\u00e9?", "max_tokens": 120, "temperature": 1.2,
-                "top_logprobs": 2, "seed": 2, "stop": ["\n"],
-            },
-            "completion": {
-                "text": "True \"yes\"", "tokens": ["True ", "\"yes\""],
-                "token_logprobs": [-0.125, -1e-07],
-                "top_logprobs": [{"True ": -0.125, "False": -2.5}, {"\"yes\"": -1e-07}],
-                "finish_reason": "stop",
-            },
-            "created_at": json.loads(line)["created_at"],
-        }
-        assert line == json.dumps(expected, sort_keys=True) + "\n"
+        line = path.read_bytes()
+        assert line == (
+            rb'{"completion":{"finish_reason":"stop","text":"True \"yes\"",'
+            rb'"token_logprobs":[-0.125,-1e-07],"tokens":["True ","\"yes\""],'
+            rb'"top_logprobs":[{"False":-2.5,"True ":-0.125},{"\"yes\"":-1e-07}]},'
+            rb'"created_at":1792327612.6909175,'
+            rb'"request":{"max_tokens":120,"prompt":"Is it caf\u00e9?","seed":2,"stop":["\n"],'
+            rb'"temperature":1.2,"top_logprobs":2},'
+            rb'"request_hash":"5fc0f7d106c7fc90ac850b085fd8d4f2cba2699ebc56057336d70069e756e8e7"}'
+            b"\n"
+        )
+        # The digest is of the request's bytes exactly as the line holds them.
+        start = line.index(b'"request":') + len(b'"request":')
+        request_bytes = line[start : line.index(b',"request_hash":')]
+        assert hashlib.sha256(request_bytes).hexdigest() == json.loads(line)["request_hash"]
+        assert request_hash(request) == json.loads(line)["request_hash"]
 
     def test_loads_a_line_in_the_established_format(self, tmp_path):
         request = CompletionRequest(prompt="p", top_logprobs=1)
@@ -411,6 +414,32 @@ class TestCache:
         assert ResponseCache(path).get(request) == Completion(
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
+
+    def test_compact_lines_append_to_space_separated_ones(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = mock_from_script({p: p.upper() for p in "abcd"})
+        old = [CompletionRequest(prompt=p, top_logprobs=1) for p in "ab"]
+        with path.open("w", encoding="utf-8") as fh:  # lines as earlier versions wrote them
+            for request in old:
+                fh.write(json.dumps({
+                    "request_hash": request_hash(request),
+                    "request": request.to_dict(),
+                    "completion": backend.complete(request).to_dict(),
+                    "created_at": 1.5,
+                }, sort_keys=True) + "\n")
+        cache = ResponseCache(path)
+        new = [CompletionRequest(prompt=p, top_logprobs=1) for p in "cd"]
+        for request in old + new:
+            complete(backend, request, cache=cache)
+        cache.close()
+        assert backend.call_count == 4  # two to write the old lines, two misses
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line.startswith('{"completion": {') for line in lines] == [True, True, False, False]
+        reloaded = ResponseCache(path)
+        for request in old + new:
+            assert complete(backend, request, cache=reloaded) == backend.complete(request)
+        assert backend.call_count == 8  # only the direct calls above
+        reloaded.close()
 
     @pytest.mark.parametrize(
         "damage, message",

@@ -106,6 +106,14 @@ class TestRun:
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 3
 
+    def test_malformed_cache_exit_3(self, runner, tmp_path, e2e_dataset, e2e_script):
+        cache = tmp_path / "bad.jsonl"
+        cache.write_text('{"oops": 1}\n')
+        config = write_config(tmp_path, e2e_dataset, e2e_script)
+        result = runner.invoke(main, ["run", "--config", str(config), "--cache", str(cache)])
+        assert result.exit_code == 3, result.output
+        assert f"error: {cache}:1: invalid cache line: missing key 'request_hash'" in result.output
+
     def test_mock_script_flag_overrides_backend(self, runner, tmp_path, e2e_dataset, e2e_script):
         config = write_config(tmp_path, e2e_dataset, e2e_script, backend={"kind": "http"})
         result = runner.invoke(
@@ -132,10 +140,10 @@ class TestMetrics:
         assert result.exit_code == 0, result.output
         recomputed = json.loads(result.output)
         report = json.loads((out / "report.json").read_text())
-        assert list(recomputed) == [str(e2e_dataset)]
+        assert list(recomputed) == [e2e_dataset.stem]
         for sid in ("standard", "far_final"):
             stored = report["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
-            assert recomputed[str(e2e_dataset)][sid]["token_prob"]["ece"] == pytest.approx(
+            assert recomputed[e2e_dataset.stem][sid]["token_prob"]["ece"] == pytest.approx(
                 stored["ece"], abs=1e-12
             )
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -423,8 +424,24 @@ class TestEmitReport:
         config.dataset_path = [str(e2e_dataset), str(second)]
         report = run_eval(config)
         records = read_records(Path(config.out_dir) / "records.jsonl")
-        assert [r.dataset for r in records] == [str(e2e_dataset)] * 8 + [str(second)] * 8
+        assert [r.dataset for r in records] == ["dataset"] * 8 + ["second"] * 8
         assert [block["path"] for block in report.datasets] == config.dataset_path
+        metrics_rows = (Path(config.out_dir) / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in metrics_rows] == ["dataset"] * 2 + ["second"] * 2
+
+    def test_records_and_metrics_do_not_depend_on_the_inputs_location(
+        self, e2e_dataset, e2e_script, tmp_path
+    ):
+        outputs = []
+        for where in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            where.mkdir(parents=True)
+            shutil.copy(e2e_dataset, where / e2e_dataset.name)
+            shutil.copy(e2e_script, where / e2e_script.name)
+            config = e2e_config(where / e2e_dataset.name, where / e2e_script.name, where)
+            run_eval(config)
+            out = Path(config.out_dir)
+            outputs.append([(out / name).read_bytes() for name in ("records.jsonl", "metrics.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_bench_inputs_fit_the_size_budget(self, tmp_path):
         # Read-only use of the benchmark's seeded generator: 250 items, three
