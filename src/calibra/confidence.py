@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 from .backend import Backend, Completion, CompletionRequest, complete, ResponseCache
 
 MethodId = Literal["token_prob", "p_true", "verbalized"]
+METHOD_IDS: tuple[str, ...] = get_args(MethodId)
 
 POSSIBLE_ANSWER_PREFIX = "Possible answer: "
 P_TRUE_QUESTION = "Is the possible answer: (A) True (B) False"

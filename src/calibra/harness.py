@@ -26,8 +26,9 @@ from .backend import (
     load_mock_script,
 )
 from .concern import ConcernLexicon, concern_rate, detect_concern
+from .confidence import METHOD_IDS
 from .qa import EvalRecord, QAItem, accuracy, exact_match
-from .strategies import StrategyConfig, execute, plan
+from .strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 
 logger = logging.getLogger(__name__)
 
@@ -72,10 +73,17 @@ class RunConfig(StrategyConfig):
         for stem in stems:
             if stems.count(stem) > 1:
                 raise ConfigError(f"two dataset paths share the file stem {stem!r}")
-        if not self.strategy_ids:
-            raise ConfigError("at least one strategy required")
-        if not self.extraction_method_ids:
-            raise ConfigError("at least one extraction method required")
+        # Checked here, before any request: a repeated id would count its rows twice.
+        for key, known in (("strategy_ids", STRATEGY_IDS), ("extraction_method_ids", METHOD_IDS)):
+            ids = list(getattr(self, key))
+            setattr(self, key, ids)
+            if not ids:
+                raise ConfigError(f"{key}: at least one id required")
+            for index, id_ in enumerate(ids):
+                if id_ not in known:
+                    raise ConfigError(f"{key}: unknown id {id_!r}; expected one of {known}")
+                if id_ in ids[:index]:
+                    raise ConfigError(f"{key}: {id_!r} is repeated")
         if self.num_buckets < 1:
             raise ConfigError("num_buckets must be >= 1")
         if self.worker_count < 1:
@@ -91,13 +99,16 @@ class RunConfig(StrategyConfig):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        """The config a JSON file describes; a file that is not one is a `ConfigError`."""
+        try:
+            with Path(path).open("r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            unknown = set(data) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**data)
+        except (TypeError, ValueError) as exc:  # not JSON, not an object, or a missing key
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def snapshot(self, lexicon: ConcernLexicon) -> dict:
         """The report's config block: every field that can change a result."""
@@ -183,24 +194,16 @@ class RunReport:
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:
-    """Read a records.jsonl file, the one place a run writes its records."""
+    """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            records.append(
-                EvalRecord(
-                    item_id=row["item_id"],
-                    correct=row["correct"],
-                    confidences=row["confidences"],
-                    concern=row.get("concern", False),
-                    strategy_id=row.get("strategy_id", ""),
-                    dataset=row.get("dataset", ""),
-                )
-            )
+            try:
+                records.append(EvalRecord(**json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
     if not records:
         raise DataError(f"no records in {path}")
     return records
@@ -257,14 +260,19 @@ def run_eval(
         cache = ResponseCache(config.cache_path) if config.cache_path else None
     except ValueError as exc:  # a line that does not load, named by file:line
         raise DataError(str(exc)) from exc
+    except OSError as exc:
+        raise ConfigError(f"cache_path: {exc}") from exc
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
     transcripts: Optional[TextIO] = None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
         transcripts_path = out_dir / "transcripts.jsonl"
-        transcripts = transcripts_path.open("w", encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            transcripts = transcripts_path.open("w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"out_dir: {exc}") from exc
 
     def evaluate(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
         """The record, and the transcript as its line when transcripts are written."""
@@ -281,7 +289,8 @@ def run_eval(
             )
         except Exception as exc:
             raise RuntimeError(
-                f"evaluation failed for item {item.id!r}, strategy {strategy_id!r}: {exc}"
+                f"evaluation failed for dataset {dataset!r}, item {item.id!r}, "
+                f"strategy {strategy_id!r}: {exc}"
             ) from exc
         concern, _ = detect_concern(transcript.final_answer.raw_text, lexicon)
         record = EvalRecord(
@@ -437,15 +446,7 @@ def emit_report(
     records_path = out_dir / "records.jsonl"
     with records_path.open("w", encoding="utf-8") as fh:
         for r in records:
-            row = {
-                "dataset": r.dataset,
-                "item_id": r.item_id,
-                "strategy_id": r.strategy_id,
-                "correct": r.correct,
-                "concern": r.concern,
-                "confidences": r.confidences,
-            }
-            fh.write(LINE_ENCODER.encode(row) + "\n")
+            fh.write(LINE_ENCODER.encode(vars(r)) + "\n")
     written["records"] = records_path
     meta_path = out_dir / "run_meta.json"
     meta = {"written_at": time.time()}

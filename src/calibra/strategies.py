@@ -23,6 +23,7 @@ from .backend import (
     complete,
 )
 from .confidence import (
+    METHOD_IDS,
     ConfidenceResult,
     p_true_confidence,
     token_prob_confidence,
@@ -339,6 +340,9 @@ def execute(
 ) -> tuple[Transcript, dict[str, ConfidenceResult]]:
     """Run a plan end to end and extract confidences on the final answer."""
     config = config or StrategyConfig()
+    for method in extraction_methods:
+        if method not in METHOD_IDS:
+            raise StrategyError(f"unknown extraction method {method!r}")
     priors: dict[str, str] = dict(strategy_plan.initial_priors)
     records: list[StepRecord] = []
     vote_detail: Optional[VoteDetail] = None
@@ -359,9 +363,7 @@ def execute(
             )
             completion = complete(backend, request, cache=cache)
         except Exception as exc:
-            raise StrategyError(
-                f"step {step.name!r} of strategy {strategy_plan.strategy_id!r} failed: {exc}"
-            ) from exc
+            raise StrategyError(f"step {step.name!r} failed: {exc}") from exc
         records.append(StepRecord(step.name, prompt, completion))
         priors[step.name] = completion.text
         return completion
@@ -419,10 +421,8 @@ def execute(
                 normalized=config.p_true_normalized,
                 cache=cache,
             )
-        elif method == "verbalized":
-            confidences[method] = verbalized_confidence(backend, final_context, cache=cache)
         else:
-            raise StrategyError(f"unknown extraction method {method!r}")
+            confidences[method] = verbalized_confidence(backend, final_context, cache=cache)
     transcript = Transcript(
         item_id=item.id,
         strategy_id=strategy_plan.strategy_id,

@@ -1,14 +1,31 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from calibra import harness
 from calibra.cli import main
+from conftest import E2E_ITEMS, E2E_STANDARD, add_verbalized_entry, e2e_script_entries
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def mock_calls(monkeypatch):
+    """The number of requests made to every mock backend the CLI builds."""
+    built = []
+    original = harness.load_mock_script
+
+    def load(path):
+        built.append(original(path))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "load_mock_script", load)
+    return lambda: sum(backend.call_count for backend in built)
 
 
 def write_config(tmp_path, e2e_dataset, e2e_script, **extra):
@@ -87,10 +104,11 @@ class TestRun:
         assert "stem 'd'" in result.output
         assert not out.exists()
 
-    def test_unknown_strategy_exit_2(self, runner, tmp_path, e2e_dataset, e2e_script):
+    def test_unknown_strategy_exit_1(self, runner, tmp_path, e2e_dataset, e2e_script, mock_calls):
         config = write_config(tmp_path, e2e_dataset, e2e_script, strategy_ids=["nope"])
         result = runner.invoke(main, ["run", "--config", str(config)])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert mock_calls() == 0
 
     def test_missing_script_entry_exit_2(self, runner, tmp_path, e2e_dataset):
         script = tmp_path / "empty_script.json"
@@ -248,3 +266,123 @@ class TestSweepCommand:
              "--values", "abc"],
         )
         assert result.exit_code == 3
+
+
+class Inputs:
+    """The files one exit-code case reads, all under `tmp`."""
+
+    def __init__(self, tmp, dataset, script):
+        self.tmp, self.dataset, self.script = tmp, dataset, script
+
+    def config(self, **extra) -> str:
+        return str(write_config(self.tmp, self.dataset, self.script, **extra))
+
+    def file(self, name: str, text: str = "") -> str:
+        path = self.tmp / name
+        path.write_text(text)
+        return str(path)
+
+    def records(self) -> str:
+        row = {"item_id": "q4", "strategy_id": "far_final", "correct": False,
+               "concern": True, "confidences": {"token_prob": 0.3}}
+        return self.file("records.jsonl", json.dumps(row) + "\n")
+
+    def verbalized_yes_script(self) -> str:
+        # The first evaluation (q1, standard) gets "Yes" where a confidence belongs.
+        entries = e2e_script_entries()
+        prompt = f"Question: {E2E_ITEMS[0].question}\nAnswer:"
+        add_verbalized_entry(entries, f"{prompt} {E2E_STANDARD['q1']['text']}", "Yes")
+        return self.file("yes.json", json.dumps({"entries": entries}))
+
+
+MISSING_ENTRY = ("error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+                 "step 'answer' failed: no script entry matches prompt")
+
+# One case per input that ends a command early: (arguments, exit code, the
+# start of its one `error:` line, requests made). `{tmp}` is the case's directory.
+EXIT_CASES = {
+    "unknown_strategy": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["nope"])],
+        1, "error: strategy_ids: unknown id 'nope'; expected one of ('standard', ", 0,
+    ),
+    "unknown_method": (
+        lambda i: ["run", "--config", i.config(), "--extract", "mystery"],
+        1, "error: extraction_method_ids: unknown id 'mystery'; expected one of "
+           "('token_prob', 'p_true', 'verbalized')", 0,
+    ),
+    "repeated_strategy": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard", "far_final", "standard"])],
+        1, "error: strategy_ids: 'standard' is repeated", 0,
+    ),
+    "repeated_method": (
+        lambda i: ["run", "--config", i.config(), "--extract", "token_prob", "--extract", "token_prob"],
+        1, "error: extraction_method_ids: 'token_prob' is repeated", 0,
+    ),
+    "config_not_json": (
+        lambda i: ["run", "--config", i.file("bad.json", "{")],
+        1, "error: {tmp}/bad.json: Expecting property name", 0,
+    ),
+    "run_buckets_0": (
+        lambda i: ["run", "--config", i.config(), "--buckets", "0"],
+        1, "error: num_buckets must be >= 1", 0,
+    ),
+    "metrics_buckets_0": (
+        lambda i: ["metrics", "--records", i.records(), "--buckets", "0"],
+        1, "error: --buckets must be >= 1", 0,
+    ),
+    "cache_is_a_directory": (
+        lambda i: ["run", "--config", i.config(), "--cache", str(i.tmp)],
+        1, "error: cache_path: [Errno 21] Is a directory: '{tmp}'", 0,
+    ),
+    "out_is_a_file": (
+        lambda i: ["run", "--config", i.config(), "--out", i.file("afile")],
+        1, "error: out_dir: [Errno 17] File exists: '{tmp}/afile'", 0,
+    ),
+    "missing_script_entry_run": (
+        lambda i: ["run", "--config", i.config(), "--mock-script",
+                   i.file("empty.json", '{"entries": {}}')],
+        2, MISSING_ENTRY, 1,
+    ),
+    "missing_script_entry_sweep": (
+        lambda i: ["sweep", "--config", i.config(backend={
+                       "kind": "mock", "script_path": i.file("empty.json", '{"entries": {}}')}),
+                   "--axis", "thought_char_budget", "--values", "100"],
+        2, MISSING_ENTRY, 1,
+    ),
+    "far_human_facts_without_gold_facts": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["far_human_facts"])],
+        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'far_human_facts': "
+           "strategy far_human_facts requires gold_facts on item 'q1'", 0,
+    ),
+    "unparseable_verbalized_reply": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--extract", "verbalized",
+                   "--mock-script", i.verbalized_yes_script()],
+        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "no numeral in confidence reply: 'Yes'", 2,
+    ),
+    "record_without_correct": (
+        lambda i: ["metrics", "--records", i.file("records.jsonl",
+                                                  '{"item_id": "1", "confidences": {"p": 1}}\n')],
+        3, "error: {tmp}/records.jsonl:1: invalid record: ", 0,
+    ),
+    "sweep_values_not_integers": (
+        lambda i: ["sweep", "--config", i.config(), "--axis", "thought_char_budget",
+                   "--values", "abc"],
+        3, "error: --values: invalid literal for int() with base 10: 'abc'", 0,
+    ),
+    "augment_without_external_knowledge": (
+        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],
+        3, "error: item 'q4' has no external_knowledge to inject", 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_exit_code_table(runner, tmp_path, e2e_dataset, e2e_script, mock_calls, case):
+    build, code, message, calls = EXIT_CASES[case]
+    result = runner.invoke(main, build(Inputs(tmp_path, e2e_dataset, e2e_script)))
+    assert type(result.exception) is SystemExit, result.output
+    assert result.exit_code == code, result.output
+    (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert line.startswith(message.format(tmp=tmp_path)), line
+    assert mock_calls() == calls

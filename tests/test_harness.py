@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import shutil
 import time
 from pathlib import Path
@@ -334,6 +335,15 @@ class TestRunEval:
         with pytest.raises(RuntimeError, match=r"q1.*standard"):
             run_eval(config, backend=backend)
 
+    def test_unknown_method_fails_before_any_request(self, e2e_dataset, e2e_script, tmp_path):
+        # A library caller can still change a config after its checks ran.
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        config.extraction_method_ids = ["token_prob", "mystery"]
+        backend = load_mock_script(e2e_script)
+        with pytest.raises(RuntimeError, match="unknown extraction method 'mystery'"):
+            run_eval(config, backend=backend)
+        assert backend.call_count == 0
+
     def test_macro_average_over_two_datasets(self, e2e_dataset, e2e_script, tmp_path):
         second = tmp_path / "second.jsonl"
         rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
@@ -352,6 +362,25 @@ class TestRunEval:
         ]
         macro_ece = report.macro["strategies"]["standard"]["extractions"]["token_prob"]["ece"]
         assert macro_ece == pytest.approx(sum(per_ds) / 2)
+
+
+class TestReadRecords:
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ('{"item_id": "1", "confidences": {"p": 1}}', "argument: 'correct'"),
+            ('{"item_id": "1", "correct": true, "confidences": {}}', "at least one confidence"),
+            ('{"item_id": "1", "correct": true, "confidences": {"p": 1}, "x": 1}', "argument 'x'"),
+            ("[1]", "must be a mapping"),
+            ("{", "Expecting property name"),
+        ],
+    )
+    def test_invalid_line_names_file_and_line(self, tmp_path, line, detail):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"item_id": "0", "correct": true, "confidences": {"p": 0.5}}\n\n' + line)
+        message = re.escape(f"{path}:3: invalid record: ") + ".*" + re.escape(detail)
+        with pytest.raises(DataError, match=message):
+            read_records(path)
 
 
 class TestEmitReport:
@@ -558,6 +587,22 @@ class TestRunConfig:
         # Their curve CSVs would have the same names and overwrite each other.
         with pytest.raises(ConfigError, match="stem 'd'"):
             RunConfig(dataset_path=paths)
+
+    @pytest.mark.parametrize(
+        "field, ids, message",
+        [
+            ("strategy_ids", ["standard", "far_final", "standard"],
+             "strategy_ids: 'standard' is repeated"),
+            ("extraction_method_ids", ["p_true", "token_prob", "p_true"],
+             "extraction_method_ids: 'p_true' is repeated"),
+            ("strategy_ids", ["nope"], "strategy_ids: unknown id 'nope'"),
+            ("extraction_method_ids", ["mystery"], "extraction_method_ids: unknown id 'mystery'"),
+            ("strategy_ids", [], "strategy_ids: at least one id required"),
+        ],
+    )
+    def test_unknown_or_repeated_ids_rejected(self, field, ids, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(dataset_path=["d"], **{field: ids})
 
     def test_readme_key_table_lists_every_field(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
