@@ -53,14 +53,13 @@ class ScriptError(BackendError):
     """Mock script construction or lookup failure."""
 
 
-# Compact, keys sorted: request_hash's canonical form (changing it changes
-# every cache key) and the format of each response cache line.
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-# One JSON object per line, keys sorted: the line format of
-# transcripts.jsonl and records.jsonl, and of report.json. Encoders are
-# reentrant, so threads share these. Every value they encode is a tree of
-# tuples, dicts and decoded JSON, never a cycle, so neither checks for one.
-LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+# Compact JSON with sorted keys, the one format of every JSON file calibra
+# writes: cache lines, records.jsonl, transcripts.jsonl, report.json,
+# run_meta.json and datasets. It is also request_hash's canonical form, so
+# changing it changes every cache key. Encoders are reentrant, so threads
+# share this one. Every value it encodes is a tree of tuples, dicts and
+# decoded JSON, never a cycle, so it does not check for one.
+LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int) -> None:
@@ -122,7 +121,7 @@ class CompletionRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Completion:
     text: str
     tokens: tuple[str, ...]
@@ -130,38 +129,29 @@ class Completion:
     top_logprobs: tuple[dict, ...]
     finish_reason: Literal["stop", "length", "error"] = "stop"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
-        object.__setattr__(self, "top_logprobs", tuple(dict(m) for m in self.top_logprobs))
-        self._check_aligned()
-
-    @classmethod
-    def _adopt(
-        cls,
+    def __init__(
+        self,
         text: str,
-        tokens: tuple[str, ...],
-        token_logprobs: tuple[float, ...],
-        top_logprobs: tuple[dict, ...],
-        finish_reason: str,
-    ) -> "Completion":
-        """Build from tuples and dicts the caller owns and gives up, without copying."""
-        completion = object.__new__(cls)
-        # Set the frozen fields one by one, as __init__ does but without
-        # __post_init__'s copies; filling __dict__ in one update would give
-        # each instance a full dict of its own, about 130 bytes larger.
-        set_field = object.__setattr__
-        set_field(completion, "text", text)
-        set_field(completion, "tokens", tokens)
-        set_field(completion, "token_logprobs", token_logprobs)
-        set_field(completion, "top_logprobs", top_logprobs)
-        set_field(completion, "finish_reason", finish_reason)
-        completion._check_aligned()
-        return completion
-
-    def _check_aligned(self) -> None:
-        if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
+        tokens: Sequence[str],
+        token_logprobs: Sequence[float],
+        top_logprobs: Sequence[dict],
+        finish_reason: Literal["stop", "length", "error"] = "stop",
+    ) -> None:
+        """Hold the sequences as tuples, adopting the caller's `top_logprobs` dicts uncopied."""
+        tokens, token_logprobs = tuple(tokens), tuple(token_logprobs)
+        top_logprobs = tuple(top_logprobs)
+        if not all(isinstance(m, dict) for m in top_logprobs):
+            raise ValueError("top_logprobs entries must be objects")
+        if not (len(tokens) == len(token_logprobs) == len(top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
+        # Set the frozen fields one by one: filling __dict__ in one update
+        # would give each instance a full dict of its own, about 130 bytes larger.
+        set_field = object.__setattr__
+        set_field(self, "text", text)
+        set_field(self, "tokens", tokens)
+        set_field(self, "token_logprobs", token_logprobs)
+        set_field(self, "top_logprobs", top_logprobs)
+        set_field(self, "finish_reason", finish_reason)
 
     def to_dict(self, logprobs: bool = True) -> dict:
         """The fields as JSON values, sharing this completion's tuples and dicts.
@@ -180,21 +170,9 @@ class Completion:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Completion":
-        """Build from freshly decoded JSON, taking over its `top_logprobs` dicts.
-
-        The caller must not keep or mutate `d`'s dicts: unlike the
-        constructor, this does not copy them.
-        """
-        top_logprobs = tuple(d["top_logprobs"])
-        if not all(isinstance(m, dict) for m in top_logprobs):
-            raise ValueError("top_logprobs entries must be objects")
-        return cls._adopt(
-            d["text"],
-            tuple(d["tokens"]),
-            tuple(d["token_logprobs"]),
-            top_logprobs,
-            d.get("finish_reason", "stop"),
-        )
+        """Build from freshly decoded JSON, taking over its `top_logprobs` dicts."""
+        return cls(d["text"], d["tokens"], d["token_logprobs"], d["top_logprobs"],
+                   d.get("finish_reason", "stop"))
 
 
 class Backend(Protocol):
@@ -208,7 +186,7 @@ def tokenize(text: str) -> list[str]:
 
 def _canonical_request(request: CompletionRequest) -> tuple[str, str]:
     """The request's canonical JSON and the SHA-256 hex digest of those bytes."""
-    canonical = _CANONICAL_ENCODER.encode(request.to_dict())
+    canonical = LINE_ENCODER.encode(request.to_dict())
     return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -328,7 +306,7 @@ class ResponseCache:
         # so the request is encoded once: its bytes are what request_hash hashes.
         canonical, digest = _canonical_request(request)
         line = (
-            f'{{"completion":{_CANONICAL_ENCODER.encode(completion.to_dict())},'
+            f'{{"completion":{LINE_ENCODER.encode(completion.to_dict())},'
             f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'
         )
         with self._lock:
@@ -445,7 +423,7 @@ class MockBackend:
         text = response.pick(request.seed)
         if request.top_logprobs == 0:
             # As over HTTP: a request that asks for no logprobs gets no tokens.
-            return Completion._adopt(text, (), (), (), "stop")
+            return Completion(text, (), (), (), "stop")
         return _synthesize(text, response.logprobs, response.top_logprobs)
 
 
@@ -468,7 +446,7 @@ def _synthesize(
     else:
         # Every call matching the script entry shares its dicts; copy them once.
         top = tuple(dict(m) for m in top_logprobs)
-    return Completion._adopt(text, tuple(tokens), logprobs, top, "stop")
+    return Completion(text, tokens, logprobs, top, "stop")
 
 
 def mock_from_script(
@@ -481,6 +459,8 @@ def mock_from_script(
     reply strings (cycled by request seed), or a dict with keys
     `text`/`texts` and optional `logprobs` and `top_logprobs`.
     """
+    if not isinstance(entries, dict):
+        raise ScriptError("entries must be an object keyed by prompt")
     responses = {}
     for prompt, value in entries.items():
         logprobs = None
@@ -492,8 +472,10 @@ def mock_from_script(
         elif isinstance(value, dict):
             if "texts" in value:
                 texts = tuple(value["texts"])
-            else:
+            elif "text" in value:
                 texts = (value["text"],)
+            else:
+                raise ScriptError(f"script entry for {prompt[:60]!r} has neither text nor texts")
             if value.get("logprobs") is not None:
                 logprobs = tuple(value["logprobs"])
             if value.get("top_logprobs") is not None:
@@ -512,10 +494,18 @@ def mock_from_script(
 
 
 def load_mock_script(path: str | Path) -> MockBackend:
-    """Load a JSON mock script: {"fallback": ..., "entries": {...}}."""
+    """Load a JSON mock script: {"fallback": ..., "entries": {...}}.
+
+    A file that is not such a script is a `ScriptError` naming it.
+    """
     with _collector_paused(), Path(path).open("r", encoding="utf-8") as fh:
-        data = json.load(fh)
-        return mock_from_script(data.get("entries", {}), fallback=data.get("fallback", "error"))
+        try:
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ScriptError("a script must be a JSON object")
+            return mock_from_script(data.get("entries", {}), fallback=data.get("fallback", "error"))
+        except (TypeError, ValueError, ScriptError) as exc:
+            raise ScriptError(f"{path}: {exc}") from exc
 
 
 class HttpBackend:
@@ -581,21 +571,14 @@ class HttpBackend:
                 "backend returned no logprobs but top_logprobs was requested; "
                 "token-probability and P(True) extraction need a logprobs-capable endpoint"
             )
-        # A reply without logprobs has no tokens to report; none are made up.
-        logprobs = logprobs or {}
-        tokens = tuple(logprobs.get("tokens", ()))
-        token_logprobs = tuple(logprobs.get("token_logprobs", ()))
-        top = tuple(logprobs.get("top_logprobs") or ({},) * len(tokens))
         finish = choice.get("finish_reason", "stop")
         if finish not in ("stop", "length"):
             finish = "error"
+        # A reply without logprobs has no tokens to report; none are made up.
+        logprobs = logprobs or {}
         try:
-            return Completion(
-                text=text,
-                tokens=tokens,
-                token_logprobs=token_logprobs,
-                top_logprobs=top,
-                finish_reason=finish,
-            )
+            tokens = tuple(logprobs.get("tokens", ()))
+            top = logprobs.get("top_logprobs") or [{} for _ in tokens]
+            return Completion(text, tokens, logprobs.get("token_logprobs", ()), top, finish)
         except (TypeError, ValueError) as exc:
             raise MalformedResponseError(f"inconsistent logprobs: {exc}") from exc

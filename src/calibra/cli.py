@@ -16,8 +16,8 @@ from . import metrics as cal
 from .backend import BackendError
 from .concern import ConcernError, augment_with_knowledge, select_hard
 from .confidence import ConfidenceError
-from .harness import ConfigError, DataError, RunConfig, load_dataset, read_records, run_eval
-from .harness import sweep as run_sweep, write_dataset
+from .harness import SWEEP_AXES, ConfigError, DataError, RunConfig, load_dataset, read_records
+from .harness import run_eval, sweep as run_sweep, write_dataset
 from .qa import EvalRecord
 from .strategies import StrategyError
 
@@ -154,8 +154,7 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--axis", required=True,
-              type=click.Choice(["thought_char_budget", "demonstrations_count"]))
+@click.option("--axis", required=True, type=click.Choice(SWEEP_AXES))
 @click.option("--values", required=True, help="Comma-separated axis values.")
 def sweep(config_path, axis, values) -> None:
     """Run the evaluation once per axis value."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
@@ -129,15 +129,7 @@ class AugmentationOutcome:
     undefined: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "selection_mode": self.selection_mode,
-            "selected_ids": list(self.selected_ids),
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-            "relative_improvement": self.relative_improvement,
-            "absolute_improvement": self.absolute_improvement,
-            "undefined": self.undefined,
-        }
+        return asdict(self)
 
 
 def improvement(

@@ -1,8 +1,8 @@
 """Run orchestration: dataset loading, evaluation runs, reports, and sweeps.
 
-Everything on disk is JSONL or JSON. Report bodies carry no timestamps
-(those live in a sidecar) so identical configurations produce byte-identical
-reports regardless of worker count.
+Everything on disk is JSONL or JSON, compact with sorted keys. Report bodies
+carry no timestamps (those live in a sidecar) so identical configurations
+produce byte-identical reports regardless of worker count.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def write_dataset(items: Sequence[QAItem], path: str | Path) -> None:
                 row["gold_facts"] = list(item.gold_facts)
             if item.external_knowledge:
                 row["external_knowledge"] = item.external_knowledge
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(LINE_ENCODER.encode(row) + "\n")
 
 
 @dataclass
@@ -189,7 +189,7 @@ class RunReport:
         return d
 
     def to_json(self) -> str:
-        """One line of sorted-key JSON, written by json's C encoder."""
+        """One line of compact, sorted-key JSON, written by json's C encoder."""
         return LINE_ENCODER.encode(self.to_dict())
 
 
@@ -215,7 +215,10 @@ def build_backend(config: RunConfig) -> Backend:
         script = config.backend.get("script_path")
         if not script:
             raise ConfigError("mock backend requires script_path")
-        return load_mock_script(script)
+        try:
+            return load_mock_script(script)
+        except OSError as exc:
+            raise ConfigError(f"backend.script_path: {exc}") from exc
     if kind == "http":
         base_url = config.backend.get("base_url")
         model = config.backend.get("model")
@@ -452,7 +455,7 @@ def emit_report(
     meta = {"written_at": time.time()}
     if report.transcripts_path:
         meta["transcripts_path"] = report.transcripts_path
-    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    meta_path.write_text(LINE_ENCODER.encode(meta) + "\n", encoding="utf-8")
     written["meta"] = meta_path
     path = out_dir / "metrics.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:

@@ -8,7 +8,9 @@ over-confidence gap, per-row wins counting, and histogram/KDE exports.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,29 +51,13 @@ class CalibrationSummary:
     degenerate_flag: DegenerateFlag = "none"
 
     def to_dict(self) -> dict:
-        return {
-            "ece": self.ece,
-            "ice_pos": None if math.isnan(self.ice_pos) else self.ice_pos,
-            "ice_neg": None if math.isnan(self.ice_neg) else self.ice_neg,
-            "macro_ce": self.macro_ce,
-            "n": self.n,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "avg_confidence": self.avg_confidence,
-            "accuracy": self.accuracy,
-            "degenerate_flag": self.degenerate_flag,
-            "buckets": [
-                {
-                    "index": b.index,
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "size": b.size,
-                    "avg_confidence": b.avg_confidence,
-                    "accuracy": b.accuracy,
-                }
-                for b in self.buckets
-            ],
-        }
+        """The fields as JSON values: each bucket as its own dict, a NaN ICE as None."""
+        d = dict(vars(self))
+        d["buckets"] = [dict(vars(b)) for b in self.buckets]
+        for key in ("ice_pos", "ice_neg"):
+            if math.isnan(d[key]):
+                d[key] = None
+        return d
 
 
 @dataclass
@@ -94,11 +80,15 @@ class DistributionCurve:
         }
 
 
+@lru_cache(maxsize=None)
+def _lower_bounds(num_buckets: int) -> tuple[float, ...]:
+    """Each bucket's `lower`, m/M, computed once per M."""
+    return tuple(m / num_buckets for m in range(num_buckets))
+
+
 def bucket_index(confidence: float, num_buckets: int) -> int:
-    """Bucket m covers [m/M, (m+1)/M); the last bucket is closed at 1.0."""
-    if confidence >= 1.0:
-        return num_buckets - 1
-    return int(confidence * num_buckets)
+    """The bucket whose reported [lower, upper) holds the confidence; 1.0 is in the last."""
+    return bisect_right(_lower_bounds(num_buckets), confidence) - 1
 
 
 def bucketize(
@@ -118,9 +108,10 @@ def bucketize(
         raise ValueError(
             f"{len(correct)} correctness flags for {len(confidences)} confidences"
         )
+    # Bucket m's upper bound, (m+1)/M, is bucket m+1's lower bound.
     buckets = [
-        Bucket(index=m, lower=m / num_buckets, upper=(m + 1) / num_buckets)
-        for m in range(num_buckets)
+        Bucket(index=m, lower=lower, upper=(m + 1) / num_buckets)
+        for m, lower in enumerate(_lower_bounds(num_buckets))
     ]
     members: list[list[float]] = [[] for _ in range(num_buckets)]
     hits = [0] * num_buckets
@@ -270,7 +261,9 @@ def distribution_curve(
 ) -> DistributionCurve:
     """Density curve of a confidence sample.
 
-    Histogram mode returns normalized densities over equal-width buckets.
+    Histogram mode gives each of `bucketize`'s buckets (the ECE's bins) as
+    its midpoint and density size / (n * width), so the bins hold exactly
+    the records the summary's buckets count.
     KDE mode uses a Gaussian kernel with Silverman bandwidth, evaluated on
     an even grid over [0, 1] padded by five bandwidths on each side so the
     curve integrates to one. Degenerate samples (a single distinct value)
@@ -278,14 +271,16 @@ def distribution_curve(
     """
     if not confidences:
         raise ValueError("at least one confidence required")
+    if kind == "histogram":
+        buckets = bucketize(list(enumerate(confidences)), grid_size)
+        width = 1.0 / grid_size
+        points = [
+            ((b.index + 0.5) / grid_size, b.size / (len(confidences) * width)) for b in buckets
+        ]
+        return DistributionCurve(points=points, bandwidth=width, kind="histogram")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     samples = np.asarray(confidences, dtype=float)
-    if kind == "histogram":
-        counts, edges = np.histogram(samples, bins=grid_size, range=(0.0, 1.0), density=True)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        points = [(float(x), float(d)) for x, d in zip(centers, counts)]
-        return DistributionCurve(points=points, bandwidth=1.0 / grid_size, kind="histogram")
     h = silverman_bandwidth(samples)
     fallback = h == 0.0
     if fallback:

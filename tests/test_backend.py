@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -93,6 +94,25 @@ class TestCompletion:
             top_logprobs=({"A ": -0.1}, {"b": -0.2, "c": -3.0}), finish_reason="length",
         )
         assert Completion.from_dict(json.loads(json.dumps(completion.to_dict()))) == completion
+
+    def test_constructor_keeps_the_callers_dicts_as_tuples(self):
+        top = [{"a": -0.1}]
+        completion = Completion("a", ["a"], [-0.1], top)
+        assert completion.tokens == ("a",) and completion.token_logprobs == (-0.1,)
+        assert type(completion.top_logprobs) is tuple
+        assert completion.top_logprobs[0] is top[0]
+
+    @pytest.mark.parametrize("tokens, logprobs, top, message", [
+        (("a",), (-0.1,), (["a", -0.1],), "must be objects"),
+        (("a",), (-0.1,), (None,), "must be objects"),
+        (("a", "b"), (-0.1,), ({"a": -0.1},), "must align"),
+        (("a",), (-0.1,), (), "must align"),
+    ])
+    def test_constructor_rejects_bad_top_logprobs_and_misaligned_lengths(
+        self, tokens, logprobs, top, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            Completion("a", tokens, logprobs, top)
 
     def test_from_dict_rejects_misaligned_tokens(self):
         with pytest.raises(ValueError, match="align"):
@@ -689,6 +709,17 @@ class TestLoadScript:
         backend = load_mock_script(path)
         assert backend.complete(CompletionRequest(prompt="p")).text == "True"
         assert backend.complete(CompletionRequest(prompt="other")).text == "UNKNOWN"
+
+    @pytest.mark.parametrize("body, message", [
+        ('{"entries": {"p": {"texts": 5}}}', "'int' object is not iterable"),
+        ('{"entries": {"p": 1}}', "unsupported script value for 'p'"),
+        (b"\xff", "can't decode byte 0xff"),
+    ])
+    def test_a_bad_script_is_a_script_error_naming_the_file(self, tmp_path, body, message):
+        path = tmp_path / "script.json"
+        (path.write_bytes if isinstance(body, bytes) else path.write_text)(body)
+        with pytest.raises(ScriptError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_mock_script(path)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
     @pytest.mark.parametrize("valid", [True, False], ids=["valid", "bad_value"])

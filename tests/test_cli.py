@@ -370,6 +370,29 @@ EXIT_CASES = {
                    "--values", "abc"],
         3, "error: --values: invalid literal for int() with base 10: 'abc'", 0,
     ),
+    "script_not_json": (
+        lambda i: ["run", "--config", i.config(), "--mock-script", i.file("s.json", "not json")],
+        2, "error: {tmp}/s.json: Expecting value", 0,
+    ),
+    "script_is_a_list": (
+        lambda i: ["run", "--config", i.config(), "--mock-script", i.file("s.json", "[]")],
+        2, "error: {tmp}/s.json: a script must be a JSON object", 0,
+    ),
+    "script_entries_is_a_list": (
+        lambda i: ["run", "--config", i.config(), "--mock-script",
+                   i.file("s.json", '{"entries": []}')],
+        2, "error: {tmp}/s.json: entries must be an object keyed by prompt", 0,
+    ),
+    "script_entry_without_text": (
+        lambda i: ["run", "--config", i.config(), "--mock-script",
+                   i.file("s.json", '{"entries": {"q": {"logprobs": [-0.1]}}}')],
+        2, "error: {tmp}/s.json: script entry for 'q' has neither text nor texts", 0,
+    ),
+    "script_path_missing": (
+        lambda i: ["run", "--config", i.config(backend={
+                       "kind": "mock", "script_path": str(i.tmp / "missing.json")})],
+        1, "error: backend.script_path: [Errno 2] No such file or directory: '{tmp}/missing.json'", 0,
+    ),
     "augment_without_external_knowledge": (
         lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],
         3, "error: item 'q4' has no external_knowledge to inject", 0,

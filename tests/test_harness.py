@@ -251,7 +251,9 @@ class TestRunEval:
         for sid in STRATEGY_IDS:
             for item in load_dataset(dataset):
                 transcript, _ = execute(plan(sid, item, StrategyConfig()), item, Varied())
-                expected.append(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+                expected.append(
+                    json.dumps(transcript.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                )
         assert lines == expected
         parsed = [json.loads(line) for line in lines]
         votes = [t["vote"] for t in parsed if t["strategy_id"] == "self_consistency"]
@@ -413,6 +415,31 @@ class TestEmitReport:
             xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
             integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
             assert abs(integral - 1.0) <= 1e-3
+
+    def test_histogram_rows_hold_the_report_buckets(self, e2e_dataset, tmp_path):
+        # 0.3, 0.6 and 0.7 sit on bucket edges, where float bin edges can put a value one bin low.
+        entries = {}
+        for item, reply in zip(E2E_ITEMS, ("0.3", "0.6", "0.7", "0.7")):
+            entries.update(build_script("standard", item, {"answer": E2E_STANDARD[item.id]}))
+            prompt = f"Question: {item.question}\nAnswer: {E2E_STANDARD[item.id]['text']}"
+            add_verbalized_entry(entries, prompt, reply)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"entries": entries}))
+        config = e2e_config(e2e_dataset, script, tmp_path, strategy_ids=["standard"],
+                            extraction_method_ids=["verbalized"])
+        run_eval(config)
+        out = Path(config.out_dir)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        entry = report["datasets"][0]["strategies"]["standard"]["extractions"]["verbalized"]
+        width = entry["curves"]["histogram"]["bandwidth"]
+        path = out / "curves" / "dataset__standard__verbalized__histogram.csv"
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == len(entry["buckets"]) == 10
+        for row, bucket in zip(rows, entry["buckets"]):
+            x, density = map(float, row.split(","))
+            assert bucket["lower"] <= x < bucket["upper"]
+            assert density * entry["n"] * width == pytest.approx(bucket["size"], abs=1e-9)
+        assert [b["size"] for b in entry["buckets"]] == [0, 0, 0, 1, 0, 0, 1, 2, 0, 0]
 
     def test_report_json_is_one_sorted_line_that_reloads(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)

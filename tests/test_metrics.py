@@ -60,6 +60,24 @@ class TestBucketize:
     def test_confidence_zero_lands_in_first_bucket(self):
         assert bucket_index(0.0, 10) == 0
 
+    @pytest.mark.parametrize("num_buckets", [10, 100])
+    def test_each_lower_bound_lands_in_its_own_bucket(self, num_buckets):
+        # At M = 100, int(c * M) would put 0.29, 0.57 and 0.58 one bucket low.
+        buckets = bucketize([], num_buckets)
+        for k, bucket in enumerate(buckets):
+            assert bucket_index(k / num_buckets, num_buckets) == k
+            assert bucket_index(bucket.lower, num_buckets) == k
+        assert bucket_index(0.0, num_buckets) == 0
+        assert bucket_index(1.0, num_buckets) == num_buckets - 1
+
+    def test_histogram_bins_are_the_buckets(self):
+        samples = [0.0, 0.3, 0.3, 0.6, 0.7, 0.7, 0.7, 1.0]
+        curve = distribution_curve(samples, "histogram", grid_size=10)
+        buckets = bucketize(list(enumerate(samples)), 10)
+        for (x, density), bucket in zip(curve.points, buckets):
+            assert bucket.lower <= x < bucket.upper
+            assert density * len(samples) * curve.bandwidth == pytest.approx(bucket.size)
+
     def test_size_conservation(self):
         buckets = bucketize([("a", 0.1), ("b", 0.12), ("c", 0.9)], 2)
         assert [b.size for b in buckets] == [2, 1]
@@ -255,6 +273,10 @@ class TestDistributionCurve:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             distribution_curve([0.5], "kde", grid_size=1)
+        with pytest.raises(ValueError):
+            distribution_curve([0.5], "histogram", grid_size=0)
+        # One bucket is a valid num_buckets, so a one-bin histogram is too.
+        assert distribution_curve([0.2, 1.0], "histogram", grid_size=1).points == [(0.5, 1.0)]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
