@@ -49,7 +49,7 @@ def script_for(strategy_id, config=None):
 def show(strategy_id, config=None):
     config = config or StrategyConfig()
     backend = mock_from_script(script_for(strategy_id, config))
-    transcript, confidences = execute(
+    transcript = execute(
         plan(strategy_id, ITEM, config), ITEM, backend,
         extraction_methods=("token_prob",), config=config,
     )
@@ -59,7 +59,7 @@ def show(strategy_id, config=None):
         print(f"  step {record.step_name!r}: prompt starts {first_line!r}")
     print(f"  backend calls:  {backend.call_count}")
     print(f"  final answer:   {transcript.final_answer.raw_text!r}")
-    print(f"  token_prob conf: {confidences['token_prob'].value:.4f}")
+    print(f"  token_prob conf: {transcript.confidences['token_prob'].value:.4f}")
     print()
 
 
@@ -79,7 +79,7 @@ def main():
     sc_plan = plan("self_consistency", ITEM, config)
     prompt = render_step(sc_plan.steps[0], ITEM.question, {})
     backend = mock_from_script({prompt: ["No"] * 7 + ["Yes"] * 3})
-    transcript, _ = execute(
+    transcript = execute(
         sc_plan, ITEM, backend, extraction_methods=("token_prob",), config=config
     )
     print("== self_consistency ==")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Literal, Optional, Protocol, Sequence, TextIO
 
+import orjson
 import requests
 
 logger = logging.getLogger(__name__)
@@ -86,8 +87,8 @@ class CompletionRequest:
         _check_request_fields(self.max_tokens, self.temperature, self.top_logprobs)
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
-        # Hashed once here rather than on every cache lookup and insert; a
-        # field that is a list (say, read from a bad cache line) fails here.
+        # Hashed once here, not on every set or dict lookup; a field that is
+        # a list fails here.
         object.__setattr__(self, "_hash", hash((
             self.prompt, self.max_tokens, self.temperature, self.top_logprobs, self.seed, self.stop
         )))
@@ -213,20 +214,35 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _read_line(raw: dict) -> tuple[CompletionRequest, Completion]:
-    """Request and completion of a decoded cache line, the one reader of that format.
+def _request_key(request: CompletionRequest) -> tuple:
+    """The cache's key for `request`: its fields, in the order `_read_line` builds them."""
+    return (request.prompt, request.max_tokens, request.temperature, request.top_logprobs,
+            request.seed, request.stop)
 
-    Checks the line's keys, its request fields and the completion's tokens.
-    The stored `request_hash` is not read back: lookups key on the request.
+
+def _read_line(raw: dict) -> tuple[tuple, Completion]:
+    """Cache key and completion of a decoded cache line, the one reader of that format.
+
+    Checks the line's keys, its request fields and the completion's tokens,
+    and builds the key without a `CompletionRequest`; a field that decoded to
+    a list fails when the key is inserted. The stored `request_hash` is not
+    read back: lookups key on the request.
     """
     for name in _LINE_KEYS:
         if name not in raw:
             raise KeyError(name)
-    return CompletionRequest.from_dict(raw["request"]), Completion.from_dict(raw["completion"])
+    request = raw["request"]
+    prompt, max_tokens, temperature = request["prompt"], request["max_tokens"], request["temperature"]
+    top_logprobs = request.get("top_logprobs", 0)
+    _check_request_fields(max_tokens, temperature, top_logprobs)
+    stop = request.get("stop")
+    key = (prompt, max_tokens, temperature, top_logprobs, request.get("seed"),
+           None if stop is None else tuple(stop))
+    return key, Completion.from_dict(raw["completion"])
 
 
 class ResponseCache:
-    """Append-only JSONL cache keyed by the request itself.
+    """Append-only JSONL cache keyed by the request's fields.
 
     Each line is the entry's compact, key-sorted JSON, with the request's
     canonical hash (`request_hash`) for other readers; lookups never compute
@@ -242,7 +258,7 @@ class ResponseCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[CompletionRequest, Completion] = {}
+        self._entries: dict[tuple, Completion] = {}
         self._fh: Optional[TextIO] = None
         # Byte offset of a torn last line, cut off before the first append.
         self._torn_at: Optional[int] = None
@@ -261,7 +277,7 @@ class ResponseCache:
         with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 start, offset, last = offset, offset + len(line), line
-                if not line.strip():
+                if line.isspace():
                     continue
                 if torn is not None:
                     bad_lineno, _, exc = torn
@@ -269,15 +285,19 @@ class ResponseCache:
                         f"{self.path}:{bad_lineno}: malformed cache line: {exc}"
                     ) from exc
                 try:
-                    # Decoding first skips json.loads' encoding detection;
-                    # cache lines are UTF-8.
-                    raw = json.loads(line.decode("utf-8"))
-                except ValueError as exc:
-                    torn = (lineno, start, exc)
-                    continue
+                    raw = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    # orjson rejects some values LINE_ENCODER writes (NaN,
+                    # Infinity, lone surrogates); json reads them. A line
+                    # neither reads is torn or malformed.
+                    try:
+                        raw = json.loads(line.decode("utf-8"))
+                    except ValueError as exc:
+                        torn = (lineno, start, exc)
+                        continue
                 try:
-                    request, completion = _read_line(raw)
-                    self._entries[request] = completion
+                    key, completion = _read_line(raw)
+                    self._entries[key] = completion
                 except (KeyError, TypeError, ValueError) as exc:
                     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                     raise ValueError(
@@ -298,7 +318,7 @@ class ResponseCache:
 
     def get(self, request: CompletionRequest) -> Optional[Completion]:
         """Cached completion for `request`, or None."""
-        return self._entries.get(request)
+        return self._entries.get(_request_key(request))
 
     def put(self, request: CompletionRequest, completion: Completion) -> None:
         """Record `completion` unless `request` is cached."""
@@ -309,10 +329,11 @@ class ResponseCache:
             f'{{"completion":{LINE_ENCODER.encode(completion.to_dict())},'
             f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'
         )
+        key = _request_key(request)
         with self._lock:
-            if request in self._entries:
+            if key in self._entries:
                 return
-            self._entries[request] = completion
+            self._entries[key] = completion
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)
@@ -489,6 +510,8 @@ def mock_from_script(
                 )
         else:
             raise ScriptError(f"unsupported script value for {prompt[:60]!r}")
+        if not texts:
+            raise ScriptError(f"script entry for {prompt[:60]!r} has no replies")
         responses[prompt] = MockResponse(texts=texts, logprobs=logprobs, top_logprobs=top_lp)
     return MockBackend(responses, fallback=fallback)
 

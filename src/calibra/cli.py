@@ -62,13 +62,13 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--strategy", "strategy_ids", multiple=True, help="Override config strategies.")
 @click.option("--extract", "extraction_method_ids", multiple=True,
               help="Override extraction methods.")
 @click.option("--backend-url", default=None)
 @click.option("--model", default=None)
-@click.option("--mock-script", default=None, type=click.Path(exists=True))
+@click.option("--mock-script", default=None, type=click.Path())
 @click.option("--buckets", "num_buckets", default=None, type=int)
 @click.option("--cache", "cache_path", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
@@ -153,7 +153,7 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--axis", required=True, type=click.Choice(SWEEP_AXES))
 @click.option("--values", required=True, help="Comma-separated axis values.")
 def sweep(config_path, axis, values) -> None:

@@ -107,6 +107,8 @@ class RunConfig(StrategyConfig):
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             return cls(**data)
+        except OSError as exc:  # missing, a directory or unreadable
+            raise ConfigError(f"config: {exc}") from exc
         except (TypeError, ValueError) as exc:  # not JSON, not an object, or a missing key
             raise ConfigError(f"{path}: {exc}") from exc
 
@@ -282,7 +284,7 @@ def run_eval(
         dataset, item, strategy_id = task
         try:
             strategy_plan = plan(strategy_id, item, config)
-            transcript, confidences = execute(
+            transcript = execute(
                 strategy_plan,
                 item,
                 backend,
@@ -299,7 +301,7 @@ def run_eval(
         record = EvalRecord(
             item_id=item.id,
             correct=exact_match(transcript.final_answer, item),
-            confidences={m: r.value for m, r in confidences.items()},
+            confidences={m: r.value for m, r in transcript.confidences.items()},
             concern=concern,
             strategy_id=strategy_id,
             dataset=dataset,

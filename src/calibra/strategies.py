@@ -337,8 +337,8 @@ def execute(
     extraction_methods: Sequence[str] = ("token_prob",),
     config: Optional[StrategyConfig] = None,
     cache: Optional[ResponseCache] = None,
-) -> tuple[Transcript, dict[str, ConfidenceResult]]:
-    """Run a plan end to end and extract confidences on the final answer."""
+) -> Transcript:
+    """Run a plan end to end; the transcript holds the final answer's confidences."""
     config = config or StrategyConfig()
     for method in extraction_methods:
         if method not in METHOD_IDS:
@@ -423,7 +423,7 @@ def execute(
             )
         else:
             confidences[method] = verbalized_confidence(backend, final_context, cache=cache)
-    transcript = Transcript(
+    return Transcript(
         item_id=item.id,
         strategy_id=strategy_plan.strategy_id,
         step_records=records,
@@ -432,4 +432,3 @@ def execute(
         vote_detail=vote_detail,
         confidences=confidences,
     )
-    return transcript, confidences

@@ -4,13 +4,16 @@ import json
 import logging
 import math
 import re
+import shutil
 import threading
 from dataclasses import replace
 
+import orjson
 import pytest
 
 from calibra import backend as backend_module
 from calibra.backend import (
+    LINE_ENCODER,
     BackendError,
     CapabilityError,
     Completion,
@@ -28,6 +31,7 @@ from calibra.backend import (
     tokenize,
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
+from conftest import FIXTURES
 
 
 class TestCompletionRequest:
@@ -216,6 +220,11 @@ class TestMockBackend:
         first.top_logprobs[0]["False"] = -9.0
         assert backend.complete(request).top_logprobs == ({"True": -0.1},)
 
+    @pytest.mark.parametrize("value", [[], {"texts": []}], ids=["list", "texts"])
+    def test_empty_reply_list_rejected(self, value):
+        with pytest.raises(ScriptError, match="script entry for 'p' has no replies"):
+            mock_from_script({"p": value})
+
     def test_misaligned_scripted_top_logprobs_rejected(self):
         with pytest.raises(ScriptError, match="align for 'p'"):
             mock_from_script({"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{}, {}]}})
@@ -262,6 +271,7 @@ class TestCache:
         request = CompletionRequest(prompt="p")
         first = complete(backend, request, cache=cache)
         second = complete(backend, request, cache=cache)
+        cache.close()
         assert first == second
         assert backend.call_count == 1
 
@@ -269,7 +279,9 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"p": "True"})
         request = CompletionRequest(prompt="p")
-        complete(backend, request, cache=ResponseCache(path))
+        first = ResponseCache(path)
+        complete(backend, request, cache=first)
+        first.close()
         fresh = ResponseCache(path)
         assert fresh.get(request) is not None
         complete(backend, request, cache=fresh)
@@ -498,6 +510,94 @@ class TestCache:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=f"cache.jsonl:2: invalid cache line: {message}"):
             ResponseCache(path)
+
+    def test_values_only_json_reads_load_as_json_reads_them(self, tmp_path):
+        # -Infinity and NaN (logprobs as an endpoint may send them) and a lone
+        # surrogate are written by LINE_ENCODER but rejected by orjson.
+        path = tmp_path / "cache.jsonl"
+        written = {
+            CompletionRequest(prompt="q nan", top_logprobs=2): Completion(
+                " A", (" A",), (float("-inf"),), ({" A": float("-inf"), " B": float("nan")},)
+            ),
+            CompletionRequest(prompt="q surrogate \ud83d"): Completion("half \ud800 pair", (), (), ()),
+        }
+        cache = ResponseCache(path)
+        for request, completion in written.items():
+            cache.put(request, completion)
+        cache.close()
+        lines = path.read_bytes().splitlines()
+        for line in lines:
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(line)
+        backend = mock_from_script({})
+        reloaded = ResponseCache(path)
+        for line, request in zip(lines, written):
+            expected = Completion.from_dict(json.loads(line)["completion"])
+            loaded = complete(backend, request, cache=reloaded)
+            # NaN != NaN, so compare what the completion writes.
+            assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(expected.to_dict())
+        assert backend.call_count == 0
+
+    def test_int_temperature_hits_an_entry_written_as_float(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p", temperature=1.0),
+                 cache=cache)
+        cache.close()
+        assert b'"temperature":1.0,' in path.read_bytes()
+        backend = mock_from_script({"p": "True"})
+        reloaded = ResponseCache(path)
+        assert complete(backend, CompletionRequest(prompt="p", temperature=1), cache=reloaded).text == "True"
+        assert backend.call_count == 0
+
+    @pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda line: line.replace(b'"text":"B"', b'"text":"\xff"'), lambda line: line[:40]],
+        ids=["non_utf8", "torn"],
+    )
+    def test_unreadable_line_is_skipped_only_at_the_end(self, tmp_path, caplog, damage, last):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        prompts = "acb" if last else "abc"
+        for prompt in prompts:
+            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+        cache.close()
+        lines = path.read_bytes().splitlines()
+        lineno = 3 if last else 2
+        lines[lineno - 1] = bad = damage(lines[lineno - 1])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:  # the reason json gives for the line as the file holds it
+            json.loads((bad + b"\n").decode("utf-8"))
+        except ValueError as exc:
+            reason = str(exc)
+        if last:
+            with caplog.at_level(logging.WARNING, logger="calibra.backend"):
+                damaged = ResponseCache(path)
+            assert f"{path}:3: skipping torn last cache line" in caplog.text
+            assert [damaged.get(CompletionRequest(prompt=p)).text for p in "ac"] == ["A", "C"]
+            assert damaged.get(CompletionRequest(prompt="b")) is None
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"cache.jsonl:2: malformed cache line: {reason}")):
+                ResponseCache(path)
+
+    def test_loads_a_file_written_before_orjson_parsed_lines(self, tmp_path):
+        # Written by put when load parsed every line with json alone: four lines
+        # from the mock (seed, stop, logprobs, an int temperature) and the two
+        # lines of test_values_only_json_reads_load_as_json_reads_them.
+        path = tmp_path / "cache.jsonl"
+        shutil.copyfile(FIXTURES / "cache_before_orjson.jsonl", path)
+        before = path.read_bytes()
+        backend = mock_from_script({})
+        cache = ResponseCache(path)
+        for line in before.splitlines():
+            raw = json.loads(line)
+            loaded = complete(backend, CompletionRequest.from_dict(raw["request"]), cache=cache)
+            assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(raw["completion"])
+        cache.close()
+        assert backend.call_count == 0
+        assert path.read_bytes() == before
 
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -388,6 +388,25 @@ EXIT_CASES = {
                    i.file("s.json", '{"entries": {"q": {"logprobs": [-0.1]}}}')],
         2, "error: {tmp}/s.json: script entry for 'q' has neither text nor texts", 0,
     ),
+    "script_reply_list_empty": (
+        # The first request's entry: it used to fail that request, exit 3.
+        lambda i: ["run", "--config", i.config(), "--mock-script", i.file("s.json", json.dumps(
+            {"entries": {f"Question: {E2E_ITEMS[0].question}\nAnswer:": {"texts": []}}}))],
+        2, "error: {tmp}/s.json: script entry for 'Question: Did Aristotle use a laptop?\\nAnswer:' "
+           "has no replies", 0,
+    ),
+    "config_missing": (
+        lambda i: ["run", "--config", str(i.tmp / "nope.json")],
+        1, "error: config: [Errno 2] No such file or directory: '{tmp}/nope.json'", 0,
+    ),
+    "config_is_a_directory": (
+        lambda i: ["run", "--config", str(i.tmp)],
+        1, "error: config: [Errno 21] Is a directory: '{tmp}'", 0,
+    ),
+    "mock_script_flag_missing": (
+        lambda i: ["run", "--config", i.config(), "--mock-script", str(i.tmp / "missing.json")],
+        1, "error: backend.script_path: [Errno 2] No such file or directory: '{tmp}/missing.json'", 0,
+    ),
     "script_path_missing": (
         lambda i: ["run", "--config", i.config(backend={
                        "kind": "mock", "script_path": str(i.tmp / "missing.json")})],

@@ -250,7 +250,7 @@ class TestRunEval:
         expected = []
         for sid in STRATEGY_IDS:
             for item in load_dataset(dataset):
-                transcript, _ = execute(plan(sid, item, StrategyConfig()), item, Varied())
+                transcript = execute(plan(sid, item, StrategyConfig()), item, Varied())
                 expected.append(
                     json.dumps(transcript.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
                 )

@@ -208,7 +208,7 @@ def test_call_contract_covers_every_strategy():
 class TestPTrueContext:
     def p_true_prompt(self, config):
         backend = RecordingBackend()
-        transcript, _ = execute(plan("cot", ITEM), ITEM, backend, ("p_true",), config)
+        transcript = execute(plan("cot", ITEM), ITEM, backend, ("p_true",), config)
         (probe,) = [r for r in backend.requests if r.top_logprobs == 5]
         return probe.prompt, transcript.step_records[-1]
 
@@ -231,11 +231,11 @@ def run_strategy(strategy_id, step_texts, config=None, methods=("token_prob",), 
     config = config or StrategyConfig()
     entries = build_script(strategy_id, item, step_texts, config)
     backend = mock_from_script(entries)
-    transcript, confidences = execute(
+    transcript = execute(
         plan(strategy_id, item, config), item, backend,
         extraction_methods=methods, config=config,
     )
-    return transcript, confidences, backend
+    return transcript, transcript.confidences, backend
 
 
 FAR_TEXTS = {
@@ -313,10 +313,10 @@ class TestExecute:
         context = f"{prompt} No"
         add_p_true_entry(entries, context, "No", {"A": math.log(0.7), "B": math.log(0.2)})
         backend = mock_from_script(entries)
-        _, confidences = execute(
+        confidences = execute(
             plan("standard", ITEM, config), ITEM, backend,
             extraction_methods=("token_prob", "p_true"),
-        )
+        ).confidences
         assert confidences["p_true"].value == pytest.approx(0.7)
         assert backend.call_count == 2  # one generation + one suffix probe
 
@@ -328,10 +328,10 @@ class TestExecute:
         prompt = next(iter(entries))
         add_verbalized_entry(entries, f"{prompt} No", "0.85")
         backend = mock_from_script(entries)
-        _, confidences = execute(
+        confidences = execute(
             plan("standard", ITEM, config), ITEM, backend,
             extraction_methods=("verbalized",),
-        )
+        ).confidences
         assert confidences["verbalized"].value == 0.85
 
     def test_backend_error_names_step(self):
@@ -398,10 +398,11 @@ class TestTranscriptRow:
         context = f"{next(iter(entries))} No"
         add_p_true_entry(entries, context, "No", {"A": math.log(0.7), "B": math.log(0.2)})
         add_verbalized_entry(entries, context, "0.85 (fairly sure)")
-        transcript, confidences = execute(
+        transcript = execute(
             plan("standard", ITEM), ITEM, mock_from_script(entries),
             extraction_methods=("token_prob", "p_true", "verbalized"),
         )
+        confidences = transcript.confidences
         aux = confidences["p_true"].aux
         assert self.row(transcript)["probes"] == {
             "p_true": {"reply": "A", "p_a": aux["p_a"], "p_b": aux["p_b"]},
@@ -451,8 +452,8 @@ class TestHttpTokenProb:
         session = LogprobSession()
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         config = StrategyConfig(self_consistency_n=3)
-        _, confidences = execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
-        return session.bodies, confidences
+        transcript = execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
+        return session.bodies, transcript.confidences
 
     def test_standard_answer_asks_for_logprobs(self):
         bodies, confidences = self.run("standard")
