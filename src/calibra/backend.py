@@ -2,8 +2,9 @@
 
 Both expose a single `complete(request)` method returning a `Completion`;
 its per-token log-probabilities and top-K alternatives are filled only for
-a request with `top_logprobs >= 1`. A JSONL response cache can
-short-circuit repeated requests.
+a request with `top_logprobs >= 1`. A JSONL response cache is a backend
+too: it answers repeated requests itself and asks the backend it wraps
+only on a miss.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Literal, Optional, Protocol, Sequence, TextIO
 
@@ -81,20 +82,13 @@ class CompletionRequest:
     top_logprobs: int = 0
     seed: Optional[int] = None
     stop: Optional[tuple[str, ...]] = None
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_request_fields(self.max_tokens, self.temperature, self.top_logprobs)
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
-        # Hashed once here, not on every set or dict lookup; a field that is
-        # a list fails here.
-        object.__setattr__(self, "_hash", hash((
-            self.prompt, self.max_tokens, self.temperature, self.top_logprobs, self.seed, self.stop
-        )))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # A field that is a list fails here, not at its first lookup.
+        hash(_request_key(self))
 
     def to_dict(self) -> dict:
         d = {
@@ -112,14 +106,7 @@ class CompletionRequest:
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
         """The inverse of `to_dict`; the constructor checks the fields."""
-        return cls(
-            prompt=d["prompt"],
-            max_tokens=d["max_tokens"],
-            temperature=d["temperature"],
-            top_logprobs=d.get("top_logprobs", 0),
-            seed=d.get("seed"),
-            stop=None if d.get("stop") is None else tuple(d["stop"]),
-        )
+        return cls(*_request_fields(d))
 
 
 @dataclass(frozen=True, init=False)
@@ -215,9 +202,16 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _request_key(request: CompletionRequest) -> tuple:
-    """The cache's key for `request`: its fields, in the order `_read_line` builds them."""
+    """The cache's key for `request`: its fields, in the order `_request_fields` reads them."""
     return (request.prompt, request.max_tokens, request.temperature, request.top_logprobs,
             request.seed, request.stop)
+
+
+def _request_fields(d: dict) -> tuple:
+    """A request's fields from its JSON object, in `CompletionRequest`'s order, unchecked."""
+    stop = d.get("stop")
+    return (d["prompt"], d["max_tokens"], d["temperature"], d.get("top_logprobs", 0),
+            d.get("seed"), None if stop is None else tuple(stop))
 
 
 def _read_line(raw: dict) -> tuple[tuple, Completion]:
@@ -231,32 +225,31 @@ def _read_line(raw: dict) -> tuple[tuple, Completion]:
     for name in _LINE_KEYS:
         if name not in raw:
             raise KeyError(name)
-    request = raw["request"]
-    prompt, max_tokens, temperature = request["prompt"], request["max_tokens"], request["temperature"]
-    top_logprobs = request.get("top_logprobs", 0)
+    key = _request_fields(raw["request"])
+    _, max_tokens, temperature, top_logprobs, _, _ = key
     _check_request_fields(max_tokens, temperature, top_logprobs)
-    stop = request.get("stop")
-    key = (prompt, max_tokens, temperature, top_logprobs, request.get("seed"),
-           None if stop is None else tuple(stop))
     return key, Completion.from_dict(raw["completion"])
 
 
 class ResponseCache:
-    """Append-only JSONL cache keyed by the request's fields.
+    """A backend that answers from an append-only JSONL cache keyed by the request's fields.
 
-    Each line is the entry's compact, key-sorted JSON, with the request's
-    canonical hash (`request_hash`) for other readers; lookups never compute
-    it. Concurrent reads are lock-free once loaded; appends are serialized and
-    go through one handle, opened on the first `put` and flushed after every
-    line, so another reader (or a run that crashes) sees each entry written.
+    `complete` returns the cached completion on a hit; on a miss it asks the
+    wrapped `backend` and records the reply. Each line is the entry's
+    compact, key-sorted JSON, with the request's canonical hash
+    (`request_hash`) for other readers; lookups never compute it. Concurrent
+    reads are lock-free once loaded; appends are serialized and go through
+    one handle, opened on the first `put` and flushed after every line, so
+    another reader (or a run that crashes) sees each entry written.
     Load checks each line's keys, request fields and token alignment, and
     names `file:line` for a line that fails. A torn last line, left by a
     crash mid-write, is skipped on load and cut off before the next append.
     The file has a single writer at a time. `close` releases the handle.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, backend: Backend):
         self.path = Path(path)
+        self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[tuple, Completion] = {}
         self._fh: Optional[TextIO] = None
@@ -320,6 +313,15 @@ class ResponseCache:
         """Cached completion for `request`, or None."""
         return self._entries.get(_request_key(request))
 
+    def complete(self, request: CompletionRequest) -> Completion:
+        """The cached completion for `request`; on a miss, the backend's, recorded."""
+        hit = self.get(request)
+        if hit is not None:
+            return hit
+        completion = self.backend.complete(request)
+        self.put(request, completion)
+        return completion
+
     def put(self, request: CompletionRequest, completion: Completion) -> None:
         """Record `completion` unless `request` is cached."""
         # The entry's canonical JSON, keys in sorted order, built from pieces
@@ -361,35 +363,27 @@ class ResponseCache:
 def complete(
     backend: Backend,
     request: CompletionRequest,
-    cache: Optional[ResponseCache] = None,
     max_attempts: int = 3,
     backoff_seconds: float = 0.5,
 ) -> Completion:
-    """Run a completion with caching and bounded retry on transport errors.
+    """Run a completion with bounded retry on transport errors.
 
     Malformed responses are surfaced immediately; only transport and
-    rate-limit failures are retried, with exponential backoff.
+    rate-limit failures are retried, with exponential backoff. A
+    `ResponseCache` backend is retried as a whole, so a miss that failed is
+    looked up again.
     """
-    if cache is not None:
-        hit = cache.get(request)
-        if hit is not None:
-            return hit
     last_error: Optional[Exception] = None
     for attempt in range(max_attempts):
         try:
-            completion = backend.complete(request)
-            break
+            return backend.complete(request)
         except TransportError as exc:
             last_error = exc
             if attempt + 1 < max_attempts:
                 delay = backoff_seconds * (2**attempt)
                 logger.warning("transport error (%s); retrying in %.1fs", exc, delay)
                 time.sleep(delay)
-    else:
-        raise TransportError(f"giving up after {max_attempts} attempts: {last_error}")
-    if cache is not None:
-        cache.put(request, completion)
-    return completion
+    raise TransportError(f"giving up after {max_attempts} attempts: {last_error}")
 
 
 @dataclass(frozen=True)

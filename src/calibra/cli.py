@@ -72,8 +72,7 @@ def main() -> None:
 @click.option("--buckets", "num_buckets", default=None, type=int)
 @click.option("--cache", "cache_path", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--concern-lexicon", "concern_lexicon_path", default=None,
-              type=click.Path(exists=True))
+@click.option("--concern-lexicon", "concern_lexicon_path", default=None, type=click.Path())
 def run(config_path, backend_url, model, mock_script, **flags) -> None:
     """Run an evaluation described by a JSON config file.
 
@@ -93,7 +92,7 @@ def run(config_path, backend_url, model, mock_script, **flags) -> None:
 
 
 @main.command()
-@click.option("--records", "records_path", required=True, type=click.Path(exists=True))
+@click.option("--records", "records_path", required=True, type=click.Path())
 @click.option("--buckets", default=10, type=int)
 @click.option("--method", "methods", multiple=True, help="Extraction methods (default: all present).")
 def metrics(records_path, buckets, methods) -> None:
@@ -118,11 +117,11 @@ def metrics(records_path, buckets, methods) -> None:
 
 
 @main.command()
-@click.option("--report", "report_dir", required=True, type=click.Path(exists=True))
+@click.option("--report", "report_dir", required=True, type=click.Path())
 @click.option("--mode", type=click.Choice(["concern", "random"]), default="concern")
 @click.option("--seed", default=0, type=int)
 @click.option("--strategy", "strategy_id", default=None)
-@click.option("--dataset", "dataset_path", default=None, type=click.Path(exists=True),
+@click.option("--dataset", "dataset_path", default=None, type=click.Path(),
               help="Emit an augmented copy of this dataset for the selected ids.")
 @click.option("--out", "out_path", default=None, type=click.Path())
 def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None:
@@ -147,7 +146,10 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
             for item in load_dataset(dataset_path)
         ]
         aug_path = out_path or str(Path(report_dir) / "augmented_dataset.jsonl")
-        write_dataset(augmented, aug_path)
+        try:
+            write_dataset(augmented, aug_path)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         result["augmented_dataset"] = aug_path
     click.echo(json.dumps(result, sort_keys=True, indent=2))
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, get_args
 
-from .backend import Backend, Completion, CompletionRequest, complete, ResponseCache
+from .backend import Backend, Completion, CompletionRequest, complete
 
 MethodId = Literal["token_prob", "p_true", "verbalized"]
 METHOD_IDS: tuple[str, ...] = get_args(MethodId)
@@ -38,7 +38,6 @@ class ExtractionFailedError(ConfidenceError):
 
 @dataclass(frozen=True)
 class ConfidenceResult:
-    method: MethodId
     value: float
     raw_value: float
     clamped: bool = False
@@ -55,7 +54,7 @@ def token_prob_confidence(completion: Completion) -> ConfidenceResult:
         if lp > 0:
             raise ConfidenceError(f"log-probability {lp} > 0 is invalid")
     value = math.exp(sum(completion.token_logprobs) / len(completion.token_logprobs))
-    return ConfidenceResult(method="token_prob", value=value, raw_value=value)
+    return ConfidenceResult(value=value, raw_value=value)
 
 
 def _match_choice(top_logprobs: dict, choice: str) -> Optional[float]:
@@ -70,7 +69,6 @@ def p_true_confidence(
     answer_context: str,
     possible_answer: str,
     normalized: bool = False,
-    cache: Optional[ResponseCache] = None,
 ) -> ConfidenceResult:
     """Probability the model puts on affirming its own candidate answer.
 
@@ -83,7 +81,7 @@ def p_true_confidence(
         f"{answer_context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
     )
     request = CompletionRequest(prompt=prompt, max_tokens=1, temperature=0.0, top_logprobs=5)
-    completion = complete(backend, request, cache=cache)
+    completion = complete(backend, request)
     if not completion.top_logprobs:
         raise ExtractionFailedError("backend returned no top-logprobs for the P(True) probe")
     first = completion.top_logprobs[0]
@@ -97,7 +95,6 @@ def p_true_confidence(
     p_b = math.exp(lp_b) if lp_b is not None else 0.0
     value = p_a / (p_a + p_b) if normalized else p_a
     return ConfidenceResult(
-        method="p_true",
         value=value,
         raw_value=value,
         aux={"p_a": p_a, "p_b": p_b},
@@ -116,16 +113,12 @@ def parse_verbalized(text: str) -> ConfidenceResult:
     raw = float(match.group())
     # The numeral pattern has no sign, so only the upper bound can be crossed.
     value = min(1.0, raw)
-    return ConfidenceResult(method="verbalized", value=value, raw_value=raw, clamped=value != raw)
+    return ConfidenceResult(value=value, raw_value=raw, clamped=value != raw)
 
 
-def verbalized_confidence(
-    backend: Backend,
-    answer_context: str,
-    cache: Optional[ResponseCache] = None,
-) -> ConfidenceResult:
+def verbalized_confidence(backend: Backend, answer_context: str) -> ConfidenceResult:
     """Ask the model to state its own confidence after the answer."""
     prompt = f"{answer_context}\n{VERBALIZED_SUFFIX}"
     request = CompletionRequest(prompt=prompt, max_tokens=8, temperature=0.0)
-    completion = complete(backend, request, cache=cache)
+    completion = complete(backend, request)
     return replace(parse_verbalized(completion.text), reply=completion.text)

@@ -124,11 +124,13 @@ class RunConfig(StrategyConfig):
 def load_dataset(path: str | Path) -> list[QAItem]:
     """Read a JSONL dataset; duplicate ids and invalid items are rejected."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset not found: {path}")
     items: list[QAItem] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as exc:  # missing, a directory or unreadable
+        raise DataError(f"dataset: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -198,7 +200,11 @@ class RunReport:
 def read_records(path: str | Path) -> list[EvalRecord]:
     """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"records: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -211,8 +217,19 @@ def read_records(path: str | Path) -> list[EvalRecord]:
     return records
 
 
+# The keys each backend kind reads; any other key in `backend` is an error.
+_BACKEND_KEYS = {"mock": {"kind", "script_path"}, "http": {"kind", "base_url", "model"}}
+
+
 def build_backend(config: RunConfig) -> Backend:
+    if not isinstance(config.backend, dict):
+        raise ConfigError(f"backend must be an object, not {config.backend!r}")
     kind = config.backend.get("kind")
+    if kind not in ("mock", "http"):
+        raise ConfigError(f"unknown backend kind {kind!r}")
+    unknown = set(config.backend) - _BACKEND_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"backend: unknown keys {sorted(unknown)} for kind {kind!r}")
     if kind == "mock":
         script = config.backend.get("script_path")
         if not script:
@@ -221,13 +238,11 @@ def build_backend(config: RunConfig) -> Backend:
             return load_mock_script(script)
         except OSError as exc:
             raise ConfigError(f"backend.script_path: {exc}") from exc
-    if kind == "http":
-        base_url = config.backend.get("base_url")
-        model = config.backend.get("model")
-        if not base_url or not model:
-            raise ConfigError("http backend requires base_url and model")
-        return HttpBackend(base_url, model)
-    raise ConfigError(f"unknown backend kind {kind!r}")
+    base_url = config.backend.get("base_url")
+    model = config.backend.get("model")
+    if not base_url or not model:
+        raise ConfigError("http backend requires base_url and model")
+    return HttpBackend(base_url, model)
 
 
 _MACRO_KEYS = (
@@ -256,17 +271,22 @@ def run_eval(
     if backend is None:
         backend = build_backend(config)
     if lexicon is None:
-        lexicon = (
-            ConcernLexicon.from_file(config.concern_lexicon_path)
-            if config.concern_lexicon_path
-            else ConcernLexicon()
-        )
+        try:
+            lexicon = (
+                ConcernLexicon.from_file(config.concern_lexicon_path)
+                if config.concern_lexicon_path
+                else ConcernLexicon()
+            )
+        except OSError as exc:
+            raise ConfigError(f"concern_lexicon_path: {exc}") from exc
     try:
-        cache = ResponseCache(config.cache_path) if config.cache_path else None
+        cache = ResponseCache(config.cache_path, backend) if config.cache_path else None
     except ValueError as exc:  # a line that does not load, named by file:line
         raise DataError(str(exc)) from exc
     except OSError as exc:
         raise ConfigError(f"cache_path: {exc}") from exc
+    if cache is not None:
+        backend = cache
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     transcripts_path: Optional[Path] = None
@@ -290,7 +310,6 @@ def run_eval(
                 backend,
                 extraction_methods=config.extraction_method_ids,
                 config=config,
-                cache=cache,
             )
         except Exception as exc:
             raise RuntimeError(
@@ -330,8 +349,6 @@ def run_eval(
                         transcripts.write(line)
 
             block: dict = {"path": ds_path, "n_items": len(items), "strategies": {}}
-            ece_rows: list[dict] = []
-            macro_rows: list[dict] = []
             for index, sid in enumerate(config.strategy_ids):
                 # Tasks run strategy by strategy, so each strategy's records are one slice.
                 records = results[index * len(items) : (index + 1) * len(items)]
@@ -340,8 +357,6 @@ def run_eval(
                     "concern_rate": concern_rate([r.concern for r in records]),
                     "extractions": {},
                 }
-                ece_row: dict = {}
-                macro_row: dict = {}
                 for method in config.extraction_method_ids:
                     summary = cal.summarize(records, method, config.num_buckets)
                     confs = [r.confidence(method) for r in records]
@@ -355,15 +370,14 @@ def run_eval(
                         entry["curves"][kind] = curve.to_dict()
                         curves[f"{ds_tag}__{sid}__{method}__{kind}"] = curve
                     strat_block["extractions"][method] = entry
-                    ece_row[method] = summary.ece
-                    macro_row[method] = summary.macro_ce
                 block["strategies"][sid] = strat_block
-                ece_rows.append(ece_row)
-                macro_rows.append(macro_row)
                 all_records.extend(records)
             block["wins"] = {
-                "ece": cal.wins_table(ece_rows),
-                "macro_ce": cal.wins_table(macro_rows),
+                key: cal.wins_table([
+                    {method: entry[key] for method, entry in strat["extractions"].items()}
+                    for strat in block["strategies"].values()
+                ])
+                for key in ("ece", "macro_ce")
             }
             dataset_blocks.append(block)
     finally:
@@ -434,7 +448,7 @@ def emit_report(
     out_dir: str | Path,
     records: Sequence[EvalRecord],
     curves: Mapping[str, cal.DistributionCurve],
-) -> dict[str, Path]:
+) -> None:
     """Write report.json, records.jsonl, metrics.csv, and one CSV per curve.
 
     Each fact is written once: the records only to records.jsonl, and the
@@ -444,23 +458,16 @@ def emit_report(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    path = out_dir / "report.json"
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
-    written["report"] = path
-    records_path = out_dir / "records.jsonl"
-    with records_path.open("w", encoding="utf-8") as fh:
+    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    with (out_dir / "records.jsonl").open("w", encoding="utf-8") as fh:
         for r in records:
             fh.write(LINE_ENCODER.encode(vars(r)) + "\n")
-    written["records"] = records_path
     meta_path = out_dir / "run_meta.json"
     meta = {"written_at": time.time()}
     if report.transcripts_path:
         meta["transcripts_path"] = report.transcripts_path
     meta_path.write_text(LINE_ENCODER.encode(meta) + "\n", encoding="utf-8")
-    written["meta"] = meta_path
-    path = out_dir / "metrics.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with (out_dir / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for block in report.datasets:
@@ -482,7 +489,6 @@ def emit_report(
                             strat["concern_rate"],
                         ]
                     )
-    written["metrics"] = path
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(exist_ok=True)
     for stem, curve in curves.items():
@@ -490,8 +496,6 @@ def emit_report(
             writer = csv.writer(fh)
             writer.writerow(["x", "density"])
             writer.writerows(curve.points)
-    written["curves"] = curves_dir
-    return written
 
 
 SWEEP_AXES = ("thought_char_budget", "demonstrations_count")

@@ -19,7 +19,6 @@ from .backend import (
     Backend,
     Completion,
     CompletionRequest,
-    ResponseCache,
     complete,
 )
 from .confidence import (
@@ -336,7 +335,6 @@ def execute(
     backend: Backend,
     extraction_methods: Sequence[str] = ("token_prob",),
     config: Optional[StrategyConfig] = None,
-    cache: Optional[ResponseCache] = None,
 ) -> Transcript:
     """Run a plan end to end; the transcript holds the final answer's confidences."""
     config = config or StrategyConfig()
@@ -361,7 +359,7 @@ def execute(
                 top_logprobs=answer_logprobs if step is answer_step else 0,
                 seed=seed,
             )
-            completion = complete(backend, request, cache=cache)
+            completion = complete(backend, request)
         except Exception as exc:
             raise StrategyError(f"step {step.name!r} failed: {exc}") from exc
         records.append(StepRecord(step.name, prompt, completion))
@@ -419,10 +417,9 @@ def execute(
                 context,
                 final_answer.raw_text,
                 normalized=config.p_true_normalized,
-                cache=cache,
             )
         else:
-            confidences[method] = verbalized_confidence(backend, final_context, cache=cache)
+            confidences[method] = verbalized_confidence(backend, final_context)
     return Transcript(
         item_id=item.id,
         strategy_id=strategy_plan.strategy_id,

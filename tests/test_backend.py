@@ -69,16 +69,12 @@ class TestCompletionRequest:
         assert reread == request_
         assert request_hash(reread) == request_hash(request_)
 
-    def test_hash_is_computed_once_and_keeps_equality(self):
+    def test_hash_keeps_equality(self):
         request = CompletionRequest(prompt="q", temperature=1)
         twin = CompletionRequest(prompt="q", temperature=1.0)
         assert request == twin and hash(request) == hash(twin)
         assert len({request: 1, twin: 2}) == 1
-        assert "_hash" not in repr(request)
-        fields = ("q", 120, 1, 0, None, None)
-        assert hash(request) == request._hash == hash(fields)
-        object.__setattr__(request, "prompt", "changed")  # no rehash on lookup
-        assert hash(request) == hash(fields)
+        assert hash(request) == hash(("q", 120, 1, 0, None, None))
         reseeded = replace(twin, seed=4)
         assert hash(reseeded) == hash(CompletionRequest(prompt="q", temperature=1.0, seed=4))
 
@@ -257,20 +253,20 @@ class TestCache:
         completion = Completion(
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
-        cache = ResponseCache(path)
+        cache = ResponseCache(path, mock_from_script({}))
         cache.put(request, completion)
         cache.close()
         line = json.loads(path.read_text(encoding="utf-8"))
         reread = CompletionRequest.from_dict(line["request"])
         assert request_hash(reread) == line["request_hash"]
-        assert ResponseCache(path).get(reread) == completion
+        assert ResponseCache(path, mock_from_script({})).get(reread) == completion
 
     def test_cache_short_circuits_backend(self, tmp_path):
         backend = mock_from_script({"p": "True"})
-        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache = ResponseCache(tmp_path / "cache.jsonl", backend)
         request = CompletionRequest(prompt="p")
-        first = complete(backend, request, cache=cache)
-        second = complete(backend, request, cache=cache)
+        first = complete(cache, request)
+        second = complete(cache, request)
         cache.close()
         assert first == second
         assert backend.call_count == 1
@@ -279,20 +275,20 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"p": "True"})
         request = CompletionRequest(prompt="p")
-        first = ResponseCache(path)
-        complete(backend, request, cache=first)
+        first = ResponseCache(path, backend)
+        complete(first, request)
         first.close()
-        fresh = ResponseCache(path)
+        fresh = ResponseCache(path, backend)
         assert fresh.get(request) is not None
-        complete(backend, request, cache=fresh)
+        complete(fresh, request)
         assert backend.call_count == 1
 
     def test_each_put_visible_while_writer_open(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        writer = ResponseCache(path)
+        writer = ResponseCache(path, mock_from_script({"p": "True"}))
         request = CompletionRequest(prompt="p")
-        complete(mock_from_script({"p": "True"}), request, cache=writer)
-        assert ResponseCache(path).get(request) is not None
+        complete(writer, request)
+        assert ResponseCache(path, mock_from_script({})).get(request) is not None
         writer.close()
 
     def test_complete_hashes_each_request_once(self, tmp_path, monkeypatch):
@@ -303,24 +299,24 @@ class TestCache:
             CompletionRequest, "to_dict", lambda r: encoded.append(r) or to_dict(r)
         )
         backend = mock_from_script({"p": "True"})
-        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache = ResponseCache(tmp_path / "cache.jsonl", backend)
         request = CompletionRequest(prompt="p")
-        complete(backend, request, cache=cache)  # miss: put encodes it once for the line
+        complete(cache, request)  # miss: put encodes it once for the line
         assert encoded == [request]
-        complete(backend, request, cache=cache)  # hit: a plain lookup
+        complete(cache, request)  # hit: a plain lookup
         assert encoded == [request]
         assert backend.call_count == 1
         cache.close()
         encoded.clear()
-        assert ResponseCache(tmp_path / "cache.jsonl").get(request) is not None
+        assert ResponseCache(tmp_path / "cache.jsonl", backend).get(request) is not None
         assert encoded == []  # load does not encode either
 
     def test_stale_request_hash_serves_only_its_own_request(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        cache = ResponseCache(path, backend)
         for prompt in "ab":
-            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+            complete(cache, CompletionRequest(prompt=prompt))
         cache.close()
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         stale = json.loads(lines[0])
@@ -329,12 +325,12 @@ class TestCache:
         lines[0] = json.dumps(stale, sort_keys=True) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
 
-        reloaded = ResponseCache(path)
+        reloaded = ResponseCache(path, backend)
         assert reloaded.get(CompletionRequest(prompt="a")).text == "A"
         assert reloaded.get(CompletionRequest(prompt="b")).text == "B"
         assert reloaded.get(CompletionRequest(prompt="c")) is None
         calls = backend.call_count
-        assert complete(backend, CompletionRequest(prompt="c"), cache=reloaded).text == "C"
+        assert complete(reloaded, CompletionRequest(prompt="c")).text == "C"
         assert backend.call_count == calls + 1
         reloaded.close()
 
@@ -342,8 +338,8 @@ class TestCache:
     @pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
     def test_load_pauses_and_restores_collector(self, tmp_path, monkeypatch, enabled, valid):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
-        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        cache = ResponseCache(path, mock_from_script({"p": "True"}))
+        complete(cache, CompletionRequest(prompt="p"))
         cache.close()
         if not valid:
             path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
@@ -359,30 +355,30 @@ class TestCache:
         try:
             (gc.enable if enabled else gc.disable)()
             if valid:
-                assert len(ResponseCache(path)) == 1
+                assert len(ResponseCache(path, mock_from_script({}))) == 1
                 assert collecting == [False]
             else:
                 with pytest.raises(ValueError, match="cache.jsonl:1"):
-                    ResponseCache(path)
+                    ResponseCache(path, mock_from_script({}))
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_close_is_idempotent(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache = ResponseCache(tmp_path / "cache.jsonl", mock_from_script({"p": "True"}))
         cache.close()  # never opened
-        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        complete(cache, CompletionRequest(prompt="p"))
         cache.close()
         cache.close()
-        assert len(ResponseCache(tmp_path / "cache.jsonl")) == 1
+        assert len(ResponseCache(tmp_path / "cache.jsonl", mock_from_script({}))) == 1
 
     @pytest.mark.parametrize("tail", ["torn", "unterminated"])
     def test_append_after_damaged_tail_keeps_every_entry(self, tmp_path, caplog, tail):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
-        first = ResponseCache(path)
+        first = ResponseCache(path, backend)
         for prompt in "ab":
-            complete(backend, CompletionRequest(prompt=prompt), cache=first)
+            complete(first, CompletionRequest(prompt=prompt))
         first.close()
         text = path.read_text(encoding="utf-8")
         if tail == "torn":
@@ -392,23 +388,23 @@ class TestCache:
         path.write_text(text, encoding="utf-8")
 
         with caplog.at_level(logging.WARNING, logger="calibra.backend"):
-            damaged = ResponseCache(path)
+            damaged = ResponseCache(path, backend)
         assert len(damaged) == 2
         assert (str(path) in caplog.text) == (tail == "torn")
-        complete(backend, CompletionRequest(prompt="c"), cache=damaged)
+        complete(damaged, CompletionRequest(prompt="c"))
         damaged.close()
 
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         for line in lines:
             assert set(json.loads(line)) == {"request_hash", "request", "completion", "created_at"}
-        reloaded = ResponseCache(path)
+        reloaded = ResponseCache(path, backend)
         assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
 
     def test_put_line_is_the_cache_entry_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(backend_module.time, "time", lambda: 1792327612.6909175)
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
+        cache = ResponseCache(path, mock_from_script({}))
         request = CompletionRequest(prompt="Is it caf\u00e9?", seed=2, stop=("\n",), top_logprobs=2)
         completion = Completion(
             text="True \"yes\"", tokens=("True ", "\"yes\""), token_logprobs=(-0.125, -1e-07),
@@ -443,7 +439,7 @@ class TestCache:
         )
         path = tmp_path / "cache.jsonl"
         path.write_text(line, encoding="utf-8")
-        assert ResponseCache(path).get(request) == Completion(
+        assert ResponseCache(path, mock_from_script({})).get(request) == Completion(
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
 
@@ -459,17 +455,17 @@ class TestCache:
                     "completion": backend.complete(request).to_dict(),
                     "created_at": 1.5,
                 }, sort_keys=True) + "\n")
-        cache = ResponseCache(path)
+        cache = ResponseCache(path, backend)
         new = [CompletionRequest(prompt=p, top_logprobs=1) for p in "cd"]
         for request in old + new:
-            complete(backend, request, cache=cache)
+            complete(cache, request)
         cache.close()
         assert backend.call_count == 4  # two to write the old lines, two misses
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line.startswith('{"completion": {') for line in lines] == [True, True, False, False]
-        reloaded = ResponseCache(path)
+        reloaded = ResponseCache(path, backend)
         for request in old + new:
-            assert complete(backend, request, cache=reloaded) == backend.complete(request)
+            assert complete(reloaded, request) == backend.complete(request)
         assert backend.call_count == 8  # only the direct calls above
         reloaded.close()
 
@@ -498,10 +494,10 @@ class TestCache:
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        cache = ResponseCache(path, backend)
         for prompt in "abc":
-            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+            complete(cache, CompletionRequest(prompt=prompt))
         cache.close()
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         bad = json.loads(lines[1])
@@ -509,7 +505,7 @@ class TestCache:
         lines[1] = json.dumps(bad, sort_keys=True) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=f"cache.jsonl:2: invalid cache line: {message}"):
-            ResponseCache(path)
+            ResponseCache(path, backend)
 
     def test_values_only_json_reads_load_as_json_reads_them(self, tmp_path):
         # -Infinity and NaN (logprobs as an endpoint may send them) and a lone
@@ -521,7 +517,8 @@ class TestCache:
             ),
             CompletionRequest(prompt="q surrogate \ud83d"): Completion("half \ud800 pair", (), (), ()),
         }
-        cache = ResponseCache(path)
+        backend = mock_from_script({})
+        cache = ResponseCache(path, backend)
         for request, completion in written.items():
             cache.put(request, completion)
         cache.close()
@@ -529,25 +526,23 @@ class TestCache:
         for line in lines:
             with pytest.raises(orjson.JSONDecodeError):
                 orjson.loads(line)
-        backend = mock_from_script({})
-        reloaded = ResponseCache(path)
+        reloaded = ResponseCache(path, backend)
         for line, request in zip(lines, written):
             expected = Completion.from_dict(json.loads(line)["completion"])
-            loaded = complete(backend, request, cache=reloaded)
+            loaded = complete(reloaded, request)
             # NaN != NaN, so compare what the completion writes.
             assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(expected.to_dict())
         assert backend.call_count == 0
 
     def test_int_temperature_hits_an_entry_written_as_float(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
-        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p", temperature=1.0),
-                 cache=cache)
+        cache = ResponseCache(path, mock_from_script({"p": "True"}))
+        complete(cache, CompletionRequest(prompt="p", temperature=1.0))
         cache.close()
         assert b'"temperature":1.0,' in path.read_bytes()
         backend = mock_from_script({"p": "True"})
-        reloaded = ResponseCache(path)
-        assert complete(backend, CompletionRequest(prompt="p", temperature=1), cache=reloaded).text == "True"
+        reloaded = ResponseCache(path, backend)
+        assert complete(reloaded, CompletionRequest(prompt="p", temperature=1)).text == "True"
         assert backend.call_count == 0
 
     @pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])
@@ -558,11 +553,11 @@ class TestCache:
     )
     def test_unreadable_line_is_skipped_only_at_the_end(self, tmp_path, caplog, damage, last):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
+        cache = ResponseCache(path, backend)
         prompts = "acb" if last else "abc"
         for prompt in prompts:
-            complete(backend, CompletionRequest(prompt=prompt), cache=cache)
+            complete(cache, CompletionRequest(prompt=prompt))
         cache.close()
         lines = path.read_bytes().splitlines()
         lineno = 3 if last else 2
@@ -574,13 +569,13 @@ class TestCache:
             reason = str(exc)
         if last:
             with caplog.at_level(logging.WARNING, logger="calibra.backend"):
-                damaged = ResponseCache(path)
+                damaged = ResponseCache(path, backend)
             assert f"{path}:3: skipping torn last cache line" in caplog.text
             assert [damaged.get(CompletionRequest(prompt=p)).text for p in "ac"] == ["A", "C"]
             assert damaged.get(CompletionRequest(prompt="b")) is None
         else:
             with pytest.raises(ValueError, match=re.escape(f"cache.jsonl:2: malformed cache line: {reason}")):
-                ResponseCache(path)
+                ResponseCache(path, backend)
 
     def test_loads_a_file_written_before_orjson_parsed_lines(self, tmp_path):
         # Written by put when load parsed every line with json alone: four lines
@@ -590,10 +585,10 @@ class TestCache:
         shutil.copyfile(FIXTURES / "cache_before_orjson.jsonl", path)
         before = path.read_bytes()
         backend = mock_from_script({})
-        cache = ResponseCache(path)
+        cache = ResponseCache(path, backend)
         for line in before.splitlines():
             raw = json.loads(line)
-            loaded = complete(backend, CompletionRequest.from_dict(raw["request"]), cache=cache)
+            loaded = complete(cache, CompletionRequest.from_dict(raw["request"]))
             assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(raw["completion"])
         cache.close()
         assert backend.call_count == 0
@@ -601,12 +596,53 @@ class TestCache:
 
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = ResponseCache(path)
-        complete(mock_from_script({"p": "True"}), CompletionRequest(prompt="p"), cache=cache)
+        cache = ResponseCache(path, mock_from_script({"p": "True"}))
+        complete(cache, CompletionRequest(prompt="p"))
         cache.close()
         path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         with pytest.raises(ValueError, match="cache.jsonl:1"):
-            ResponseCache(path)
+            ResponseCache(path, mock_from_script({}))
+
+
+class TestCacheAsBackend:
+    def test_hit_makes_no_backend_call(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        writer = ResponseCache(path, mock_from_script({"p": "True"}))
+        written = writer.complete(CompletionRequest(prompt="p"))
+        writer.close()
+        before = path.read_bytes()
+        backend = mock_from_script({"p": "True"})
+        cache = ResponseCache(path, backend)
+        assert cache.complete(CompletionRequest(prompt="p")) == written
+        cache.close()
+        assert backend.call_count == 0
+        assert path.read_bytes() == before
+
+    def test_miss_makes_one_call_and_appends_one_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = mock_from_script({"p": "True", "q": "False"})
+        cache = ResponseCache(path, backend)
+        for calls, prompt in enumerate("pq", start=1):
+            completion = cache.complete(CompletionRequest(prompt=prompt, top_logprobs=1))
+            assert backend.call_count == calls
+            lines = path.read_bytes().splitlines()
+            assert len(lines) == calls
+            assert Completion.from_dict(json.loads(lines[-1])["completion"]) == completion
+        cache.close()
+
+    def test_transport_error_is_retried_through_the_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = FlakyBackend(failures=1)
+        cache = ResponseCache(path, backend)
+        request = CompletionRequest(prompt="p")
+        completion = complete(cache, request, backoff_seconds=0.0)
+        assert completion.text == "ok"
+        assert backend.calls == 2
+        assert complete(cache, request, backoff_seconds=0.0) == completion
+        assert backend.calls == 2
+        cache.close()
+        (line,) = path.read_bytes().splitlines()
+        assert Completion.from_dict(json.loads(line)["completion"]) == completion
 
 
 class FlakyBackend:

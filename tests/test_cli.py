@@ -412,6 +412,52 @@ EXIT_CASES = {
                        "kind": "mock", "script_path": str(i.tmp / "missing.json")})],
         1, "error: backend.script_path: [Errno 2] No such file or directory: '{tmp}/missing.json'", 0,
     ),
+    "backend_not_an_object": (
+        lambda i: ["run", "--config", i.config(backend="mock")],
+        1, "error: backend must be an object, not 'mock'", 0,
+    ),
+    "backend_unknown_key_mock": (
+        lambda i: ["run", "--config", i.config(backend={
+                       "kind": "mock", "script_path": str(i.script), "timeout": 5})],
+        1, "error: backend: unknown keys ['timeout'] for kind 'mock'", 0,
+    ),
+    "backend_unknown_key_http": (
+        lambda i: ["run", "--config", i.config(backend={
+                       "kind": "http", "base_url": "http://127.0.0.1:9", "model": "m", "timeout": 5,
+                       "script_path": str(i.script)})],
+        1, "error: backend: unknown keys ['script_path', 'timeout'] for kind 'http'", 0,
+    ),
+    "concern_lexicon_flag_missing": (
+        lambda i: ["run", "--config", i.config(), "--concern-lexicon", str(i.tmp / "missing.txt")],
+        1, "error: concern_lexicon_path: [Errno 2] No such file or directory: '{tmp}/missing.txt'", 0,
+    ),
+    "concern_lexicon_path_missing": (
+        lambda i: ["run", "--config", i.config(concern_lexicon_path=str(i.tmp / "missing.txt"))],
+        1, "error: concern_lexicon_path: [Errno 2] No such file or directory: '{tmp}/missing.txt'", 0,
+    ),
+    "metrics_records_missing": (
+        lambda i: ["metrics", "--records", str(i.tmp / "missing.jsonl")],
+        3, "error: records: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
+    ),
+    "augment_report_missing": (
+        lambda i: ["augment", "--report", str(i.tmp / "nodir")],
+        3, "error: no records.jsonl under {tmp}/nodir", 0,
+    ),
+    "augment_dataset_missing": (
+        lambda i: ["augment", "--report", str(Path(i.records()).parent),
+                   "--dataset", str(i.tmp / "missing.jsonl")],
+        3, "error: dataset: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
+    ),
+    "dataset_is_a_directory": (
+        lambda i: ["run", "--config", i.config(dataset_path=[str(i.tmp)])],
+        3, "error: dataset: [Errno 21] Is a directory: '{tmp}'", 0,
+    ),
+    "augment_out_is_a_directory": (
+        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--out", str(i.tmp),
+                   "--dataset", i.file("k.jsonl", json.dumps(
+                       {"id": "q4", "question": "q?", "answers": ["a"], "external_knowledge": "k"}))],
+        1, "error: --out: [Errno 21] Is a directory: '{tmp}'", 0,
+    ),
     "augment_without_external_knowledge": (
         lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],
         3, "error: item 'q4' has no external_knowledge to inject", 0,

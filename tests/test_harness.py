@@ -173,7 +173,7 @@ class TestRunEval:
             )
         assert len(handles) == 2
         assert all(fh.closed for fh in handles)
-        assert len(ResponseCache(tmp_path / "failed.jsonl")) == 2
+        assert len(ResponseCache(tmp_path / "failed.jsonl", scripted)) == 2
 
     def test_concern_flag_on_far_answer(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)

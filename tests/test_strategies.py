@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from calibra.backend import LINE_ENCODER, Completion, HttpBackend, mock_from_script
+from calibra.backend import LINE_ENCODER, Completion, HttpBackend, ResponseCache, mock_from_script
 from calibra.confidence import VERBALIZED_SUFFIX, token_prob_confidence
 from calibra.qa import ExtractedAnswer, QAItem
 from calibra.strategies import (
@@ -411,6 +411,28 @@ class TestTranscriptRow:
         assert confidences["p_true"].reply == "A"
         assert confidences["verbalized"].reply == "0.85 (fairly sure)"
         assert confidences["verbalized"].value == 0.85
+
+    def test_cache_as_backend_writes_the_same_line(self, tmp_path):
+        from conftest import add_p_true_entry, add_verbalized_entry
+
+        entries = build_script("standard", ITEM, {"answer": {"text": "No", "logprobs": [-0.25]}})
+        context = f"{next(iter(entries))} No"
+        add_p_true_entry(entries, context, "No", {"A": math.log(0.7), "B": math.log(0.2)})
+        add_verbalized_entry(entries, context, "0.85")
+
+        def line(backend):
+            transcript = execute(plan("standard", ITEM), ITEM, backend,
+                                 extraction_methods=("token_prob", "p_true", "verbalized"))
+            return LINE_ENCODER.encode(transcript.to_dict())
+
+        bare = line(mock_from_script(entries))
+        path = tmp_path / "cache.jsonl"
+        for calls in (3, 0):  # the answer and both probes, then every one a hit
+            mock = mock_from_script(entries)
+            cache = ResponseCache(path, mock)
+            assert line(cache) == bare
+            cache.close()
+            assert mock.call_count == calls
 
     def test_no_probes_without_probe_methods(self):
         transcript, _, _ = run_strategy("standard", {"answer": "No"})
