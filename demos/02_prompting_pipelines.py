@@ -49,10 +49,7 @@ def script_for(strategy_id, config=None):
 def show(strategy_id, config=None):
     config = config or StrategyConfig()
     backend = mock_from_script(script_for(strategy_id, config))
-    transcript = execute(
-        plan(strategy_id, ITEM, config), ITEM, backend,
-        extraction_methods=("token_prob",), config=config,
-    )
+    transcript = execute(plan(strategy_id, ITEM, config), ITEM, backend, config)
     print(f"== {strategy_id} ==")
     for record in transcript.step_records:
         first_line = record.prompt.splitlines()[0]
@@ -79,9 +76,7 @@ def main():
     sc_plan = plan("self_consistency", ITEM, config)
     prompt = render_step(sc_plan.steps[0], ITEM.question, {})
     backend = mock_from_script({prompt: ["No"] * 7 + ["Yes"] * 3})
-    transcript = execute(
-        sc_plan, ITEM, backend, extraction_methods=("token_prob",), config=config
-    )
+    transcript = execute(sc_plan, ITEM, backend, config)
     print("== self_consistency ==")
     print(f"  backend calls: {backend.call_count}")
     print(f"  vote counts:   {transcript.vote_detail.counts}")

@@ -290,6 +290,11 @@ class ResponseCache:
                         continue
                 try:
                     key, completion = _read_line(raw)
+                    if type(key[1]) is float or type(key[4]) is float:
+                        # orjson reads an integer outside the 64-bit range as
+                        # a float; json reads it exactly. (top_logprobs is
+                        # range-checked already, so it is never such an integer.)
+                        key, completion = _read_line(json.loads(line))
                     self._entries[key] = completion
                 except (KeyError, TypeError, ValueError) as exc:
                     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -318,12 +323,14 @@ class ResponseCache:
         hit = self.get(request)
         if hit is not None:
             return hit
-        completion = self.backend.complete(request)
-        self.put(request, completion)
-        return completion
+        return self.put(request, self.backend.complete(request))
 
-    def put(self, request: CompletionRequest, completion: Completion) -> None:
-        """Record `completion` unless `request` is cached."""
+    def put(self, request: CompletionRequest, completion: Completion) -> Completion:
+        """Record `completion` unless `request` is cached; return the one the cache holds.
+
+        When two workers miss on one request, the first to record wins and
+        both get its completion, the one every later run reads back.
+        """
         # The entry's canonical JSON, keys in sorted order, built from pieces
         # so the request is encoded once: its bytes are what request_hash hashes.
         canonical, digest = _canonical_request(request)
@@ -333,13 +340,15 @@ class ResponseCache:
         )
         key = _request_key(request)
         with self._lock:
-            if key in self._entries:
-                return
+            held = self._entries.get(key)
+            if held is not None:
+                return held
             self._entries[key] = completion
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)
             self._fh.flush()
+        return completion
 
     def _open_for_append(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -360,12 +369,12 @@ class ResponseCache:
                 self._fh = None
 
 
-def complete(
-    backend: Backend,
-    request: CompletionRequest,
-    max_attempts: int = 3,
-    backoff_seconds: float = 0.5,
-) -> Completion:
+# complete's retry policy: attempts per request, and the first wait, doubled after each.
+MAX_ATTEMPTS = 3
+BACKOFF_SECONDS = 0.5
+
+
+def complete(backend: Backend, request: CompletionRequest) -> Completion:
     """Run a completion with bounded retry on transport errors.
 
     Malformed responses are surfaced immediately; only transport and
@@ -374,16 +383,16 @@ def complete(
     looked up again.
     """
     last_error: Optional[Exception] = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             return backend.complete(request)
         except TransportError as exc:
             last_error = exc
-            if attempt + 1 < max_attempts:
-                delay = backoff_seconds * (2**attempt)
+            if attempt + 1 < MAX_ATTEMPTS:
+                delay = BACKOFF_SECONDS * (2**attempt)
                 logger.warning("transport error (%s); retrying in %.1fs", exc, delay)
                 time.sleep(delay)
-    raise TransportError(f"giving up after {max_attempts} attempts: {last_error}")
+    raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 @dataclass(frozen=True)

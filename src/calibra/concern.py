@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
@@ -120,7 +120,6 @@ def augment_with_knowledge(item: QAItem) -> QAItem:
 
 @dataclass
 class AugmentationOutcome:
-    selection_mode: SelectionMode
     selected_ids: list[str]
     accuracy_before: float
     accuracy_after: float
@@ -128,15 +127,11 @@ class AugmentationOutcome:
     absolute_improvement: float
     undefined: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def improvement(
     before: Sequence[EvalRecord],
     after: Sequence[EvalRecord],
     selected_ids: Sequence[str],
-    selection_mode: SelectionMode = "concern_triggered",
 ) -> AugmentationOutcome:
     """Accuracy change on the selected ids, relative and absolute."""
     wanted = set(selected_ids)
@@ -154,7 +149,6 @@ def improvement(
         relative = None
         undefined = True
     return AugmentationOutcome(
-        selection_mode=selection_mode,
         selected_ids=sorted(wanted),
         accuracy_before=acc_before,
         accuracy_after=acc_after,

@@ -51,7 +51,6 @@ _RUN_ONLY_FIELDS = ("cache_path", "out_dir", "worker_count", "concern_lexicon_pa
 class RunConfig(StrategyConfig):
     dataset_path: list[str]
     strategy_ids: list[str] = field(default_factory=lambda: ["standard"])
-    extraction_method_ids: list[str] = field(default_factory=lambda: ["token_prob"])
     backend: dict = field(default_factory=dict)
     num_buckets: int = 10
     kde_grid_size: int = 256
@@ -182,11 +181,8 @@ class RunReport:
     config: dict
     datasets: list[dict]
     macro: Optional[dict] = None
-    transcripts_path: Optional[str] = None
 
     def to_dict(self) -> dict:
-        # transcripts_path is environment-specific and stays out of the body
-        # so reports remain byte-reproducible across machines and runs.
         d = {"config": self.config, "datasets": self.datasets}
         if self.macro is not None:
             d["macro"] = self.macro
@@ -255,11 +251,7 @@ _MACRO_KEYS = (
 )
 
 
-def run_eval(
-    config: RunConfig,
-    backend: Optional[Backend] = None,
-    lexicon: Optional[ConcernLexicon] = None,
-) -> RunReport:
+def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
     """Run every (item x strategy), then aggregate metrics in a single pass.
 
     Item-level work may run on a bounded worker pool; aggregation happens
@@ -270,15 +262,14 @@ def run_eval(
     """
     if backend is None:
         backend = build_backend(config)
-    if lexicon is None:
-        try:
-            lexicon = (
-                ConcernLexicon.from_file(config.concern_lexicon_path)
-                if config.concern_lexicon_path
-                else ConcernLexicon()
-            )
-        except OSError as exc:
-            raise ConfigError(f"concern_lexicon_path: {exc}") from exc
+    try:
+        lexicon = (
+            ConcernLexicon.from_file(config.concern_lexicon_path)
+            if config.concern_lexicon_path
+            else ConcernLexicon()
+        )
+    except OSError as exc:
+        raise ConfigError(f"concern_lexicon_path: {exc}") from exc
     try:
         cache = ResponseCache(config.cache_path, backend) if config.cache_path else None
     except ValueError as exc:  # a line that does not load, named by file:line
@@ -289,13 +280,11 @@ def run_eval(
         backend = cache
 
     out_dir = Path(config.out_dir) if config.out_dir else None
-    transcripts_path: Optional[Path] = None
     transcripts: Optional[TextIO] = None
     if out_dir:
-        transcripts_path = out_dir / "transcripts.jsonl"
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            transcripts = transcripts_path.open("w", encoding="utf-8")
+            transcripts = (out_dir / "transcripts.jsonl").open("w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"out_dir: {exc}") from exc
 
@@ -304,13 +293,7 @@ def run_eval(
         dataset, item, strategy_id = task
         try:
             strategy_plan = plan(strategy_id, item, config)
-            transcript = execute(
-                strategy_plan,
-                item,
-                backend,
-                extraction_methods=config.extraction_method_ids,
-                config=config,
-            )
+            transcript = execute(strategy_plan, item, backend, config)
         except Exception as exc:
             raise RuntimeError(
                 f"evaluation failed for dataset {dataset!r}, item {item.id!r}, "
@@ -409,12 +392,7 @@ def run_eval(
                 }
             macro_block["strategies"][sid] = strat
 
-    report = RunReport(
-        config=config.snapshot(lexicon),
-        datasets=dataset_blocks,
-        macro=macro_block,
-        transcripts_path=str(transcripts_path) if transcripts_path else None,
-    )
+    report = RunReport(config=config.snapshot(lexicon), datasets=dataset_blocks, macro=macro_block)
     if out_dir:
         emit_report(report, out_dir, all_records, curves)
     return report
@@ -453,8 +431,9 @@ def emit_report(
 
     Each fact is written once: the records only to records.jsonl, and the
     curve points (keyed by file stem in `curves`) only to their CSVs.
-    Wall-clock metadata goes to a sidecar so the report body stays
-    byte-reproducible.
+    Wall-clock metadata, and the path of the run's transcripts.jsonl when
+    `out_dir` holds one, go to a sidecar so the report body stays
+    byte-reproducible across machines and runs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -464,8 +443,9 @@ def emit_report(
             fh.write(LINE_ENCODER.encode(vars(r)) + "\n")
     meta_path = out_dir / "run_meta.json"
     meta = {"written_at": time.time()}
-    if report.transcripts_path:
-        meta["transcripts_path"] = report.transcripts_path
+    transcripts_path = out_dir / "transcripts.jsonl"
+    if transcripts_path.exists():
+        meta["transcripts_path"] = str(transcripts_path)
     meta_path.write_text(LINE_ENCODER.encode(meta) + "\n", encoding="utf-8")
     with (out_dir / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -501,12 +481,7 @@ def emit_report(
 SWEEP_AXES = ("thought_char_budget", "demonstrations_count")
 
 
-def sweep(
-    config: RunConfig,
-    axis: str,
-    values: Sequence,
-    backend: Optional[Backend] = None,
-) -> dict:
+def sweep(config: RunConfig, axis: str, values: Sequence) -> dict:
     """Re-run the evaluation once per axis value, sharing the cache."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -526,6 +501,6 @@ def sweep(
             variant = replace(config, demonstrations=config.demonstrations[:count])
         if variant.out_dir:
             variant.out_dir = str(Path(variant.out_dir) / f"{axis}_{value}")
-        reports[value] = run_eval(variant, backend=backend)
+        reports[value] = run_eval(variant)
     return reports
 

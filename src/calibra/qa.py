@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Literal, Mapping, Optional, Sequence
+from typing import Literal, Mapping, Optional, Sequence, get_args
 
 AnswerKind = Literal["boolean", "free_form"]
 Verdict = Literal["true", "false", "unresolved"]
@@ -66,6 +66,11 @@ class QAItem:
     def __post_init__(self) -> None:
         if not self.gold_answers:
             raise ValueError(f"item {self.id!r}: gold_answers must be non-empty")
+        if self.answer_kind not in get_args(AnswerKind):
+            raise ValueError(
+                f"item {self.id!r}: answer_kind must be one of {get_args(AnswerKind)}, "
+                f"got {self.answer_kind!r}"
+            )
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         if self.gold_facts is not None:
             object.__setattr__(self, "gold_facts", tuple(self.gold_facts))

@@ -256,6 +256,7 @@ class StrategyConfig:
     thought_char_budget: Optional[int] = None
     p_true_normalized: bool = False
     p_true_full_context: bool = True
+    extraction_method_ids: list[str] = field(default_factory=lambda: ["token_prob"])
 
     def __post_init__(self) -> None:
         self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
@@ -333,12 +334,11 @@ def execute(
     strategy_plan: StrategyPlan,
     item: QAItem,
     backend: Backend,
-    extraction_methods: Sequence[str] = ("token_prob",),
     config: Optional[StrategyConfig] = None,
 ) -> Transcript:
-    """Run a plan end to end; the transcript holds the final answer's confidences."""
+    """Run a plan end to end; the transcript holds the confidences `config` names."""
     config = config or StrategyConfig()
-    for method in extraction_methods:
+    for method in config.extraction_method_ids:
         if method not in METHOD_IDS:
             raise StrategyError(f"unknown extraction method {method!r}")
     priors: dict[str, str] = dict(strategy_plan.initial_priors)
@@ -347,7 +347,7 @@ def execute(
     # token_prob reads a completion of the plan's last step: the answer, or
     # a self_consistency sample. Only those requests ask for logprobs.
     answer_step = strategy_plan.steps[-1]
-    answer_logprobs = 1 if "token_prob" in extraction_methods else 0
+    answer_logprobs = 1 if "token_prob" in config.extraction_method_ids else 0
 
     def run(step: Step, seed: Optional[int] = None, temperature: Optional[float] = None) -> Completion:
         prompt = render_step(step, item.question, priors, config.thought_char_budget)
@@ -403,7 +403,7 @@ def execute(
     final_record = records[final_index]
     confidences: dict[str, ConfidenceResult] = {}
     final_context = f"{final_record.prompt} {final_record.completion.text}"
-    for method in extraction_methods:
+    for method in config.extraction_method_ids:
         if method == "token_prob":
             confidences[method] = token_prob_confidence(final_record.completion)
         elif method == "p_true":

@@ -182,8 +182,7 @@ def run_counted(strategy_id, step_texts, config=None):
     config = config or StrategyConfig()
     entries = build_script(strategy_id, ITEM, step_texts, config)
     backend = mock_from_script(entries)
-    execute(plan(strategy_id, ITEM, config), ITEM, backend,
-            extraction_methods=("token_prob",), config=config)
+    execute(plan(strategy_id, ITEM, config), ITEM, backend, config)
     return backend.call_count
 
 

@@ -1,15 +1,18 @@
 import gc
 import hashlib
+import itertools
 import json
 import logging
 import math
 import re
 import shutil
+import sys
 import threading
 from dataclasses import replace
 
 import orjson
 import pytest
+import requests
 
 from calibra import backend as backend_module
 from calibra.backend import (
@@ -32,6 +35,12 @@ from calibra.backend import (
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
 from conftest import FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries in these tests do not wait."""
+    monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.0)
 
 
 class TestCompletionRequest:
@@ -545,6 +554,26 @@ class TestCache:
         assert complete(reloaded, CompletionRequest(prompt="p", temperature=1)).text == "True"
         assert backend.call_count == 0
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": 2**64 + 1}, {"seed": -(2**63) - 1}, {"seed": 10**20 + 7}, {"seed": 2**64},
+        {"max_tokens": 2**64 + 1},
+    ], ids=["seed_2_64_plus_1", "seed_below_int64", "seed_1e20_plus_7", "seed_2_64", "max_tokens"])
+    def test_integers_beyond_64_bits_hit_after_reload(self, tmp_path, fields):
+        # orjson reads these as floats; 2**64 is one exactly, the others are not.
+        path = tmp_path / "cache.jsonl"
+        request = CompletionRequest(prompt="p", **fields)
+        writer = ResponseCache(path, mock_from_script({"p": ["A", "B"]}))
+        written = complete(writer, request)
+        writer.close()
+        backend = mock_from_script({"p": ["A", "B"]})
+        reloaded = ResponseCache(path, backend)
+        assert complete(reloaded, request) == written
+        assert backend.call_count == 0
+        (name, value), = fields.items()
+        if float(value) != value:  # the request at the float's value is another request
+            assert reloaded.get(replace(request, **{name: int(float(value))})) is None
+        reloaded.close()
+
     @pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])
     @pytest.mark.parametrize(
         "damage",
@@ -635,14 +664,79 @@ class TestCacheAsBackend:
         backend = FlakyBackend(failures=1)
         cache = ResponseCache(path, backend)
         request = CompletionRequest(prompt="p")
-        completion = complete(cache, request, backoff_seconds=0.0)
+        completion = complete(cache, request)
         assert completion.text == "ok"
         assert backend.calls == 2
-        assert complete(cache, request, backoff_seconds=0.0) == completion
+        assert complete(cache, request) == completion
         assert backend.calls == 2
         cache.close()
         (line,) = path.read_bytes().splitlines()
         assert Completion.from_dict(json.loads(line)["completion"]) == completion
+
+    def test_a_completion_recorded_during_a_miss_is_every_callers(self, tmp_path):
+        # As when two workers miss on one request: the other one records its
+        # completion while this backend call is still running.
+        path = tmp_path / "cache.jsonl"
+        rival = Completion("winner", (), (), ())
+
+        class Racing:
+            def complete(self, request):
+                cache.put(request, rival)
+                return Completion("loser", (), (), ())
+
+        cache = ResponseCache(path, Racing())
+        request = CompletionRequest(prompt="p")
+        assert complete(cache, request) is rival
+        assert cache.complete(request) is rival
+        cache.close()
+        (line,) = path.read_bytes().splitlines()
+        assert json.loads(line)["completion"]["text"] == "winner"
+        assert ResponseCache(path, mock_from_script({})).get(request) == rival
+
+    def test_concurrent_misses_share_one_completion(self, tmp_path):
+        class Numbered:  # a nondeterministic endpoint: each call a new reply
+            def __init__(self):
+                self.calls = itertools.count(1)
+
+            def complete(self, request):
+                return Completion(f"reply {next(self.calls)}", (), (), ())
+
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path, Numbered())
+        requests_ = [CompletionRequest(prompt=f"p{i}") for i in range(1000)]
+        got = [[] for _ in range(8)]
+
+        def worker(out):
+            out.extend(cache.complete(request) for request in requests_)
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cache.close()
+        for replies in got:
+            assert len(replies) == len(requests_)
+            assert all(mine is first for mine, first in zip(replies, got[0]))
+        reloaded = ResponseCache(path, mock_from_script({}))
+        assert [reloaded.get(request) for request in requests_] == got[0]
+
+    def test_put_returns_the_completion_the_cache_holds(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache.jsonl", mock_from_script({}))
+        request = CompletionRequest(prompt="p")
+        first, second = Completion("first", (), (), ()), Completion("second", (), (), ())
+        assert cache.put(request, first) is first
+        assert cache.put(request, second) is first
+        assert cache.put(request, first) is first
+        cache.close()
+        assert len(cache) == 1
+        assert len((tmp_path / "cache.jsonl").read_bytes().splitlines()) == 1
 
 
 class FlakyBackend:
@@ -661,20 +755,28 @@ class FlakyBackend:
 class TestRetry:
     def test_retries_transport_errors(self):
         backend = FlakyBackend(failures=2)
-        completion = complete(backend, CompletionRequest(prompt="p"), backoff_seconds=0.0)
+        completion = complete(backend, CompletionRequest(prompt="p"))
         assert completion.text == "ok"
         assert backend.calls == 3
+
+    def test_backoff_doubles_after_each_attempt(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.25)
+        monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+        with pytest.raises(TransportError, match="giving up after 3 attempts: boom"):
+            complete(FlakyBackend(failures=5), CompletionRequest(prompt="p"))
+        assert slept == [0.25, 0.5]
 
     def test_gives_up_after_three(self):
         backend = FlakyBackend(failures=5)
         with pytest.raises(TransportError):
-            complete(backend, CompletionRequest(prompt="p"), backoff_seconds=0.0)
+            complete(backend, CompletionRequest(prompt="p"))
         assert backend.calls == 3
 
     def test_no_retry_on_malformed(self):
         backend = FlakyBackend(failures=5, exc=MalformedResponseError)
         with pytest.raises(MalformedResponseError):
-            complete(backend, CompletionRequest(prompt="p"), backoff_seconds=0.0)
+            complete(backend, CompletionRequest(prompt="p"))
         assert backend.calls == 1
 
 
@@ -768,9 +870,30 @@ class TestHttpBackend:
             FakeResponse(status_code=503, text="busy"), FakeResponse(payload=self.payload())
         )
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
-        completion = complete(backend, CompletionRequest(prompt="q"), backoff_seconds=0.0)
+        completion = complete(backend, CompletionRequest(prompt="q"))
         assert completion.text == " True"
         assert session.posts == 2
+
+    def test_connection_error_is_retried(self):
+        class DropsFirst(ScriptedSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                if self.posts == 0:
+                    self.posts += 1
+                    raise requests.ConnectionError("connection reset")
+                return super().post(url, json, headers, timeout)
+
+        session = DropsFirst(FakeResponse(payload=self.payload()))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        completion = complete(backend, CompletionRequest(prompt="q"))
+        assert completion.text == " True"
+        assert session.posts == 2
+
+    def test_unknown_finish_reason_is_error(self):
+        payload = self.payload()
+        payload["choices"][0]["finish_reason"] = "content_filter"
+        backend = HttpBackend("http://host", "m", api_key="k",
+                              session=FakeSession(FakeResponse(payload=payload)))
+        assert backend.complete(CompletionRequest(prompt="q")).finish_reason == "error"
 
     def test_client_error_is_not_retried(self):
         session = ScriptedSession(
@@ -778,7 +901,7 @@ class TestHttpBackend:
         )
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(BackendError, match="bad request") as info:
-            complete(backend, CompletionRequest(prompt="q"), backoff_seconds=0.0)
+            complete(backend, CompletionRequest(prompt="q"))
         assert not isinstance(info.value, TransportError)
         assert session.posts == 1
 
@@ -788,7 +911,7 @@ class TestHttpBackend:
         session = ScriptedSession(FakeResponse(payload=payload), FakeResponse(payload=payload))
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(MalformedResponseError, match="align"):
-            complete(backend, CompletionRequest(prompt="q", top_logprobs=5), backoff_seconds=0.0)
+            complete(backend, CompletionRequest(prompt="q", top_logprobs=5))
         assert session.posts == 1
 
     def test_malformed_body(self):

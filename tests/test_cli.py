@@ -448,6 +448,12 @@ EXIT_CASES = {
                    "--dataset", str(i.tmp / "missing.jsonl")],
         3, "error: dataset: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
     ),
+    "answer_kind_unknown": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.file("kinds.jsonl", json.dumps(
+            {"id": "q1", "question": "q?", "answers": ["No"], "answer_kind": "boolen"}) + "\n")])],
+        3, "error: {tmp}/kinds.jsonl:1: invalid item: item 'q1': answer_kind must be one of "
+           "('boolean', 'free_form'), got 'boolen'", 0,
+    ),
     "dataset_is_a_directory": (
         lambda i: ["run", "--config", i.config(dataset_path=[str(i.tmp)])],
         3, "error: dataset: [Errno 21] Is a directory: '{tmp}'", 0,

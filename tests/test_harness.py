@@ -13,6 +13,7 @@ from calibra.harness import (
     ConfigError,
     DataError,
     RunConfig,
+    build_backend,
     load_dataset,
     read_records,
     run_eval,
@@ -21,6 +22,7 @@ from calibra.harness import (
 from calibra.backend import (
     LINE_ENCODER,
     Completion,
+    HttpBackend,
     ResponseCache,
     ScriptError,
     load_mock_script,
@@ -393,7 +395,13 @@ class TestEmitReport:
         assert (out / "report.json").exists()
         assert (out / "metrics.csv").exists()
         assert (out / "records.jsonl").exists()
-        assert (out / "run_meta.json").exists()
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert sorted(meta) == ["transcripts_path", "written_at"]
+        assert meta["transcripts_path"] == str(out / "transcripts.jsonl")
+        # Emitted where no run wrote transcripts, the sidecar names none.
+        harness.emit_report(report, tmp_path / "bare", [], {})
+        bare_meta = json.loads((tmp_path / "bare" / "run_meta.json").read_text(encoding="utf-8"))
+        assert sorted(bare_meta) == ["written_at"]
         curves = list((out / "curves").glob("*.csv"))
         # 2 strategies x 1 method x 2 curve kinds
         assert len(curves) == 4
@@ -547,10 +555,12 @@ class TestSweep:
             worker_count=1,
             out_dir=str(tmp_path / "sweep"),
         )
-        reports = sweep(config, "demonstrations_count", [0, 1, 2])
+        sweep(config, "demonstrations_count", [0, 1, 2])
         lengths = []
         for count in (0, 1, 2):
-            transcripts = Path(reports[count].transcripts_path).read_text().splitlines()
+            meta_path = tmp_path / "sweep" / f"demonstrations_count_{count}" / "run_meta.json"
+            transcripts_path = json.loads(meta_path.read_text(encoding="utf-8"))["transcripts_path"]
+            transcripts = Path(transcripts_path).read_text(encoding="utf-8").splitlines()
             first = json.loads(transcripts[0])
             lengths.append(len(first["steps"][0]["prompt"]))
         assert lengths[0] < lengths[1] < lengths[2]
@@ -574,6 +584,13 @@ class TestRunConfig:
         assert config.self_consistency_n == 10
         assert config.self_consistency_temperature == 0.7
         assert config.num_buckets == 10
+
+    def test_http_backend_is_built_from_its_keys(self):
+        config = RunConfig(dataset_path=["d.jsonl"],
+                           backend={"kind": "http", "base_url": "http://h/", "model": "m"})
+        backend = build_backend(config)
+        assert type(backend) is HttpBackend
+        assert (backend.base_url, backend.model_id) == ("http://h", "m")
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"

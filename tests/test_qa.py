@@ -68,6 +68,11 @@ class TestQAItem:
         with pytest.raises(ValueError):
             make_item(gold_answers=())
 
+    @pytest.mark.parametrize("kind", ["boolen", "Boolean", "", None])
+    def test_unknown_answer_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="answer_kind must be one of"):
+            make_item(gold_answers=("No",), answer_kind=kind)
+
     def test_boolean_aliases_must_resolve(self):
         with pytest.raises(ValueError):
             make_item(gold_answers=("maybe",), answer_kind="boolean")

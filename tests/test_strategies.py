@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -196,8 +197,8 @@ CALL_CONTRACT = [
 @pytest.mark.parametrize("strategy_id, check_reply, calls", CALL_CONTRACT)
 def test_call_count_contract(strategy_id, check_reply, calls, methods, probes):
     backend = RecordingBackend(check_reply)
-    config = StrategyConfig(self_consistency_n=3)
-    execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
+    config = StrategyConfig(self_consistency_n=3, extraction_method_ids=list(methods))
+    execute(plan(strategy_id, ITEM, config), ITEM, backend, config)
     assert len(backend.requests) == calls + probes
 
 
@@ -208,7 +209,8 @@ def test_call_contract_covers_every_strategy():
 class TestPTrueContext:
     def p_true_prompt(self, config):
         backend = RecordingBackend()
-        transcript = execute(plan("cot", ITEM), ITEM, backend, ("p_true",), config)
+        config = replace(config, extraction_method_ids=["p_true"])
+        transcript = execute(plan("cot", ITEM), ITEM, backend, config)
         (probe,) = [r for r in backend.requests if r.top_logprobs == 5]
         return probe.prompt, transcript.step_records[-1]
 
@@ -228,13 +230,10 @@ class TestPTrueContext:
 
 
 def run_strategy(strategy_id, step_texts, config=None, methods=("token_prob",), item=ITEM):
-    config = config or StrategyConfig()
+    config = replace(config or StrategyConfig(), extraction_method_ids=list(methods))
     entries = build_script(strategy_id, item, step_texts, config)
     backend = mock_from_script(entries)
-    transcript = execute(
-        plan(strategy_id, item, config), item, backend,
-        extraction_methods=methods, config=config,
-    )
+    transcript = execute(plan(strategy_id, item, config), item, backend, config)
     return transcript, transcript.confidences, backend
 
 
@@ -307,31 +306,25 @@ class TestExecute:
         import math
         from conftest import add_p_true_entry
 
-        config = StrategyConfig()
+        config = StrategyConfig(extraction_method_ids=["token_prob", "p_true"])
         entries = build_script("standard", ITEM, {"answer": "No"}, config)
         prompt = next(iter(entries))
         context = f"{prompt} No"
         add_p_true_entry(entries, context, "No", {"A": math.log(0.7), "B": math.log(0.2)})
         backend = mock_from_script(entries)
-        confidences = execute(
-            plan("standard", ITEM, config), ITEM, backend,
-            extraction_methods=("token_prob", "p_true"),
-        ).confidences
+        confidences = execute(plan("standard", ITEM, config), ITEM, backend, config).confidences
         assert confidences["p_true"].value == pytest.approx(0.7)
         assert backend.call_count == 2  # one generation + one suffix probe
 
     def test_verbalized_extraction_with_suffix_entry(self):
         from conftest import add_verbalized_entry
 
-        config = StrategyConfig()
+        config = StrategyConfig(extraction_method_ids=["verbalized"])
         entries = build_script("standard", ITEM, {"answer": "No"}, config)
         prompt = next(iter(entries))
         add_verbalized_entry(entries, f"{prompt} No", "0.85")
         backend = mock_from_script(entries)
-        confidences = execute(
-            plan("standard", ITEM, config), ITEM, backend,
-            extraction_methods=("verbalized",),
-        ).confidences
+        confidences = execute(plan("standard", ITEM, config), ITEM, backend, config).confidences
         assert confidences["verbalized"].value == 0.85
 
     def test_backend_error_names_step(self):
@@ -343,7 +336,7 @@ class TestExecute:
         entries = build_script("standard", ITEM, {"answer": "No"})
         with pytest.raises(StrategyError, match="mystery"):
             execute(plan("standard", ITEM), ITEM, mock_from_script(entries),
-                    extraction_methods=("mystery",))
+                    StrategyConfig(extraction_method_ids=["mystery"]))
 
 
 LOGPROB_FIELDS = {"tokens", "token_logprobs", "top_logprobs"}
@@ -400,7 +393,7 @@ class TestTranscriptRow:
         add_verbalized_entry(entries, context, "0.85 (fairly sure)")
         transcript = execute(
             plan("standard", ITEM), ITEM, mock_from_script(entries),
-            extraction_methods=("token_prob", "p_true", "verbalized"),
+            StrategyConfig(extraction_method_ids=["token_prob", "p_true", "verbalized"]),
         )
         confidences = transcript.confidences
         aux = confidences["p_true"].aux
@@ -421,8 +414,8 @@ class TestTranscriptRow:
         add_verbalized_entry(entries, context, "0.85")
 
         def line(backend):
-            transcript = execute(plan("standard", ITEM), ITEM, backend,
-                                 extraction_methods=("token_prob", "p_true", "verbalized"))
+            config = StrategyConfig(extraction_method_ids=["token_prob", "p_true", "verbalized"])
+            transcript = execute(plan("standard", ITEM), ITEM, backend, config)
             return LINE_ENCODER.encode(transcript.to_dict())
 
         bare = line(mock_from_script(entries))
@@ -473,8 +466,8 @@ class TestHttpTokenProb:
     def run(self, strategy_id, methods=("token_prob",)):
         session = LogprobSession()
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
-        config = StrategyConfig(self_consistency_n=3)
-        transcript = execute(plan(strategy_id, ITEM, config), ITEM, backend, methods, config)
+        config = StrategyConfig(self_consistency_n=3, extraction_method_ids=list(methods))
+        transcript = execute(plan(strategy_id, ITEM, config), ITEM, backend, config)
         return session.bodies, transcript.confidences
 
     def test_standard_answer_asks_for_logprobs(self):
