@@ -27,7 +27,9 @@ from .confidence import (
 from .harness import (
     RunConfig,
     RunReport,
+    aggregate,
     emit_report,
+    evaluate,
     load_dataset,
     read_records,
     run_eval,

@@ -12,13 +12,11 @@ from pathlib import Path
 
 import click
 
-from . import metrics as cal
 from .backend import BackendError
 from .concern import ConcernError, augment_with_knowledge, select_hard
 from .confidence import ConfidenceError
-from .harness import SWEEP_AXES, ConfigError, DataError, RunConfig, load_dataset, read_records
-from .harness import run_eval, sweep as run_sweep, write_dataset
-from .qa import EvalRecord
+from .harness import SWEEP_AXES, ConfigError, DataError, RunConfig, aggregate, load_dataset
+from .harness import read_records, run_eval, sweep as run_sweep, write_dataset
 from .strategies import StrategyError
 
 # The exit code of each error kind. An error's `__cause__` chain is walked
@@ -92,28 +90,26 @@ def run(config_path, backend_url, model, mock_script, **flags) -> None:
 
 
 @main.command()
-@click.option("--records", "records_path", required=True, type=click.Path())
-@click.option("--buckets", default=10, type=int)
-@click.option("--method", "methods", multiple=True, help="Extraction methods (default: all present).")
-def metrics(records_path, buckets, methods) -> None:
-    """Recompute calibration metrics from a records JSONL file, per (dataset, strategy).
+@click.option("--report", "report_dir", required=True, type=click.Path())
+def metrics(report_dir) -> None:
+    """Rebuild a run's report.json from its records.jsonl and print it.
 
-    Records without a dataset or strategy column are grouped under "(all)".
+    The config block comes from the report.json in the same directory, so
+    the output equals that file byte for byte when the records are the run's.
     """
-    if buckets < 1:
-        raise ConfigError("--buckets must be >= 1")
-    records = read_records(records_path)
-    if not methods:
-        methods = sorted({m for r in records for m in r.confidences})
-    groups: dict[tuple[str, str], list[EvalRecord]] = {}
-    for record in records:
-        groups.setdefault((record.dataset, record.strategy_id), []).append(record)
-    out: dict[str, dict] = {}
-    for (dataset, sid), recs in groups.items():
-        out.setdefault(dataset or "(all)", {})[sid or "(all)"] = {
-            method: cal.summarize(recs, method, buckets).to_dict() for method in methods
-        }
-    click.echo(json.dumps(out, sort_keys=True, indent=2))
+    run_dir = Path(report_dir)
+    path = run_dir / "report.json"
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        # Rebuilt only for its checks; the block itself goes back into the report.
+        RunConfig(**{k: v for k, v in dict(config).items() if k != "concern_lexicon_version"})
+    except OSError as exc:
+        raise DataError(f"report: {exc}") from exc
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        # A data error, not the ConfigError of a bad run config.
+        raise DataError(f"{path}: no valid config block: {exc}") from None
+    report, _ = aggregate(read_records(run_dir / "records.jsonl"), config)
+    click.echo(report.to_json())
 
 
 @main.command()
@@ -130,10 +126,19 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
     if not records_path.exists():
         raise DataError(f"no records.jsonl under {report_dir}")
     records = read_records(records_path)
+    items = load_dataset(dataset_path) if dataset_path else None
     if strategy_id:
         records = [r for r in records if r.strategy_id == strategy_id]
         if not records:
             raise DataError(f"no records for strategy {strategy_id!r}")
+    elif len({r.strategy_id for r in records}) > 1:
+        # One item's id would stand for several evaluations of it.
+        raise DataError("the records span several strategies; choose one with --strategy")
+    if dataset_path:
+        stem = Path(dataset_path).stem
+        records = [r for r in records if r.dataset == stem]
+        if not records:
+            raise DataError(f"no records for dataset {stem!r}")
     selection_mode = "concern_triggered" if mode == "concern" else "random_control"
     selected = select_hard(records, selection_mode, seed=seed)
     if not selected:
@@ -143,7 +148,7 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
         wanted = set(selected)
         augmented = [
             augment_with_knowledge(item) if item.id in wanted else item
-            for item in load_dataset(dataset_path)
+            for item in items
         ]
         aug_path = out_path or str(Path(report_dir) / "augmented_dataset.jsonl")
         try:

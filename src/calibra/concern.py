@@ -93,13 +93,16 @@ def select_hard(
     mode: SelectionMode,
     seed: int = 0,
 ) -> list[str]:
-    """Pick the ids to augment: the concern set, or a size-matched random control."""
-    concern_ids = [r.item_id for r in records if r.concern]
+    """Pick the ids to augment: the concern set, or a size-matched random control.
+
+    Each id counts once, in first-seen order, however many records share it.
+    """
+    concern_ids = list(dict.fromkeys(r.item_id for r in records if r.concern))
     if not concern_ids:
         return []
     if mode == "concern_triggered":
         return concern_ids
-    all_ids = [r.item_id for r in records]
+    all_ids = list(dict.fromkeys(r.item_id for r in records))
     rng = random.Random(seed)
     return sorted(rng.sample(all_ids, len(concern_ids)))
 

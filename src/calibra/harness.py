@@ -22,7 +22,6 @@ from .backend import (
     Backend,
     HttpBackend,
     ResponseCache,
-    _check_request_fields,
     load_mock_script,
 )
 from .concern import ConcernLexicon, concern_rate, detect_concern
@@ -45,6 +44,10 @@ class DataError(Exception):
 # depends on them (the lexicon is recorded by its version instead), so the
 # report's config snapshot leaves them out.
 _RUN_ONLY_FIELDS = ("cache_path", "out_dir", "worker_count", "concern_lexicon_path")
+
+# The least value of each count; only thought_char_budget may be None, for no budget.
+_LEAST = {"num_buckets": 1, "kde_grid_size": 2, "worker_count": 1, "max_tokens": 1,
+          "self_consistency_n": 1, "thought_char_budget": 0}
 
 
 @dataclass(kw_only=True)
@@ -83,18 +86,16 @@ class RunConfig(StrategyConfig):
                     raise ConfigError(f"{key}: unknown id {id_!r}; expected one of {known}")
                 if id_ in ids[:index]:
                     raise ConfigError(f"{key}: {id_!r} is repeated")
-        if self.num_buckets < 1:
-            raise ConfigError("num_buckets must be >= 1")
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
-        if self.self_consistency_n < 1:
-            raise ConfigError("self_consistency_n must be >= 1")
-        if self.self_consistency_temperature < 0:
-            raise ConfigError("self_consistency_temperature must be >= 0")
-        try:
-            _check_request_fields(self.max_tokens, self.temperature, 0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # A float or a bool passes a range check, then reaches a request or a grid.
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            if type(value) is not int and not (value is None and key == "thought_char_budget"):
+                raise ConfigError(f"{key} must be an integer, not {value!r}")
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be >= {least}")
+        for key in ("temperature", "self_consistency_temperature"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -139,12 +140,20 @@ def load_dataset(path: str | Path) -> list[QAItem]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             try:
+                answers, facts = raw["answers"], raw.get("gold_facts", [])
+                if type(raw["question"]) is not str:
+                    raise ValueError(f"question must be a string, not {raw['question']!r}")
+                # tuple() of a string would make each of its letters an alias.
+                if not answers or not _is_string_list(answers):
+                    raise ValueError(f"answers must be a non-empty list of strings, not {answers!r}")
+                if not _is_string_list(facts):
+                    raise ValueError(f"gold_facts must be a list of strings, not {facts!r}")
                 item = QAItem(
                     id=str(raw["id"]),
                     question=raw["question"],
-                    gold_answers=tuple(raw["answers"]),
+                    gold_answers=tuple(answers),
                     answer_kind=raw.get("answer_kind", "free_form"),
-                    gold_facts=tuple(raw["gold_facts"]) if raw.get("gold_facts") else None,
+                    gold_facts=tuple(facts) or None,
                     external_knowledge=raw.get("external_knowledge"),
                 )
             except (KeyError, ValueError, TypeError) as exc:
@@ -156,6 +165,10 @@ def load_dataset(path: str | Path) -> list[QAItem]:
             seen[item.id] = lineno
             items.append(item)
     return items
+
+
+def _is_string_list(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
 
 
 def write_dataset(items: Sequence[QAItem], path: str | Path) -> None:
@@ -193,8 +206,15 @@ class RunReport:
         return LINE_ENCODER.encode(self.to_dict())
 
 
+_RECORD_TYPES = {"item_id": str, "dataset": str, "strategy_id": str, "correct": bool, "concern": bool}
+
+
 def read_records(path: str | Path) -> list[EvalRecord]:
-    """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line."""
+    """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line.
+
+    Each field must have its type: a `"false"` would count as correct, and a
+    confidence of `"0.9"` would fail deep inside a metric.
+    """
     records = []
     try:
         fh = open(path, encoding="utf-8")
@@ -205,7 +225,19 @@ def read_records(path: str | Path) -> list[EvalRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(EvalRecord(**json.loads(line)))
+                raw = json.loads(line)
+                record = EvalRecord(**raw)
+                for name, kind in _RECORD_TYPES.items():
+                    if type(getattr(record, name)) is not kind:
+                        raise TypeError(f"{name} must be a {kind.__name__}, not {raw[name]!r}")
+                if type(raw["confidences"]) is not dict:
+                    raise TypeError(f"confidences must be an object, not {raw['confidences']!r}")
+                for method, value in record.confidences.items():
+                    # bool is an int subclass, and NaN fails the range check.
+                    if type(value) not in (int, float) or not 0 <= value <= 1:
+                        raise ValueError(f"confidence {method!r} must be a number in [0, 1], "
+                                         f"not {value!r}")
+                records.append(record)
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
     if not records:
@@ -252,14 +284,7 @@ _MACRO_KEYS = (
 
 
 def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
-    """Run every (item x strategy), then aggregate metrics in a single pass.
-
-    Item-level work may run on a bounded worker pool; aggregation happens
-    after all evaluations have landed, so worker count never affects the
-    report. Evaluations are collected in (strategy, item) order, and each
-    transcript is written as its line when it is collected, for the same
-    reason; no transcript is held after that.
-    """
+    """`evaluate`, then `aggregate` the records, then `emit_report` when `out_dir` is set."""
     if backend is None:
         backend = build_backend(config)
     try:
@@ -287,8 +312,36 @@ def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
             transcripts = (out_dir / "transcripts.jsonl").open("w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"out_dir: {exc}") from exc
+    try:
+        records = evaluate(config, backend, lexicon, transcripts)
+    finally:
+        if cache is not None:
+            cache.close()
+        if transcripts is not None:
+            transcripts.close()
+    report, curves = aggregate(records, config.snapshot(lexicon))
+    if out_dir:
+        emit_report(report, out_dir, records, curves)
+    return report
 
-    def evaluate(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
+
+def evaluate(
+    config: RunConfig, backend: Backend, lexicon: ConcernLexicon, transcripts: Optional[TextIO]
+) -> list[EvalRecord]:
+    """The record of every (dataset, strategy, item), in that order; all datasets load first.
+
+    Both maps yield in task order, whatever order the worker pool ends the
+    work in, so neither the records nor the transcript lines written to
+    `transcripts` depend on the worker count.
+    """
+    tasks: list[tuple[str, QAItem, str]] = []
+    for ds_path in config.dataset_path:
+        items = load_dataset(ds_path)
+        if not items:
+            raise DataError(f"dataset {ds_path} is empty")
+        tasks += [(Path(ds_path).stem, item, sid) for sid in config.strategy_ids for item in items]
+
+    def one(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
         """The record, and the transcript as its line when transcripts are written."""
         dataset, item, strategy_id = task
         try:
@@ -311,91 +364,90 @@ def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
         line = LINE_ENCODER.encode(transcript.to_dict()) + "\n" if transcripts is not None else None
         return record, line
 
-    dataset_blocks: list[dict] = []
-    all_records: list[EvalRecord] = []
-    # Every curve by its CSV file's stem; report.json keeps only their summaries.
+    records: list[EvalRecord] = []
+    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+        run_all = pool.map if config.worker_count > 1 else map
+        for record, line in run_all(one, tasks):
+            records.append(record)
+            if transcripts is not None:
+                transcripts.write(line)
+    return records
+
+
+def aggregate(
+    records: Sequence[EvalRecord], config: Mapping
+) -> tuple[RunReport, dict[str, cal.DistributionCurve]]:
+    """The report of the records under a report's config block, and each curve by CSV stem.
+
+    A pure function. Records are grouped by `dataset` (a file stem) and
+    `strategy_id`, in the order of the config's ids. A record of a pair the
+    config does not name, a strategy without one record for each item of its
+    dataset's other strategies, and a record without a configured method are
+    `DataError`s.
+    """
+    strategy_ids, methods = config["strategy_ids"], config["extraction_method_ids"]
+    paths = {Path(p).stem: p for p in config["dataset_path"]}
+    groups: dict[tuple, list[EvalRecord]] = {(s, sid): [] for s in paths for sid in strategy_ids}
+    for r in records:
+        if (r.dataset, r.strategy_id) not in groups:
+            raise DataError(f"record {r.item_id!r} is of dataset {r.dataset!r}, strategy "
+                            f"{r.strategy_id!r}, a pair the config does not name")
+        groups[r.dataset, r.strategy_id].append(r)
+
+    blocks: list[dict] = []
     curves: dict[str, cal.DistributionCurve] = {}
-    try:
-        for ds_path in config.dataset_path:
-            items = load_dataset(ds_path)
-            if not items:
-                raise DataError(f"dataset {ds_path} is empty")
-            ds_tag = Path(ds_path).stem
-            tasks = [(ds_tag, item, sid) for sid in config.strategy_ids for item in items]
-            results: list[EvalRecord] = []
-            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                # Both maps yield in task order, whatever order the work ends in.
-                run_all = pool.map if config.worker_count > 1 else map
-                for record, line in run_all(evaluate, tasks):
-                    results.append(record)
-                    if transcripts is not None:
-                        transcripts.write(line)
+    for stem, path in paths.items():
+        counts = {sid: len(groups[stem, sid]) for sid in strategy_ids}
+        # A repeated or a missing record would change `n` without a word.
+        items = [{r.item_id for r in groups[stem, sid]} for sid in strategy_ids]
+        if not items[0] or any(len(s) != n or s != items[0] for s, n in zip(items, counts.values())):
+            raise DataError(f"dataset {stem!r}: each strategy needs one record for each of the "
+                            f"same items, at least one; got record counts {counts}")
+        block: dict = {"path": path, "n_items": counts[strategy_ids[0]], "strategies": {}}
+        for sid in strategy_ids:
+            group = groups[stem, sid]
+            # The first metric call: the benchmark's trace dates aggregation from it.
+            strat: dict = {"concern_rate": concern_rate([r.concern for r in group]),
+                           "accuracy": accuracy(group), "extractions": {}}
+            for method in methods:
+                try:
+                    confs = [r.confidence(method) for r in group]
+                except KeyError as exc:
+                    raise DataError(exc.args[0]) from None
+                entry = cal.summarize(group, method, config["num_buckets"]).to_dict()
+                entry["curves"] = {}
+                for kind, grid_size in (
+                    ("histogram", config["num_buckets"]),
+                    ("kde", config["kde_grid_size"]),
+                ):
+                    curve = cal.distribution_curve(confs, kind, grid_size)
+                    entry["curves"][kind] = curve.to_dict()
+                    curves[f"{stem}__{sid}__{method}__{kind}"] = curve
+                strat["extractions"][method] = entry
+            block["strategies"][sid] = strat
+        block["wins"] = {
+            key: cal.wins_table([
+                {method: entry[key] for method, entry in strat["extractions"].items()}
+                for strat in block["strategies"].values()
+            ])
+            for key in ("ece", "macro_ce")
+        }
+        blocks.append(block)
 
-            block: dict = {"path": ds_path, "n_items": len(items), "strategies": {}}
-            for index, sid in enumerate(config.strategy_ids):
-                # Tasks run strategy by strategy, so each strategy's records are one slice.
-                records = results[index * len(items) : (index + 1) * len(items)]
-                strat_block: dict = {
-                    "accuracy": accuracy(records),
-                    "concern_rate": concern_rate([r.concern for r in records]),
-                    "extractions": {},
-                }
-                for method in config.extraction_method_ids:
-                    summary = cal.summarize(records, method, config.num_buckets)
-                    confs = [r.confidence(method) for r in records]
-                    entry = summary.to_dict()
-                    entry["curves"] = {}
-                    for kind, grid_size in (
-                        ("histogram", config.num_buckets),
-                        ("kde", config.kde_grid_size),
-                    ):
-                        curve = cal.distribution_curve(confs, kind, grid_size)
-                        entry["curves"][kind] = curve.to_dict()
-                        curves[f"{ds_tag}__{sid}__{method}__{kind}"] = curve
-                    strat_block["extractions"][method] = entry
-                block["strategies"][sid] = strat_block
-                all_records.extend(records)
-            block["wins"] = {
-                key: cal.wins_table([
-                    {method: entry[key] for method, entry in strat["extractions"].items()}
-                    for strat in block["strategies"].values()
-                ])
-                for key in ("ece", "macro_ce")
+    macro: Optional[dict] = None
+    if len(blocks) >= 2:
+        macro = {"strategies": {}}
+        for sid in strategy_ids:
+            strats = [block["strategies"][sid] for block in blocks]
+            macro["strategies"][sid] = {
+                "accuracy": _mean(s["accuracy"] for s in strats),
+                "concern_rate": _mean(s["concern_rate"] for s in strats),
+                "extractions": {
+                    m: {key: _mean(s["extractions"][m][key] for s in strats) for key in _MACRO_KEYS}
+                    for m in methods
+                },
             }
-            dataset_blocks.append(block)
-    finally:
-        if cache is not None:
-            cache.close()
-        if transcripts is not None:
-            transcripts.close()
-
-    macro_block: Optional[dict] = None
-    if len(dataset_blocks) >= 2:
-        macro_block = {"strategies": {}}
-        for sid in config.strategy_ids:
-            strat: dict = {
-                "accuracy": _mean(
-                    b["strategies"][sid]["accuracy"] for b in dataset_blocks
-                ),
-                "concern_rate": _mean(
-                    b["strategies"][sid]["concern_rate"] for b in dataset_blocks
-                ),
-                "extractions": {},
-            }
-            for method in config.extraction_method_ids:
-                strat["extractions"][method] = {
-                    key: _mean(
-                        b["strategies"][sid]["extractions"][method][key]
-                        for b in dataset_blocks
-                    )
-                    for key in _MACRO_KEYS
-                }
-            macro_block["strategies"][sid] = strat
-
-    report = RunReport(config=config.snapshot(lexicon), datasets=dataset_blocks, macro=macro_block)
-    if out_dir:
-        emit_report(report, out_dir, all_records, curves)
-    return report
+    return RunReport(config=config, datasets=blocks, macro=macro), curves
 
 
 def _mean(values) -> Optional[float]:

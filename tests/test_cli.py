@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 from calibra import harness
 from calibra.cli import main
+from calibra.concern import ConcernLexicon
+from calibra.harness import RunConfig, aggregate, read_records
 from conftest import E2E_ITEMS, E2E_STANDARD, add_verbalized_entry, e2e_script_entries
 
 
@@ -147,57 +149,58 @@ class TestRun:
         assert result.exit_code == 1
 
 
+def run_out(runner, tmp_path, e2e_dataset, e2e_script, **extra) -> Path:
+    config = write_config(tmp_path, e2e_dataset, e2e_script, **extra)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def second_dataset(tmp_path, e2e_dataset) -> Path:
+    """The e2e questions under ids r1..r4; the mock keys on prompts, so the script still fits."""
+    path = tmp_path / "second.jsonl"
+    path.write_text(e2e_dataset.read_text().replace('"id": "q', '"id": "r'))
+    return path
+
+
 class TestMetrics:
-    def test_recompute_matches_report(self, runner, tmp_path, e2e_dataset, e2e_script):
-        config = write_config(tmp_path, e2e_dataset, e2e_script)
-        out = tmp_path / "out"
-        assert runner.invoke(main, ["run", "--config", str(config), "--out", str(out)]).exit_code == 0
-        result = runner.invoke(
-            main, ["metrics", "--records", str(out / "records.jsonl"), "--buckets", "10"]
-        )
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("n_datasets", [1, 2])
+    def test_report_is_a_function_of_the_records(self, runner, tmp_path, e2e_dataset, e2e_script,
+                                                   workers, n_datasets):
+        paths = [str(e2e_dataset), str(second_dataset(tmp_path, e2e_dataset))][:n_datasets]
+        out = run_out(runner, tmp_path, e2e_dataset, e2e_script, worker_count=workers,
+                      dataset_path=paths)
+        stored = (out / "report.json").read_bytes()
+        assert (b'"macro":' in stored) == (n_datasets == 2)
+        config = json.loads(stored)["config"]
+        report, _ = aggregate(read_records(out / "records.jsonl"), config)
+        assert (report.to_json() + "\n").encode() == stored
+        result = runner.invoke(main, ["metrics", "--report", str(out)])
         assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == stored
+
+    def test_recompute_matches_report(self, runner, tmp_path, e2e_dataset, e2e_script, e2e_expected):
+        out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
+        result = runner.invoke(main, ["metrics", "--report", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == (out / "report.json").read_text()
         recomputed = json.loads(result.output)
-        report = json.loads((out / "report.json").read_text())
-        assert list(recomputed) == [e2e_dataset.stem]
         for sid in ("standard", "far_final"):
-            stored = report["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
-            assert recomputed[e2e_dataset.stem][sid]["token_prob"]["ece"] == pytest.approx(
-                stored["ece"], abs=1e-12
-            )
+            entry = recomputed["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
+            assert entry["ece"] == pytest.approx(e2e_expected[sid]["token_prob"]["ece"], abs=1e-12)
 
-    def test_groups_by_dataset_then_strategy(self, runner, tmp_path):
-        rows = [
-            {"dataset": "a.jsonl", "item_id": "1", "strategy_id": "standard", "correct": True,
-             "concern": False, "confidences": {"token_prob": 0.9}},
-            {"dataset": "b.jsonl", "item_id": "1", "strategy_id": "standard", "correct": False,
-             "concern": False, "confidences": {"token_prob": 0.9}},
-            # A file written before the dataset column existed.
-            {"item_id": "1", "strategy_id": "standard", "correct": True,
-             "concern": False, "confidences": {"token_prob": 0.4}},
-        ]
-        path = tmp_path / "records.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        result = runner.invoke(main, ["metrics", "--records", str(path)])
-        assert result.exit_code == 0, result.output
-        out = json.loads(result.output)
-        assert set(out) == {"a.jsonl", "b.jsonl", "(all)"}
-        assert out["a.jsonl"]["standard"]["token_prob"]["accuracy"] == 1.0
-        assert out["b.jsonl"]["standard"]["token_prob"]["accuracy"] == 0.0
-        assert out["(all)"]["standard"]["token_prob"]["avg_confidence"] == 0.4
-
-    def test_empty_records_exit_3(self, runner, tmp_path):
-        path = tmp_path / "records.jsonl"
-        path.write_text("")
-        result = runner.invoke(main, ["metrics", "--records", str(path)])
+    def test_empty_records_exit_3(self, runner, tmp_path, e2e_dataset, e2e_script):
+        out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
+        (out / "records.jsonl").write_text("")
+        result = runner.invoke(main, ["metrics", "--report", str(out)])
         assert result.exit_code == 3
 
 
 class TestAugment:
     def run_report(self, runner, tmp_path, e2e_dataset, e2e_script):
-        config = write_config(tmp_path, e2e_dataset, e2e_script)
-        out = tmp_path / "out"
-        assert runner.invoke(main, ["run", "--config", str(config), "--out", str(out)]).exit_code == 0
-        return out
+        return run_out(runner, tmp_path, e2e_dataset, e2e_script)
 
     def test_concern_selection(self, runner, tmp_path, e2e_dataset, e2e_script):
         out = self.run_report(runner, tmp_path, e2e_dataset, e2e_script)
@@ -224,7 +227,9 @@ class TestAugment:
         rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
         for row in rows:
             row["external_knowledge"] = f"Background for {row['id']}."
-        enriched = tmp_path / "enriched.jsonl"
+        # The same file stem as the run's dataset: augment keeps only that dataset's records.
+        enriched = tmp_path / "enriched" / e2e_dataset.name
+        enriched.parent.mkdir()
         enriched.write_text("".join(json.dumps(r) + "\n" for r in rows))
         result = runner.invoke(
             main,
@@ -236,6 +241,18 @@ class TestAugment:
         by_id = {r["id"]: r for r in augmented}
         assert by_id["q4"]["question"].startswith("Knowledge: Background for q4.")
         assert by_id["q1"]["question"] == rows[0]["question"]
+
+    def test_dataset_keeps_the_records_of_its_stem(self, runner, tmp_path, e2e_dataset, e2e_script):
+        paths = [e2e_dataset, second_dataset(tmp_path, e2e_dataset)]
+        for path in paths:  # external knowledge changes no prompt of the run
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            path.write_text("".join(json.dumps({**r, "external_knowledge": "k"}) + "\n" for r in rows))
+        out = run_out(runner, tmp_path, e2e_dataset, e2e_script, dataset_path=[str(p) for p in paths])
+        for dataset, expected in zip(paths, (["q4"], ["r4"])):
+            result = runner.invoke(main, ["augment", "--report", str(out), "--strategy", "far_final",
+                                          "--dataset", str(dataset), "--out", str(tmp_path / "a")])
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["selected_ids"] == expected
 
     def test_missing_report_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["augment", "--report", str(tmp_path)])
@@ -268,6 +285,9 @@ class TestSweepCommand:
         assert result.exit_code == 3
 
 
+MISSING = object()
+
+
 class Inputs:
     """The files one exit-code case reads, all under `tmp`."""
 
@@ -282,10 +302,33 @@ class Inputs:
         path.write_text(text)
         return str(path)
 
-    def records(self) -> str:
-        row = {"item_id": "q4", "strategy_id": "far_final", "correct": False,
+    def records(self, dataset: str = "dataset") -> str:
+        row = {"item_id": "q4", "strategy_id": "far_final", "correct": False, "dataset": dataset,
                "concern": True, "confidences": {"token_prob": 0.3}}
         return self.file("records.jsonl", json.dumps(row) + "\n")
+
+    def report(self, *rows: dict, strategy_ids=("standard",), **config) -> str:
+        """A run directory: report.json's config block, and a records line per row.
+
+        Each row is laid over a valid record of q1 under `standard`; a key set to
+        `MISSING` is left out. Without rows there is no records.jsonl.
+        """
+        run = self.tmp / "run"
+        run.mkdir()
+        block = RunConfig(dataset_path=[str(self.dataset)], strategy_ids=list(strategy_ids),
+                          **config).snapshot(ConcernLexicon())
+        (run / "report.json").write_text(json.dumps({"config": block}), encoding="utf-8")
+        base = {"item_id": "q1", "dataset": "dataset", "strategy_id": "standard", "correct": True,
+                "concern": False, "confidences": {"token_prob": 0.5}}
+        lines = [{k: v for k, v in {**base, **row}.items() if v is not MISSING} for row in rows]
+        if lines:
+            (run / "records.jsonl").write_text(
+                "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return str(run)
+
+    def dataset_line(self, **fields) -> str:
+        row = {"id": "q1", "question": "Capital of France?", "answers": ["Paris"], **fields}
+        return self.file("d.jsonl", json.dumps(row) + "\n")
 
     def verbalized_yes_script(self) -> str:
         # The first evaluation (q1, standard) gets "Yes" where a confidence belongs.
@@ -326,9 +369,29 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(), "--buckets", "0"],
         1, "error: num_buckets must be >= 1", 0,
     ),
-    "metrics_buckets_0": (
-        lambda i: ["metrics", "--records", i.records(), "--buckets", "0"],
-        1, "error: --buckets must be >= 1", 0,
+    "kde_grid_size_1": (
+        lambda i: ["run", "--config", i.config(kde_grid_size=1)],
+        1, "error: kde_grid_size must be >= 2", 0,
+    ),
+    "thought_char_budget_negative": (
+        lambda i: ["run", "--config", i.config(thought_char_budget=-5)],
+        1, "error: thought_char_budget must be >= 0", 0,
+    ),
+    "num_buckets_a_float": (
+        lambda i: ["run", "--config", i.config(num_buckets=2.5)],
+        1, "error: num_buckets must be an integer, not 2.5", 0,
+    ),
+    "worker_count_a_bool": (
+        lambda i: ["run", "--config", i.config(worker_count=True)],
+        1, "error: worker_count must be an integer, not True", 0,
+    ),
+    "max_tokens_a_float": (
+        lambda i: ["run", "--config", i.config(max_tokens=60.5)],
+        1, "error: max_tokens must be an integer, not 60.5", 0,
+    ),
+    "self_consistency_n_a_bool": (
+        lambda i: ["run", "--config", i.config(self_consistency_n=True)],
+        1, "error: self_consistency_n must be an integer, not True", 0,
     ),
     "cache_is_a_directory": (
         lambda i: ["run", "--config", i.config(), "--cache", str(i.tmp)],
@@ -361,9 +424,95 @@ EXIT_CASES = {
            "no numeral in confidence reply: 'Yes'", 2,
     ),
     "record_without_correct": (
-        lambda i: ["metrics", "--records", i.file("records.jsonl",
-                                                  '{"item_id": "1", "confidences": {"p": 1}}\n')],
-        3, "error: {tmp}/records.jsonl:1: invalid record: ", 0,
+        lambda i: ["metrics", "--report", i.report({"correct": MISSING})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: ", 0,
+    ),
+    "record_correct_null": (
+        lambda i: ["metrics", "--report", i.report({"correct": None})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: correct must be a bool, not None", 0,
+    ),
+    "record_correct_a_string": (
+        lambda i: ["metrics", "--report", i.report({}, {"item_id": "q2", "correct": "false"})],
+        3, "error: {tmp}/run/records.jsonl:2: invalid record: correct must be a bool, not 'false'", 0,
+    ),
+    "record_concern_a_number": (
+        lambda i: ["metrics", "--report", i.report({"concern": 0})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: concern must be a bool, not 0", 0,
+    ),
+    "record_item_id_a_number": (
+        lambda i: ["metrics", "--report", i.report({"item_id": 1})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: item_id must be a str, not 1", 0,
+    ),
+    "record_dataset_null": (
+        lambda i: ["metrics", "--report", i.report({"dataset": None})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: dataset must be a str, not None", 0,
+    ),
+    "record_strategy_id_a_list": (
+        lambda i: ["metrics", "--report", i.report({"strategy_id": ["standard"]})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: strategy_id must be a str, "
+           "not ['standard']", 0,
+    ),
+    "record_confidences_a_list": (
+        lambda i: ["metrics", "--report", i.report({"confidences": [["token_prob", 0.5]]})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: confidences must be an object, "
+           "not [['token_prob', 0.5]]", 0,
+    ),
+    "record_confidence_a_string": (
+        lambda i: ["metrics", "--report", i.report({"confidences": {"token_prob": "0.9"}})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: confidence 'token_prob' must be a "
+           "number in [0, 1], not '0.9'", 0,
+    ),
+    "record_confidence_a_bool": (
+        lambda i: ["metrics", "--report", i.report({"confidences": {"token_prob": True}})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: confidence 'token_prob' must be a "
+           "number in [0, 1], not True", 0,
+    ),
+    "record_confidence_above_1": (
+        lambda i: ["metrics", "--report", i.report({"confidences": {"token_prob": 1.5}})],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: confidence 'token_prob' must be a "
+           "number in [0, 1], not 1.5", 0,
+    ),
+    "record_pair_not_configured": (
+        lambda i: ["metrics", "--report", i.report({}, {"strategy_id": "cot"})],
+        3, "error: record 'q1' is of dataset 'dataset', strategy 'cot', a pair the config "
+           "does not name", 0,
+    ),
+    "records_missing_for_a_strategy": (
+        lambda i: ["metrics", "--report", i.report({}, strategy_ids=("standard", "far_final"))],
+        3, "error: dataset 'dataset': each strategy needs one record for each of the same items, "
+           "at least one; got record counts {{'standard': 1, 'far_final': 0}}", 0,
+    ),
+    "record_counts_unequal": (
+        lambda i: ["metrics", "--report", i.report(
+            {}, {"item_id": "q2"}, {"strategy_id": "far_final"},
+            strategy_ids=("standard", "far_final"))],
+        3, "error: dataset 'dataset': each strategy needs one record for each of the same items, "
+           "at least one; got record counts {{'standard': 2, 'far_final': 1}}", 0,
+    ),
+    "record_repeated": (
+        lambda i: ["metrics", "--report", i.report({}, {}, {"strategy_id": "far_final"},
+                                                   {"item_id": "q2", "strategy_id": "far_final"},
+                                                   strategy_ids=("standard", "far_final"))],
+        3, "error: dataset 'dataset': each strategy needs one record for each of the same items, "
+           "at least one; got record counts {{'standard': 2, 'far_final': 2}}", 0,
+    ),
+    "record_without_a_configured_method": (
+        lambda i: ["metrics", "--report", i.report(
+            {}, extraction_method_ids=["token_prob", "p_true"])],
+        3, "error: record 'q1' has no confidence for method 'p_true'", 0,
+    ),
+    "metrics_report_missing": (
+        lambda i: ["metrics", "--report", str(i.tmp / "nodir")],
+        3, "error: report: [Errno 2] No such file or directory: '{tmp}/nodir/report.json'", 0,
+    ),
+    "metrics_report_without_config": (
+        lambda i: ["metrics", "--report", str(Path(i.file("report.json", "{}")).parent)],
+        3, "error: {tmp}/report.json: no valid config block: 'config'", 0,
+    ),
+    "metrics_config_block_invalid": (
+        lambda i: ["metrics", "--report", str(Path(i.file("report.json", json.dumps(
+            {"config": {"dataset_path": [str(i.dataset)], "num_buckets": 0}}))).parent)],
+        3, "error: {tmp}/report.json: no valid config block: num_buckets must be >= 1", 0,
     ),
     "sweep_values_not_integers": (
         lambda i: ["sweep", "--config", i.config(), "--axis", "thought_char_budget",
@@ -436,8 +585,8 @@ EXIT_CASES = {
         1, "error: concern_lexicon_path: [Errno 2] No such file or directory: '{tmp}/missing.txt'", 0,
     ),
     "metrics_records_missing": (
-        lambda i: ["metrics", "--records", str(i.tmp / "missing.jsonl")],
-        3, "error: records: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
+        lambda i: ["metrics", "--report", i.report()],
+        3, "error: records: [Errno 2] No such file or directory: '{tmp}/run/records.jsonl'", 0,
     ),
     "augment_report_missing": (
         lambda i: ["augment", "--report", str(i.tmp / "nodir")],
@@ -447,6 +596,20 @@ EXIT_CASES = {
         lambda i: ["augment", "--report", str(Path(i.records()).parent),
                    "--dataset", str(i.tmp / "missing.jsonl")],
         3, "error: dataset: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
+    ),
+    "answers_a_string": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(answers="Paris")])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: answers must be a non-empty list of strings, "
+           "not 'Paris'", 0,
+    ),
+    "question_a_number": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(question=42)])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: question must be a string, not 42", 0,
+    ),
+    "gold_facts_a_string": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(gold_facts="A fact.")])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: gold_facts must be a list of strings, "
+           "not 'A fact.'", 0,
     ),
     "answer_kind_unknown": (
         lambda i: ["run", "--config", i.config(dataset_path=[i.file("kinds.jsonl", json.dumps(
@@ -459,10 +622,19 @@ EXIT_CASES = {
         3, "error: dataset: [Errno 21] Is a directory: '{tmp}'", 0,
     ),
     "augment_out_is_a_directory": (
-        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--out", str(i.tmp),
+        lambda i: ["augment", "--report", str(Path(i.records("k")).parent), "--out", str(i.tmp),
                    "--dataset", i.file("k.jsonl", json.dumps(
                        {"id": "q4", "question": "q?", "answers": ["a"], "external_knowledge": "k"}))],
         1, "error: --out: [Errno 21] Is a directory: '{tmp}'", 0,
+    ),
+    "augment_records_span_strategies": (
+        lambda i: ["augment", "--report", str(Path(i.report({}, {"strategy_id": "far_final"})))],
+        3, "error: the records span several strategies; choose one with --strategy", 0,
+    ),
+    "augment_dataset_without_records": (
+        lambda i: ["augment", "--report", str(Path(i.records()).parent),
+                   "--dataset", i.dataset_line(external_knowledge="k")],
+        3, "error: no records for dataset 'd'", 0,
     ),
     "augment_without_external_knowledge": (
         lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from calibra.concern import (
@@ -130,6 +132,14 @@ class TestSelectHard:
     def test_different_seeds_can_differ(self):
         outcomes = {tuple(select_hard(self.records(), "random_control", seed=s)) for s in range(20)}
         assert len(outcomes) > 1
+
+    def test_two_strategies_count_each_id_once(self):
+        records = [rec(f"i{k}", True, concern=k < 2) for k in range(4)]
+        both = records + [replace(r, strategy_id="cot") for r in records]
+        assert select_hard(both, "concern_triggered") == ["i0", "i1"]
+        for seed in range(20):
+            picked = select_hard(both, "random_control", seed=seed)
+            assert len(picked) == len(set(picked)) == 2
 
     def test_empty_concern_set(self):
         records = [rec("a", True), rec("b", False)]
