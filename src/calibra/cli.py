@@ -139,6 +139,9 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
         records = [r for r in records if r.dataset == stem]
         if not records:
             raise DataError(f"no records for dataset {stem!r}")
+    elif len({r.dataset for r in records}) > 1:
+        # Two datasets' items may share an id.
+        raise DataError("the records span several datasets; choose one with --dataset")
     selection_mode = "concern_triggered" if mode == "concern" else "random_control"
     selected = select_hard(records, selection_mode, seed=seed)
     if not selected:

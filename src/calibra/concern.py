@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
@@ -111,14 +111,7 @@ def augment_with_knowledge(item: QAItem) -> QAItem:
     """Prepend the item's external knowledge to its question context."""
     if not item.external_knowledge:
         raise ConcernError(f"item {item.id!r} has no external_knowledge to inject")
-    return QAItem(
-        id=item.id,
-        question=f"Knowledge: {item.external_knowledge}\n{item.question}",
-        gold_answers=item.gold_answers,
-        answer_kind=item.answer_kind,
-        gold_facts=item.gold_facts,
-        external_knowledge=item.external_knowledge,
-    )
+    return replace(item, question=f"Knowledge: {item.external_knowledge}\n{item.question}")
 
 
 @dataclass

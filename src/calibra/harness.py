@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, TextIO
+from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
 from . import metrics as cal
 from .backend import (
@@ -25,7 +25,6 @@ from .backend import (
     load_mock_script,
 )
 from .concern import ConcernLexicon, concern_rate, detect_concern
-from .confidence import METHOD_IDS
 from .qa import EvalRecord, QAItem, accuracy, exact_match
 from .strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 
@@ -45,10 +44,6 @@ class DataError(Exception):
 # report's config snapshot leaves them out.
 _RUN_ONLY_FIELDS = ("cache_path", "out_dir", "worker_count", "concern_lexicon_path")
 
-# The least value of each count; only thought_char_budget may be None, for no budget.
-_LEAST = {"num_buckets": 1, "kde_grid_size": 2, "worker_count": 1, "max_tokens": 1,
-          "self_consistency_n": 1, "thought_char_budget": 0}
-
 
 @dataclass(kw_only=True)
 class RunConfig(StrategyConfig):
@@ -62,8 +57,14 @@ class RunConfig(StrategyConfig):
     worker_count: int = 4
     concern_lexicon_path: Optional[str] = None
 
+    _LEAST = {**StrategyConfig._LEAST, "num_buckets": 1, "kde_grid_size": 2, "worker_count": 1}
+    _KNOWN_IDS = {"strategy_ids": STRATEGY_IDS, **StrategyConfig._KNOWN_IDS}
+
     def __post_init__(self) -> None:
-        super().__post_init__()
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if isinstance(self.dataset_path, (str, Path)):
             self.dataset_path = [str(self.dataset_path)]
         else:
@@ -75,27 +76,9 @@ class RunConfig(StrategyConfig):
         for stem in stems:
             if stems.count(stem) > 1:
                 raise ConfigError(f"two dataset paths share the file stem {stem!r}")
-        # Checked here, before any request: a repeated id would count its rows twice.
-        for key, known in (("strategy_ids", STRATEGY_IDS), ("extraction_method_ids", METHOD_IDS)):
-            ids = list(getattr(self, key))
-            setattr(self, key, ids)
-            if not ids:
+        for key in self._KNOWN_IDS:
+            if not getattr(self, key):
                 raise ConfigError(f"{key}: at least one id required")
-            for index, id_ in enumerate(ids):
-                if id_ not in known:
-                    raise ConfigError(f"{key}: unknown id {id_!r}; expected one of {known}")
-                if id_ in ids[:index]:
-                    raise ConfigError(f"{key}: {id_!r} is repeated")
-        # A float or a bool passes a range check, then reaches a request or a grid.
-        for key, least in _LEAST.items():
-            value = getattr(self, key)
-            if type(value) is not int and not (value is None and key == "thought_char_budget"):
-                raise ConfigError(f"{key} must be an integer, not {value!r}")
-            if value is not None and value < least:
-                raise ConfigError(f"{key} must be >= {least}")
-        for key in ("temperature", "self_consistency_temperature"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -121,54 +104,43 @@ class RunConfig(StrategyConfig):
         return snap
 
 
-def load_dataset(path: str | Path) -> list[QAItem]:
-    """Read a JSONL dataset; duplicate ids and invalid items are rejected."""
-    path = Path(path)
-    items: list[QAItem] = []
-    seen: dict[str, int] = {}
+def _read_jsonl(path: str | Path, label: str, kind: str, build: Callable[[dict], Any]) -> dict:
+    """`build` of each non-blank line of a JSON-lines file, keyed by its line number.
+
+    A file that does not open is a `DataError` under `label`, and a line that
+    is not JSON or that `build` rejects one that names `file:line`.
+    """
+    rows = {}
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except OSError as exc:  # missing, a directory or unreadable
-        raise DataError(f"dataset: {exc}") from exc
+        raise DataError(f"{label}: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            try:
-                answers, facts = raw["answers"], raw.get("gold_facts", [])
-                if type(raw["question"]) is not str:
-                    raise ValueError(f"question must be a string, not {raw['question']!r}")
-                # tuple() of a string would make each of its letters an alias.
-                if not answers or not _is_string_list(answers):
-                    raise ValueError(f"answers must be a non-empty list of strings, not {answers!r}")
-                if not _is_string_list(facts):
-                    raise ValueError(f"gold_facts must be a list of strings, not {facts!r}")
-                item = QAItem(
-                    id=str(raw["id"]),
-                    question=raw["question"],
-                    gold_answers=tuple(answers),
-                    answer_kind=raw.get("answer_kind", "free_form"),
-                    gold_facts=tuple(facts) or None,
-                    external_knowledge=raw.get("external_knowledge"),
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: invalid item: {exc}") from exc
-            if item.id in seen:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate id {item.id!r} (first seen on line {seen[item.id]})"
-                )
-            seen[item.id] = lineno
-            items.append(item)
-    return items
+            if line.strip():
+                try:
+                    rows[lineno] = build(json.loads(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: invalid {kind}: {exc}") from exc
+    return rows
 
 
-def _is_string_list(value) -> bool:
-    return type(value) is list and all(type(v) is str for v in value)
+def load_dataset(path: str | Path) -> list[QAItem]:
+    """Read a JSONL dataset, a `QAItem` a line; a repeated id is a `DataError`."""
+    items = _read_jsonl(path, "dataset", "item", lambda raw: QAItem(
+        id=raw["id"],
+        question=raw["question"],
+        gold_answers=raw["answers"],
+        answer_kind=raw.get("answer_kind", "free_form"),
+        gold_facts=raw.get("gold_facts", ()),
+        external_knowledge=raw.get("external_knowledge"),
+    ))
+    seen: dict[str, int] = {}
+    for lineno, item in items.items():
+        first = seen.setdefault(item.id, lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate id {item.id!r} (first seen on line {first})")
+    return list(items.values())
 
 
 def write_dataset(items: Sequence[QAItem], path: str | Path) -> None:
@@ -206,40 +178,9 @@ class RunReport:
         return LINE_ENCODER.encode(self.to_dict())
 
 
-_RECORD_TYPES = {"item_id": str, "dataset": str, "strategy_id": str, "correct": bool, "concern": bool}
-
-
 def read_records(path: str | Path) -> list[EvalRecord]:
-    """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line.
-
-    Each field must have its type: a `"false"` would count as correct, and a
-    confidence of `"0.9"` would fail deep inside a metric.
-    """
-    records = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"records: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                record = EvalRecord(**raw)
-                for name, kind in _RECORD_TYPES.items():
-                    if type(getattr(record, name)) is not kind:
-                        raise TypeError(f"{name} must be a {kind.__name__}, not {raw[name]!r}")
-                if type(raw["confidences"]) is not dict:
-                    raise TypeError(f"confidences must be an object, not {raw['confidences']!r}")
-                for method, value in record.confidences.items():
-                    # bool is an int subclass, and NaN fails the range check.
-                    if type(value) not in (int, float) or not 0 <= value <= 1:
-                        raise ValueError(f"confidence {method!r} must be a number in [0, 1], "
-                                         f"not {value!r}")
-                records.append(record)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+    """Read records.jsonl, the one place a run writes its records, one `EvalRecord` a line."""
+    records = list(_read_jsonl(path, "records", "record", lambda raw: EvalRecord(**raw)).values())
     if not records:
         raise DataError(f"no records in {path}")
     return records

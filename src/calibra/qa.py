@@ -52,28 +52,42 @@ def _verdict(normalized: str) -> Verdict:
     return "unresolved"
 
 
+def _is_string_sequence(value) -> bool:
+    return type(value) in (list, tuple) and all(type(v) is str for v in value)
+
+
 @dataclass(frozen=True)
 class QAItem:
-    """One dataset question with its gold answer aliases."""
+    """One dataset question with its gold answer aliases; an integer id is stored as a string."""
 
     id: str
     question: str
     gold_answers: tuple[str, ...]
     answer_kind: AnswerKind = "free_form"
-    gold_facts: Optional[tuple[str, ...]] = None
+    gold_facts: tuple[str, ...] = ()
     external_knowledge: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.gold_answers:
-            raise ValueError(f"item {self.id!r}: gold_answers must be non-empty")
+        # bool is an int subclass, and str(True) would be the id "True".
+        if type(self.id) not in (str, int):
+            raise TypeError(f"id must be a string or an integer, not {self.id!r}")
+        object.__setattr__(self, "id", str(self.id))
+        if type(self.question) is not str:
+            raise TypeError(f"question must be a string, not {self.question!r}")
+        # tuple() of a string would make each of its letters an alias.
+        if not self.gold_answers or not _is_string_sequence(self.gold_answers):
+            raise ValueError(
+                f"answers must be a non-empty list of strings, not {self.gold_answers!r}"
+            )
+        if not _is_string_sequence(self.gold_facts):
+            raise TypeError(f"gold_facts must be a list of strings, not {self.gold_facts!r}")
         if self.answer_kind not in get_args(AnswerKind):
             raise ValueError(
                 f"item {self.id!r}: answer_kind must be one of {get_args(AnswerKind)}, "
                 f"got {self.answer_kind!r}"
             )
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
-        if self.gold_facts is not None:
-            object.__setattr__(self, "gold_facts", tuple(self.gold_facts))
+        object.__setattr__(self, "gold_facts", tuple(self.gold_facts))
         if self.answer_kind == "boolean":
             verdicts = {extract_boolean(alias) for alias in self.gold_answers}
             if "unresolved" in verdicts or len(verdicts) != 1:
@@ -108,6 +122,9 @@ class ExtractedAnswer:
         )
 
 
+_RECORD_TYPES = {"item_id": str, "dataset": str, "strategy_id": str, "correct": bool, "concern": bool}
+
+
 @dataclass(frozen=True)
 class EvalRecord:
     """The atom of metric computation: correctness plus per-method confidence."""
@@ -120,8 +137,19 @@ class EvalRecord:
     dataset: str = ""
 
     def __post_init__(self) -> None:
+        # Each field must have its type: a `"false"` would count as correct, and
+        # a confidence of `"0.9"` would fail deep inside a metric.
+        for name, kind in _RECORD_TYPES.items():
+            if type(getattr(self, name)) is not kind:
+                raise TypeError(f"{name} must be a {kind.__name__}, not {getattr(self, name)!r}")
+        if not isinstance(self.confidences, Mapping):
+            raise TypeError(f"confidences must be an object, not {self.confidences!r}")
         if not self.confidences:
             raise ValueError(f"record {self.item_id!r}: at least one confidence required")
+        for method, value in self.confidences.items():
+            # bool is an int subclass, and NaN fails the range check.
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ValueError(f"confidence {method!r} must be a number in [0, 1], not {value!r}")
         object.__setattr__(self, "confidences", dict(self.confidences))
 
     def confidence(self, method: str) -> float:

@@ -258,8 +258,32 @@ class StrategyConfig:
     p_true_full_context: bool = True
     extraction_method_ids: list[str] = field(default_factory=lambda: ["token_prob"])
 
+    # The least value of each count; only thought_char_budget may be None, for no budget.
+    # A subclass with counts or id lists of its own extends these two tables.
+    _LEAST = {"max_tokens": 1, "self_consistency_n": 1, "thought_char_budget": 0}
+    _KNOWN_IDS = {"extraction_method_ids": METHOD_IDS}
+
     def __post_init__(self) -> None:
         self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
+        # Checked here, before any request: a repeated id would count its rows twice.
+        for key, known in self._KNOWN_IDS.items():
+            ids = list(getattr(self, key))
+            setattr(self, key, ids)
+            for index, id_ in enumerate(ids):
+                if id_ not in known:
+                    raise ValueError(f"{key}: unknown id {id_!r}; expected one of {known}")
+                if id_ in ids[:index]:
+                    raise ValueError(f"{key}: {id_!r} is repeated")
+        # A float or a bool passes a range check, then reaches a request or a grid.
+        for key, least in self._LEAST.items():
+            value = getattr(self, key)
+            if type(value) is not int and not (value is None and key == "thought_char_budget"):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+            if value is not None and value < least:
+                raise ValueError(f"{key} must be >= {least}")
+        for key in ("temperature", "self_consistency_temperature"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None) -> StrategyPlan:

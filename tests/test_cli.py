@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from calibra import harness
 from calibra.cli import main
 from calibra.concern import ConcernLexicon
 from calibra.harness import RunConfig, aggregate, read_records
+from calibra.qa import EvalRecord, QAItem
+from calibra.strategies import StrategyConfig
 from conftest import E2E_ITEMS, E2E_STANDARD, add_verbalized_entry, e2e_script_entries
 
 
@@ -606,6 +609,18 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(question=42)])],
         3, "error: {tmp}/d.jsonl:1: invalid item: question must be a string, not 42", 0,
     ),
+    "id_null": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(id=None)])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: id must be a string or an integer, not None", 0,
+    ),
+    "id_a_bool": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(id=True)])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: id must be a string or an integer, not True", 0,
+    ),
+    "gold_facts_null": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(gold_facts=None)])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: gold_facts must be a list of strings, not None", 0,
+    ),
     "gold_facts_a_string": (
         lambda i: ["run", "--config", i.config(dataset_path=[i.dataset_line(gold_facts="A fact.")])],
         3, "error: {tmp}/d.jsonl:1: invalid item: gold_facts must be a list of strings, "
@@ -631,6 +646,10 @@ EXIT_CASES = {
         lambda i: ["augment", "--report", str(Path(i.report({}, {"strategy_id": "far_final"})))],
         3, "error: the records span several strategies; choose one with --strategy", 0,
     ),
+    "augment_records_span_datasets": (
+        lambda i: ["augment", "--report", str(Path(i.report({}, {"dataset": "other"})))],
+        3, "error: the records span several datasets; choose one with --dataset", 0,
+    ),
     "augment_dataset_without_records": (
         lambda i: ["augment", "--report", str(Path(i.records()).parent),
                    "--dataset", i.dataset_line(external_knowledge="k")],
@@ -652,3 +671,51 @@ def test_exit_code_table(runner, tmp_path, e2e_dataset, e2e_script, mock_calls, 
     (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert line.startswith(message.format(tmp=tmp_path)), line
     assert mock_calls() == calls
+
+
+def item(**fields) -> QAItem:
+    return QAItem(**{"id": "q1", "question": "Capital of France?", "gold_answers": ("Paris",),
+                     **fields})
+
+
+def record(**fields) -> EvalRecord:
+    return EvalRecord(**{"item_id": "q1", "correct": True, "confidences": {"token_prob": 0.5},
+                         **fields})
+
+
+# The EXIT_CASES rows whose bad value a constructor takes directly: (type, fields).
+CONSTRUCTOR_CASES = {
+    "id_null": (item, {"id": None}),
+    "id_a_bool": (item, {"id": True}),
+    "question_a_number": (item, {"question": 42}),
+    "answers_a_string": (item, {"gold_answers": "Paris"}),
+    "gold_facts_null": (item, {"gold_facts": None}),
+    "gold_facts_a_string": (item, {"gold_facts": "A fact."}),
+    "answer_kind_unknown": (item, {"question": "q?", "gold_answers": ("No",),
+                                   "answer_kind": "boolen"}),
+    "record_correct_null": (record, {"correct": None}),
+    "record_correct_a_string": (record, {"correct": "false"}),
+    "record_concern_a_number": (record, {"concern": 0}),
+    "record_item_id_a_number": (record, {"item_id": 1}),
+    "record_dataset_null": (record, {"dataset": None}),
+    "record_strategy_id_a_list": (record, {"strategy_id": ["standard"]}),
+    "record_confidences_a_list": (record, {"confidences": [["token_prob", 0.5]]}),
+    "record_confidence_a_string": (record, {"confidences": {"token_prob": "0.9"}}),
+    "record_confidence_a_bool": (record, {"confidences": {"token_prob": True}}),
+    "record_confidence_above_1": (record, {"confidences": {"token_prob": 1.5}}),
+    "unknown_method": (StrategyConfig, {"extraction_method_ids": ["mystery"]}),
+    "repeated_method": (StrategyConfig, {"extraction_method_ids": ["token_prob", "token_prob"]}),
+    "thought_char_budget_negative": (StrategyConfig, {"thought_char_budget": -5}),
+    "max_tokens_a_float": (StrategyConfig, {"max_tokens": 60.5}),
+    "self_consistency_n_a_bool": (StrategyConfig, {"self_consistency_n": True}),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTOR_CASES))
+def test_constructor_rejects_what_its_file_rejects(case):
+    build, fields = CONSTRUCTOR_CASES[case]
+    # The row's message, less the prefix that names the file and line.
+    expected = re.sub(r"^error: (\{tmp\}\S*: invalid (item|record): )?", "", EXIT_CASES[case][2])
+    with pytest.raises((TypeError, ValueError)) as info:
+        build(**fields)
+    assert str(info.value).startswith(expected), info.value

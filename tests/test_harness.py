@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -79,6 +80,15 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "absent.jsonl")
+
+    def test_integer_id_is_stored_as_its_string(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [{"id": 7, "question": "q?", "answers": ["x"]},
+                           {"id": "7", "question": "r?", "answers": ["y"]}])
+        with pytest.raises(DataError, match="duplicate id '7'"):
+            load_dataset(path)
+        write_lines(path, [{"id": 7, "question": "q?", "answers": ["x"]}])
+        assert [item.id for item in load_dataset(path)] == ["7"]
 
 
 def e2e_config(e2e_dataset, e2e_script, tmp_path, **overrides):
@@ -649,10 +659,22 @@ class TestRunConfig:
             RunConfig(dataset_path=["d"], **{field: ids})
 
     def test_readme_key_table_lists_every_field(self):
+        """Each key of README.md's config table, with the JSON of its default."""
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         table = readme.split("Every key, with its default", 1)[1].split("\n\n", 2)[1]
-        keys = [row.split("`")[1] for row in table.splitlines()[2:]]
-        assert sorted(keys) == sorted(RunConfig.__dataclass_fields__)
+        cells = [row.split("|")[1:3] for row in table.splitlines()[2:]]
+        documented = {key.strip(" `"): default.strip(" `") for key, default in cells}
+        assert sorted(documented) == sorted(RunConfig.__dataclass_fields__)
+        assert documented["dataset_path"] == ""
+        for f in dataclasses.fields(RunConfig):
+            if f.default_factory is not dataclasses.MISSING:
+                default = f.default_factory()
+            elif f.default is not dataclasses.MISSING:
+                default = f.default
+            else:
+                continue
+            # A tuple default is a JSON array in a config file.
+            assert json.loads(documented[f.name]) == json.loads(json.dumps(default)), f.name
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -334,9 +334,11 @@ class TestExecute:
 
     def test_unknown_extraction_method(self):
         entries = build_script("standard", ITEM, {"answer": "No"})
+        # The constructor rejects the id; a caller can still set it afterwards.
+        config = StrategyConfig()
+        config.extraction_method_ids = ["mystery"]
         with pytest.raises(StrategyError, match="mystery"):
-            execute(plan("standard", ITEM), ITEM, mock_from_script(entries),
-                    StrategyConfig(extraction_method_ids=["mystery"]))
+            execute(plan("standard", ITEM), ITEM, mock_from_script(entries), config)
 
 
 LOGPROB_FIELDS = {"tokens", "token_logprobs", "top_logprobs"}
