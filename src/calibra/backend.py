@@ -109,37 +109,26 @@ class CompletionRequest:
         return cls(*_request_fields(d))
 
 
-@dataclass(frozen=True, init=False)
+# slots=True keeps each instance small; zero-argument super() fails under it on Python 3.10.
+@dataclass(frozen=True, slots=True)
 class Completion:
+    """A reply, its sequences held as tuples and the caller's `top_logprobs` dicts uncopied."""
+
     text: str
     tokens: tuple[str, ...]
     token_logprobs: tuple[float, ...]
     top_logprobs: tuple[dict, ...]
     finish_reason: Literal["stop", "length", "error"] = "stop"
 
-    def __init__(
-        self,
-        text: str,
-        tokens: Sequence[str],
-        token_logprobs: Sequence[float],
-        top_logprobs: Sequence[dict],
-        finish_reason: Literal["stop", "length", "error"] = "stop",
-    ) -> None:
-        """Hold the sequences as tuples, adopting the caller's `top_logprobs` dicts uncopied."""
-        tokens, token_logprobs = tuple(tokens), tuple(token_logprobs)
-        top_logprobs = tuple(top_logprobs)
-        if not all(isinstance(m, dict) for m in top_logprobs):
-            raise ValueError("top_logprobs entries must be objects")
-        if not (len(tokens) == len(token_logprobs) == len(top_logprobs)):
-            raise ValueError("tokens, token_logprobs and top_logprobs must align")
-        # Set the frozen fields one by one: filling __dict__ in one update
-        # would give each instance a full dict of its own, about 130 bytes larger.
+    def __post_init__(self) -> None:
         set_field = object.__setattr__
-        set_field(self, "text", text)
-        set_field(self, "tokens", tokens)
-        set_field(self, "token_logprobs", token_logprobs)
-        set_field(self, "top_logprobs", top_logprobs)
-        set_field(self, "finish_reason", finish_reason)
+        set_field(self, "tokens", tuple(self.tokens))
+        set_field(self, "token_logprobs", tuple(self.token_logprobs))
+        set_field(self, "top_logprobs", tuple(self.top_logprobs))
+        if not all(isinstance(m, dict) for m in self.top_logprobs):
+            raise ValueError("top_logprobs entries must be objects")
+        if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
+            raise ValueError("tokens, token_logprobs and top_logprobs must align")
 
     def to_dict(self, logprobs: bool = True) -> dict:
         """The fields as JSON values, sharing this completion's tuples and dicts.

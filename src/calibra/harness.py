@@ -107,21 +107,23 @@ class RunConfig(StrategyConfig):
 def _read_jsonl(path: str | Path, label: str, kind: str, build: Callable[[dict], Any]) -> dict:
     """`build` of each non-blank line of a JSON-lines file, keyed by its line number.
 
-    A file that does not open is a `DataError` under `label`, and a line that
-    is not JSON or that `build` rejects one that names `file:line`.
+    A file that does not read is a `DataError` under `label`, and a line that
+    is not UTF-8, not JSON or that `build` rejects one that names `file:line`.
     """
     rows = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, "rb") as fh:
+            # bytes.splitlines breaks at \n, \r\n and \r, as text mode's universal newlines do.
+            lines = fh.read().splitlines()
     except OSError as exc:  # missing, a directory or unreadable
         raise DataError(f"{label}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
             if line.strip():
-                try:
-                    rows[lineno] = build(json.loads(line))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: invalid {kind}: {exc}") from exc
+                rows[lineno] = build(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise DataError(f"{path}:{lineno}: invalid {kind}: {exc}") from exc
     return rows
 
 
@@ -234,7 +236,7 @@ def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
             if config.concern_lexicon_path
             else ConcernLexicon()
         )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"concern_lexicon_path: {exc}") from exc
     try:
         cache = ResponseCache(config.cache_path, backend) if config.cache_path else None
@@ -480,20 +482,21 @@ def sweep(config: RunConfig, axis: str, values: Sequence) -> dict:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep requires at least one value")
-    reports: dict = {}
+    variants = []
     for value in values:
         if axis == "thought_char_budget":
             variant = replace(config, thought_char_budget=int(value))
         else:
             count = int(value)
-            if count > len(config.demonstrations):
+            if not 0 <= count <= len(config.demonstrations):
                 raise ConfigError(
-                    f"demonstrations_count {count} exceeds the {len(config.demonstrations)} "
-                    "configured demonstrations"
+                    f"demonstrations_count must be in 0..{len(config.demonstrations)}, "
+                    f"the number of configured demonstrations; got {count}"
                 )
             variant = replace(config, demonstrations=config.demonstrations[:count])
         if variant.out_dir:
             variant.out_dir = str(Path(variant.out_dir) / f"{axis}_{value}")
-        reports[value] = run_eval(variant)
-    return reports
+        variants.append((value, variant))
+    # Every value is checked above, before the first request.
+    return {value: run_eval(variant) for value, variant in variants}
 

@@ -15,7 +15,7 @@ from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .qa import EvalRecord, accuracy
+from .qa import EvalRecord
 
 DegenerateFlag = Literal["none", "no_correct", "no_incorrect"]
 
@@ -140,18 +140,18 @@ def ece(records: Sequence[EvalRecord], method: str, num_buckets: int = DEFAULT_N
 
 def ice_pos(records: Sequence[EvalRecord], method: str) -> float:
     """Mean confidence shortfall (1 - conf) over the correct records."""
-    positives = [r for r in records if r.correct]
-    if not positives:
+    value = summarize(records, method, 1).ice_pos
+    if math.isnan(value):
         raise ValueError("ice_pos requires at least one correct record")
-    return math.fsum(1.0 - r.confidence(method) for r in positives) / len(positives)
+    return value
 
 
 def ice_neg(records: Sequence[EvalRecord], method: str) -> float:
     """Mean confidence excess over the incorrect records."""
-    negatives = [r for r in records if not r.correct]
-    if not negatives:
+    value = summarize(records, method, 1).ice_neg
+    if math.isnan(value):
         raise ValueError("ice_neg requires at least one incorrect record")
-    return math.fsum(r.confidence(method) for r in negatives) / len(negatives)
+    return value
 
 
 def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, DegenerateFlag]:
@@ -160,33 +160,14 @@ def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, Degener
     With one class empty, returns the other ICE plus a degeneracy flag
     instead of silently reporting zero.
     """
-    return _class_errors(records, method)[2:]
-
-
-def _class_errors(
-    records: Sequence[EvalRecord], method: str
-) -> tuple[float, float, float, DegenerateFlag]:
-    """ice_pos and ice_neg (NaN for an empty class), then `macro_ce`'s pair."""
-    if not records:
-        raise ValueError("at least one record required")
-    has_pos = any(r.correct for r in records)
-    has_neg = any(not r.correct for r in records)
-    pos = ice_pos(records, method) if has_pos else math.nan
-    neg = ice_neg(records, method) if has_neg else math.nan
-    if has_pos and has_neg:
-        return pos, neg, (pos + neg) / 2.0, "none"
-    if has_pos:
-        return pos, neg, pos, "no_incorrect"
-    return pos, neg, neg, "no_correct"
+    summary = summarize(records, method, 1)
+    return summary.macro_ce, summary.degenerate_flag
 
 
 def confidence_gap(records: Sequence[EvalRecord], method: str) -> tuple[float, float, float]:
     """(average confidence, accuracy, gap); a positive gap means over-confidence."""
-    if not records:
-        raise ValueError("at least one record required")
-    avg_conf = math.fsum(r.confidence(method) for r in records) / len(records)
-    acc = accuracy(records)
-    return avg_conf, acc, avg_conf - acc
+    summary = summarize(records, method, 1)
+    return summary.avg_confidence, summary.accuracy, summary.avg_confidence - summary.accuracy
 
 
 def summarize(
@@ -194,29 +175,35 @@ def summarize(
     method: str,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> CalibrationSummary:
-    """Compute the full calibration summary for one extraction method."""
+    """Compute the full calibration summary for one extraction method.
+
+    Each record's confidence is read once; `ece`, `ice_pos`, `ice_neg`,
+    `macro_ce` and `confidence_gap` are views of this summary.
+    """
     if not records:
         raise ValueError("at least one record required")
     pairs = [(r.item_id, r.confidence(method)) for r in records]
-    buckets = bucketize(pairs, num_buckets, correct=[r.correct for r in records])
-    n = len(records)
-    n_pos = sum(1 for r in records if r.correct)
-    n_neg = n - n_pos
-    # weighting by size/n keeps the single-bucket case bitwise equal to
-    # |avg_conf - accuracy| (the weight is exactly 1.0)
-    ece_value = math.fsum(b.size / n * abs(b.accuracy - b.avg_confidence) for b in buckets)
-    pos, neg, mce, flag = _class_errors(records, method)
-    avg_conf, acc, _ = confidence_gap(records, method)
+    correct = [r.correct for r in records]
+    buckets = bucketize(pairs, num_buckets, correct)
+    shortfalls = [1.0 - conf for (_, conf), ok in zip(pairs, correct) if ok]
+    excesses = [conf for (_, conf), ok in zip(pairs, correct) if not ok]
+    n, n_pos, n_neg = len(pairs), len(shortfalls), len(excesses)
+    pos = math.fsum(shortfalls) / n_pos if n_pos else math.nan
+    neg = math.fsum(excesses) / n_neg if n_neg else math.nan
+    flag = "none" if n_pos and n_neg else "no_incorrect" if n_pos else "no_correct"
+    mce = {"none": (pos + neg) / 2.0, "no_incorrect": pos, "no_correct": neg}[flag]
     return CalibrationSummary(
-        ece=ece_value,
+        # weighting by size/n keeps the single-bucket case bitwise equal to
+        # |avg_conf - accuracy| (the weight is exactly 1.0)
+        ece=math.fsum(b.size / n * abs(b.accuracy - b.avg_confidence) for b in buckets),
         ice_pos=pos,
         ice_neg=neg,
         macro_ce=mce,
         n=n,
         n_pos=n_pos,
         n_neg=n_neg,
-        avg_confidence=avg_conf,
-        accuracy=acc,
+        avg_confidence=math.fsum(conf for _, conf in pairs) / n,
+        accuracy=n_pos / n,
         buckets=buckets,
         degenerate_flag=flag,
     )

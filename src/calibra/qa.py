@@ -52,7 +52,7 @@ def _verdict(normalized: str) -> Verdict:
     return "unresolved"
 
 
-def _is_string_sequence(value) -> bool:
+def is_string_sequence(value) -> bool:
     return type(value) in (list, tuple) and all(type(v) is str for v in value)
 
 
@@ -75,11 +75,11 @@ class QAItem:
         if type(self.question) is not str:
             raise TypeError(f"question must be a string, not {self.question!r}")
         # tuple() of a string would make each of its letters an alias.
-        if not self.gold_answers or not _is_string_sequence(self.gold_answers):
+        if not self.gold_answers or not is_string_sequence(self.gold_answers):
             raise ValueError(
                 f"answers must be a non-empty list of strings, not {self.gold_answers!r}"
             )
-        if not _is_string_sequence(self.gold_facts):
+        if not is_string_sequence(self.gold_facts):
             raise TypeError(f"gold_facts must be a list of strings, not {self.gold_facts!r}")
         if self.answer_kind not in get_args(AnswerKind):
             raise ValueError(

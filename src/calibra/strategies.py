@@ -28,7 +28,7 @@ from .confidence import (
     token_prob_confidence,
     verbalized_confidence,
 )
-from .qa import ExtractedAnswer, QAItem, normalize_answer
+from .qa import ExtractedAnswer, QAItem, is_string_sequence, normalize_answer
 
 ControlFlow = Literal["linear", "conditional_branch", "repeat_n_vote"]
 
@@ -264,6 +264,10 @@ class StrategyConfig:
     _KNOWN_IDS = {"extraction_method_ids": METHOD_IDS}
 
     def __post_init__(self) -> None:
+        # A string "QA" would unpack as the pair ("Q", "A").
+        for demo in self.demonstrations:
+            if not is_string_sequence(demo) or len(demo) != 2:
+                raise ValueError(f"demonstrations: each must be a pair of strings, not {demo!r}")
         self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
         # Checked here, before any request: a repeated id would count its rows twice.
         for key, known in self._KNOWN_IDS.items():

@@ -111,6 +111,10 @@ class TestCompletion:
         assert type(completion.top_logprobs) is tuple
         assert completion.top_logprobs[0] is top[0]
 
+    def test_has_no_instance_dict(self):
+        # A loaded cache holds one per entry; slots keep each one small.
+        assert not hasattr(Completion("a", ["a"], [-0.1], [{"a": -0.1}]), "__dict__")
+
     @pytest.mark.parametrize("tokens, logprobs, top, message", [
         (("a",), (-0.1,), (["a", -0.1],), "must be objects"),
         (("a",), (-0.1,), (None,), "must be objects"),

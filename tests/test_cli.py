@@ -300,9 +300,9 @@ class Inputs:
     def config(self, **extra) -> str:
         return str(write_config(self.tmp, self.dataset, self.script, **extra))
 
-    def file(self, name: str, text: str = "") -> str:
+    def file(self, name: str, text: str = "", encoding: str = "utf-8") -> str:
         path = self.tmp / name
-        path.write_text(text)
+        path.write_text(text, encoding=encoding)
         return str(path)
 
     def records(self, dataset: str = "dataset") -> str:
@@ -310,11 +310,12 @@ class Inputs:
                "concern": True, "confidences": {"token_prob": 0.3}}
         return self.file("records.jsonl", json.dumps(row) + "\n")
 
-    def report(self, *rows: dict, strategy_ids=("standard",), **config) -> str:
+    def report(self, *rows: dict, strategy_ids=("standard",), encoding="utf-8", **config) -> str:
         """A run directory: report.json's config block, and a records line per row.
 
         Each row is laid over a valid record of q1 under `standard`; a key set to
-        `MISSING` is left out. Without rows there is no records.jsonl.
+        `MISSING` is left out. Without rows there is no records.jsonl; the rows
+        are written in `encoding`.
         """
         run = self.tmp / "run"
         run.mkdir()
@@ -326,7 +327,8 @@ class Inputs:
         lines = [{k: v for k, v in {**base, **row}.items() if v is not MISSING} for row in rows]
         if lines:
             (run / "records.jsonl").write_text(
-                "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+                "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+                encoding=encoding)
         return str(run)
 
     def dataset_line(self, **fields) -> str:
@@ -499,6 +501,10 @@ EXIT_CASES = {
         3, "error: dataset 'dataset': each strategy needs one record for each of the same items, "
            "at least one; got record counts {{'standard': 2, 'far_final': 2}}", 0,
     ),
+    "records_not_utf8": (
+        lambda i: ["metrics", "--report", i.report({"item_id": "q\u00e9"}, encoding="latin-1")],
+        3, "error: {tmp}/run/records.jsonl:1: invalid record: 'utf-8' codec can't decode byte 0xe9", 0,
+    ),
     "record_without_a_configured_method": (
         lambda i: ["metrics", "--report", i.report(
             {}, extraction_method_ids=["token_prob", "p_true"])],
@@ -516,6 +522,20 @@ EXIT_CASES = {
         lambda i: ["metrics", "--report", str(Path(i.file("report.json", json.dumps(
             {"config": {"dataset_path": [str(i.dataset)], "num_buckets": 0}}))).parent)],
         3, "error: {tmp}/report.json: no valid config block: num_buckets must be >= 1", 0,
+    ),
+    "sweep_demonstrations_count_negative": (
+        lambda i: ["sweep", "--config", i.config(demonstrations=[["Q?", "A"]]),
+                   "--axis", "demonstrations_count", "--values=-1"],
+        1, "error: demonstrations_count must be in 0..1, the number of configured "
+           "demonstrations; got -1", 0,
+    ),
+    "demonstration_a_string": (
+        lambda i: ["run", "--config", i.config(demonstrations=["QA"])],
+        1, "error: demonstrations: each must be a pair of strings, not 'QA'", 0,
+    ),
+    "demonstration_of_three": (
+        lambda i: ["run", "--config", i.config(demonstrations=[["a", "b", "c"]])],
+        1, "error: demonstrations: each must be a pair of strings, not ['a', 'b', 'c']", 0,
     ),
     "sweep_values_not_integers": (
         lambda i: ["sweep", "--config", i.config(), "--axis", "thought_char_budget",
@@ -587,6 +607,11 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(concern_lexicon_path=str(i.tmp / "missing.txt"))],
         1, "error: concern_lexicon_path: [Errno 2] No such file or directory: '{tmp}/missing.txt'", 0,
     ),
+    "lexicon_not_utf8": (
+        lambda i: ["run", "--config", i.config(), "--concern-lexicon",
+                   i.file("lexicon.txt", "caf\u00e9\n", encoding="latin-1")],
+        1, "error: concern_lexicon_path: 'utf-8' codec can't decode byte 0xe9", 0,
+    ),
     "metrics_records_missing": (
         lambda i: ["metrics", "--report", i.report()],
         3, "error: records: [Errno 2] No such file or directory: '{tmp}/run/records.jsonl'", 0,
@@ -631,6 +656,12 @@ EXIT_CASES = {
             {"id": "q1", "question": "q?", "answers": ["No"], "answer_kind": "boolen"}) + "\n")])],
         3, "error: {tmp}/kinds.jsonl:1: invalid item: item 'q1': answer_kind must be one of "
            "('boolean', 'free_form'), got 'boolen'", 0,
+    ),
+    "dataset_not_utf8": (
+        lambda i: ["run", "--config", i.config(dataset_path=[i.file(
+            "d.jsonl", '{"id": "q1", "question": "Caf\u00e9?", "answers": ["Paris"]}\n',
+            encoding="latin-1")])],
+        3, "error: {tmp}/d.jsonl:1: invalid item: 'utf-8' codec can't decode byte 0xe9", 0,
     ),
     "dataset_is_a_directory": (
         lambda i: ["run", "--config", i.config(dataset_path=[str(i.tmp)])],
@@ -708,6 +739,8 @@ CONSTRUCTOR_CASES = {
     "thought_char_budget_negative": (StrategyConfig, {"thought_char_budget": -5}),
     "max_tokens_a_float": (StrategyConfig, {"max_tokens": 60.5}),
     "self_consistency_n_a_bool": (StrategyConfig, {"self_consistency_n": True}),
+    "demonstration_a_string": (StrategyConfig, {"demonstrations": ["QA"]}),
+    "demonstration_of_three": (StrategyConfig, {"demonstrations": [["a", "b", "c"]]}),
 }
 
 

@@ -81,6 +81,18 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_line_ending_gives_the_same_items_and_line_numbers(self, tmp_path, newline):
+        path = tmp_path / "d.jsonl"
+        first = json.dumps({"id": "1", "question": "Café?", "answers": ["x"]}, ensure_ascii=False)
+        # A line of Unicode whitespace alone is blank.
+        lines = [first, " ", json.dumps({"id": "2", "question": "q?", "answers": ["y"]})]
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        assert [(i.id, i.question) for i in load_dataset(path)] == [("1", "Café?"), ("2", "q?")]
+        path.write_bytes(newline.join([*lines, first]).encode("utf-8"))
+        with pytest.raises(DataError, match=r":4: duplicate id '1' \(first seen on line 1\)"):
+            load_dataset(path)
+
     def test_integer_id_is_stored_as_its_string(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_lines(path, [{"id": 7, "question": "q?", "answers": ["x"]},

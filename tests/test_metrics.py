@@ -189,10 +189,29 @@ class TestIceAndMacro:
         assert flag == "no_correct" and abs(value - 0.7) < 1e-12
 
     def test_oracle_equivalence(self):
+        """macro_ce, ice_pos, ice_neg and confidence_gap against direct sums.
+
+        Every fourth set is all correct and the next all wrong, so the empty
+        class's ICE must raise.
+        """
         rng = random.Random(13)
-        for _ in range(200):
+        for k in range(200):
             records = random_records(rng, rng.randint(1, 12))
+            if k % 4 in (1, 2):
+                records = [rec(r.item_id, k % 4 == 1, r.confidences["m"]) for r in records]
+            confs = [r.confidences["m"] for r in records]
+            shortfalls = [1 - r.confidences["m"] for r in records if r.correct]
+            excesses = [r.confidences["m"] for r in records if not r.correct]
             assert abs(macro_ce(records, "m")[0] - macro_oracle(records)) < 1e-12
+            for view, errors in ((ice_pos, shortfalls), (ice_neg, excesses)):
+                if errors:
+                    assert abs(view(records, "m") - sum(errors) / len(errors)) < 1e-12
+                else:
+                    with pytest.raises(ValueError):
+                        view(records, "m")
+            avg = sum(confs) / len(confs)
+            acc = sum(1 for r in records if r.correct) / len(records)
+            assert confidence_gap(records, "m") == pytest.approx((avg, acc, avg - acc), abs=1e-12)
 
     def test_macro_one_iff_inverted(self):
         records = [rec("a", True, 0.0), rec("b", False, 1.0), rec("c", True, 0.0)]
