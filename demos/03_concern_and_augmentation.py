@@ -126,7 +126,7 @@ def main():
         print("== Improvement on the selected subset ==")
         print(f"before accuracy: {outcome.accuracy_before:.3f}")
         print(f"after accuracy:  {outcome.accuracy_after:.3f}")
-        if outcome.undefined:
+        if outcome.relative_improvement is None:
             print("relative improvement undefined (zero baseline)")
             print(f"absolute improvement: {outcome.absolute_improvement:+.3f}")
         else:

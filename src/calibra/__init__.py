@@ -41,11 +41,8 @@ from .metrics import (
     CalibrationSummary,
     DistributionCurve,
     bucketize,
-    confidence_gap,
     distribution_curve,
     ece,
-    ice_neg,
-    ice_pos,
     macro_ce,
     summarize,
     wins_table,

@@ -57,10 +57,10 @@ class ScriptError(BackendError):
 
 # Compact JSON with sorted keys, the one format of every JSON file calibra
 # writes: cache lines, records.jsonl, transcripts.jsonl, report.json,
-# run_meta.json and datasets. It is also request_hash's canonical form, so
-# changing it changes every cache key. Encoders are reentrant, so threads
-# share this one. Every value it encodes is a tree of tuples, dicts and
-# decoded JSON, never a cycle, so it does not check for one.
+# run_meta.json and datasets. A cache line's `request_hash` digests the
+# request in this form. Encoders are reentrant, so threads share this one.
+# Every value it encodes is a tree of tuples, dicts and decoded JSON, never
+# a cycle, so it does not check for one.
 LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
@@ -121,6 +121,8 @@ class Completion:
     finish_reason: Literal["stop", "length", "error"] = "stop"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"text must be a string, not {self.text!r}")
         set_field = object.__setattr__
         set_field(self, "tokens", tuple(self.tokens))
         set_field(self, "token_logprobs", tuple(self.token_logprobs))
@@ -165,11 +167,6 @@ def _canonical_request(request: CompletionRequest) -> tuple[str, str]:
     """The request's canonical JSON and the SHA-256 hex digest of those bytes."""
     canonical = LINE_ENCODER.encode(request.to_dict())
     return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def request_hash(request: CompletionRequest) -> str:
-    """Stable hex digest of the canonical request serialization."""
-    return _canonical_request(request)[1]
 
 
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
@@ -321,7 +318,7 @@ class ResponseCache:
         both get its completion, the one every later run reads back.
         """
         # The entry's canonical JSON, keys in sorted order, built from pieces
-        # so the request is encoded once: its bytes are what request_hash hashes.
+        # so the request is encoded once: its bytes are what `request_hash` digests.
         canonical, digest = _canonical_request(request)
         line = (
             f'{{"completion":{LINE_ENCODER.encode(completion.to_dict())},'
@@ -596,4 +593,4 @@ class HttpBackend:
             top = logprobs.get("top_logprobs") or [{} for _ in tokens]
             return Completion(text, tokens, logprobs.get("token_logprobs", ()), top, finish)
         except (TypeError, ValueError) as exc:
-            raise MalformedResponseError(f"inconsistent logprobs: {exc}") from exc
+            raise MalformedResponseError(f"unusable completion: {exc}") from exc

@@ -121,7 +121,6 @@ class AugmentationOutcome:
     accuracy_after: float
     relative_improvement: Optional[float]
     absolute_improvement: float
-    undefined: bool = False
 
 
 def improvement(
@@ -138,17 +137,12 @@ def improvement(
         raise ConcernError(f"records missing for selected ids: {sorted(missing)}")
     acc_before = accuracy(before_sel)
     acc_after = accuracy(after_sel)
-    if acc_before > 0:
-        relative: Optional[float] = (acc_after - acc_before) / acc_before
-        undefined = False
-    else:
-        relative = None
-        undefined = True
+    # None when the baseline accuracy is zero: no relative change is defined.
+    relative = (acc_after - acc_before) / acc_before if acc_before > 0 else None
     return AugmentationOutcome(
         selected_ids=sorted(wanted),
         accuracy_before=acc_before,
         accuracy_after=acc_after,
         relative_improvement=relative,
         absolute_improvement=acc_after - acc_before,
-        undefined=undefined,
     )

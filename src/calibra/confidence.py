@@ -46,13 +46,18 @@ class ConfidenceResult:
     reply: Optional[str] = None
 
 
+def _check_logprob(lp: float) -> None:
+    """A log-probability is a number <= 0; NaN fails the comparison too."""
+    if not (isinstance(lp, (int, float)) and lp <= 0):
+        raise ConfidenceError(f"log-probability {lp!r} is invalid: it must be a number <= 0")
+
+
 def token_prob_confidence(completion: Completion) -> ConfidenceResult:
     """exp(mean per-token logprob): the reciprocal perplexity of the sequence."""
     if not completion.token_logprobs:
         raise ConfidenceError("completion has no token logprobs")
     for lp in completion.token_logprobs:
-        if lp > 0:
-            raise ConfidenceError(f"log-probability {lp} > 0 is invalid")
+        _check_logprob(lp)
     value = math.exp(sum(completion.token_logprobs) / len(completion.token_logprobs))
     return ConfidenceResult(value=value, raw_value=value)
 
@@ -60,6 +65,7 @@ def token_prob_confidence(completion: Completion) -> ConfidenceResult:
 def _match_choice(top_logprobs: dict, choice: str) -> Optional[float]:
     for token, lp in top_logprobs.items():
         if token.strip().casefold() == choice.casefold():
+            _check_logprob(lp)
             return lp
     return None
 
@@ -93,6 +99,8 @@ def p_true_confidence(
         )
     p_a = math.exp(lp_a) if lp_a is not None else 0.0
     p_b = math.exp(lp_b) if lp_b is not None else 0.0
+    if normalized and not p_a + p_b > 0:
+        raise ConfidenceError(f"cannot normalize P(True): p(A) + p(B) is 0 in {first}")
     value = p_a / (p_a + p_b) if normalized else p_a
     return ConfidenceResult(
         value=value,

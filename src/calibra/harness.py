@@ -24,7 +24,7 @@ from .backend import (
     ResponseCache,
     load_mock_script,
 )
-from .concern import ConcernLexicon, concern_rate, detect_concern
+from .concern import ConcernError, ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, accuracy, exact_match
 from .strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 
@@ -50,7 +50,7 @@ class RunConfig(StrategyConfig):
     dataset_path: list[str]
     strategy_ids: list[str] = field(default_factory=lambda: ["standard"])
     backend: dict = field(default_factory=dict)
-    num_buckets: int = 10
+    num_buckets: int = cal.DEFAULT_NUM_BUCKETS
     kde_grid_size: int = 256
     cache_path: Optional[str] = None
     out_dir: Optional[str] = None
@@ -86,6 +86,8 @@ class RunConfig(StrategyConfig):
         try:
             with Path(path).open("r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError("a config must be a JSON object")
             unknown = set(data) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -238,6 +240,8 @@ def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
         )
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"concern_lexicon_path: {exc}") from exc
+    except ConcernError as exc:  # from None, or the cause's exit code (3) would win
+        raise ConfigError(f"concern_lexicon_path: {config.concern_lexicon_path}: {exc}") from None
     try:
         cache = ResponseCache(config.cache_path, backend) if config.cache_path else None
     except ValueError as exc:  # a line that does not load, named by file:line
@@ -482,18 +486,20 @@ def sweep(config: RunConfig, axis: str, values: Sequence) -> dict:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep requires at least one value")
+    numbers = [int(value) for value in values]
     variants = []
-    for value in values:
+    for value, number in zip(values, numbers):
+        if numbers.count(number) > 1:
+            raise ConfigError(f"{axis}: {number} is repeated")
         if axis == "thought_char_budget":
-            variant = replace(config, thought_char_budget=int(value))
+            variant = replace(config, thought_char_budget=number)
         else:
-            count = int(value)
-            if not 0 <= count <= len(config.demonstrations):
+            if not 0 <= number <= len(config.demonstrations):
                 raise ConfigError(
                     f"demonstrations_count must be in 0..{len(config.demonstrations)}, "
-                    f"the number of configured demonstrations; got {count}"
+                    f"the number of configured demonstrations; got {number}"
                 )
-            variant = replace(config, demonstrations=config.demonstrations[:count])
+            variant = replace(config, demonstrations=config.demonstrations[:number])
         if variant.out_dir:
             variant.out_dir = str(Path(variant.out_dir) / f"{axis}_{value}")
         variants.append((value, variant))

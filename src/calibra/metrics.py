@@ -1,8 +1,8 @@
 """Calibration error metrics and confidence-distribution curves.
 
 Implements bucketed expected calibration error, instance-level calibration
-errors for the correct/incorrect classes and their macro average, the
-over-confidence gap, per-row wins counting, and histogram/KDE exports.
+errors for the correct/incorrect classes and their macro average, all in
+one `summarize`, plus per-row wins counting and histogram/KDE exports.
 """
 
 from __future__ import annotations
@@ -138,22 +138,6 @@ def ece(records: Sequence[EvalRecord], method: str, num_buckets: int = DEFAULT_N
     return summarize(records, method, num_buckets).ece
 
 
-def ice_pos(records: Sequence[EvalRecord], method: str) -> float:
-    """Mean confidence shortfall (1 - conf) over the correct records."""
-    value = summarize(records, method, 1).ice_pos
-    if math.isnan(value):
-        raise ValueError("ice_pos requires at least one correct record")
-    return value
-
-
-def ice_neg(records: Sequence[EvalRecord], method: str) -> float:
-    """Mean confidence excess over the incorrect records."""
-    value = summarize(records, method, 1).ice_neg
-    if math.isnan(value):
-        raise ValueError("ice_neg requires at least one incorrect record")
-    return value
-
-
 def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, DegenerateFlag]:
     """Macro average of ice_pos and ice_neg.
 
@@ -164,12 +148,6 @@ def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, Degener
     return summary.macro_ce, summary.degenerate_flag
 
 
-def confidence_gap(records: Sequence[EvalRecord], method: str) -> tuple[float, float, float]:
-    """(average confidence, accuracy, gap); a positive gap means over-confidence."""
-    summary = summarize(records, method, 1)
-    return summary.avg_confidence, summary.accuracy, summary.avg_confidence - summary.accuracy
-
-
 def summarize(
     records: Sequence[EvalRecord],
     method: str,
@@ -177,8 +155,8 @@ def summarize(
 ) -> CalibrationSummary:
     """Compute the full calibration summary for one extraction method.
 
-    Each record's confidence is read once; `ece`, `ice_pos`, `ice_neg`,
-    `macro_ce` and `confidence_gap` are views of this summary.
+    Each record's confidence is read once; `ece` and `macro_ce` are
+    shortcuts to fields of this summary.
     """
     if not records:
         raise ValueError("at least one record required")

@@ -30,7 +30,6 @@ from calibra.backend import (
     complete,
     load_mock_script,
     mock_from_script,
-    request_hash,
     tokenize,
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
@@ -41,6 +40,21 @@ from conftest import FIXTURES
 def no_backoff(monkeypatch):
     """Retries in these tests do not wait."""
     monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.0)
+
+
+@pytest.fixture
+def written_hash(tmp_path):
+    """The `request_hash` field of the line `ResponseCache.put` writes for a request."""
+    paths = (tmp_path / f"hash{k}.jsonl" for k in itertools.count())
+
+    def digest(request: CompletionRequest) -> str:
+        path = next(paths)
+        cache = ResponseCache(path, mock_from_script({}))
+        cache.put(request, Completion("a", (), (), ()))
+        cache.close()
+        return json.loads(path.read_text(encoding="utf-8"))["request_hash"]
+
+    return digest
 
 
 class TestCompletionRequest:
@@ -70,13 +84,13 @@ class TestCompletionRequest:
         ],
         ids=["seed", "empty_stop", "stop", "int_temperature", "zero_temperature"],
     )
-    def test_from_dict_inverts_to_dict(self, request_):
+    def test_from_dict_inverts_to_dict(self, request_, written_hash):
         back = CompletionRequest.from_dict(request_.to_dict())
         assert back == request_
         # Through JSON too, keeping the field types a cache line's hash depends on.
         reread = CompletionRequest.from_dict(json.loads(json.dumps(request_.to_dict())))
         assert reread == request_
-        assert request_hash(reread) == request_hash(request_)
+        assert written_hash(reread) == written_hash(request_)
 
     def test_hash_keeps_equality(self):
         request = CompletionRequest(prompt="q", temperature=1)
@@ -111,6 +125,11 @@ class TestCompletion:
         assert type(completion.top_logprobs) is tuple
         assert completion.top_logprobs[0] is top[0]
 
+    @pytest.mark.parametrize("text", [None, b"a", 1])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(TypeError, match="text must be a string"):
+            Completion(text, (), (), ())
+
     def test_has_no_instance_dict(self):
         # A loaded cache holds one per entry; slots keep each one small.
         assert not hasattr(Completion("a", ["a"], [-0.1], [{"a": -0.1}]), "__dict__")
@@ -139,27 +158,31 @@ class TestCompletion:
 
 
 class TestRequestHash:
-    def test_stable_and_order_free(self):
+    """The `request_hash` field of the lines `put` writes."""
+
+    def test_stable_and_order_free(self, written_hash):
         a = CompletionRequest(prompt="q", max_tokens=5, temperature=0.7)
         b = CompletionRequest(prompt="q", temperature=0.7, max_tokens=5)
-        assert request_hash(a) == request_hash(b)
+        assert written_hash(a) == written_hash(b)
 
-    def test_digest_is_pinned(self):
-        # Existing cache files are keyed by these digests; a change to the
-        # canonical encoding would turn every entry into a miss.
+    def test_digest_is_pinned(self, written_hash):
+        # Lookups key on the request's fields, never on this digest, so a
+        # change to the canonical encoding misses no entry. But other readers
+        # of a cache file may match lines by it, and new lines would then
+        # disagree with old ones.
         request = CompletionRequest(
             prompt="Q: Is the sky blue?\nA: ", max_tokens=16, temperature=0.7,
             top_logprobs=5, seed=3, stop=("\n\n", "Q:"),
         )
-        assert request_hash(request) == (
+        assert written_hash(request) == (
             "66de4cd4c436e361e1065dd57c8ff8b0feff5edb201eee53049b310168567f56"
         )
-        assert request_hash(CompletionRequest(prompt="caf\u00e9")) == (
+        assert written_hash(CompletionRequest(prompt="caf\u00e9")) == (
             "8d1628df0df39f00810c7ec7e8b36518e6aec2e65b25d4d0fcb8566336409be0"
         )
 
-    def test_differs_on_prompt(self):
-        assert request_hash(CompletionRequest(prompt="a")) != request_hash(
+    def test_differs_on_prompt(self, written_hash):
+        assert written_hash(CompletionRequest(prompt="a")) != written_hash(
             CompletionRequest(prompt="b")
         )
 
@@ -260,7 +283,7 @@ class TestMockBackend:
 
 
 class TestCache:
-    def test_round_trip_hash_fixed_point(self, tmp_path):
+    def test_round_trip_hash_fixed_point(self, tmp_path, written_hash):
         path = tmp_path / "cache.jsonl"
         request = CompletionRequest(prompt="q", seed=5)
         completion = Completion(
@@ -271,7 +294,7 @@ class TestCache:
         cache.close()
         line = json.loads(path.read_text(encoding="utf-8"))
         reread = CompletionRequest.from_dict(line["request"])
-        assert request_hash(reread) == line["request_hash"]
+        assert written_hash(reread) == line["request_hash"]
         assert ResponseCache(path, mock_from_script({})).get(reread) == completion
 
     def test_cache_short_circuits_backend(self, tmp_path):
@@ -324,7 +347,7 @@ class TestCache:
         assert ResponseCache(tmp_path / "cache.jsonl", backend).get(request) is not None
         assert encoded == []  # load does not encode either
 
-    def test_stale_request_hash_serves_only_its_own_request(self, tmp_path):
+    def test_stale_request_hash_serves_only_its_own_request(self, tmp_path, written_hash):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
         cache = ResponseCache(path, backend)
@@ -334,7 +357,7 @@ class TestCache:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         stale = json.loads(lines[0])
         # The line for "a" claims the hash of "c", a request it does not hold.
-        stale["request_hash"] = request_hash(CompletionRequest(prompt="c"))
+        stale["request_hash"] = written_hash(CompletionRequest(prompt="c"))
         lines[0] = json.dumps(stale, sort_keys=True) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
 
@@ -440,15 +463,14 @@ class TestCache:
         start = line.index(b'"request":') + len(b'"request":')
         request_bytes = line[start : line.index(b',"request_hash":')]
         assert hashlib.sha256(request_bytes).hexdigest() == json.loads(line)["request_hash"]
-        assert request_hash(request) == json.loads(line)["request_hash"]
 
-    def test_loads_a_line_in_the_established_format(self, tmp_path):
+    def test_loads_a_line_in_the_established_format(self, tmp_path, written_hash):
         request = CompletionRequest(prompt="p", top_logprobs=1)
         line = (
             '{"completion": {"finish_reason": "stop", "text": "True", "token_logprobs": [-0.5], '
             '"tokens": ["True"], "top_logprobs": [{"True": -0.5}]}, "created_at": 1.5, '
             '"request": {"max_tokens": 120, "prompt": "p", "temperature": 1.2, '
-            '"top_logprobs": 1}, "request_hash": "' + request_hash(request) + '"}\n'
+            '"top_logprobs": 1}, "request_hash": "' + written_hash(request) + '"}\n'
         )
         path = tmp_path / "cache.jsonl"
         path.write_text(line, encoding="utf-8")
@@ -456,14 +478,14 @@ class TestCache:
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
 
-    def test_compact_lines_append_to_space_separated_ones(self, tmp_path):
+    def test_compact_lines_append_to_space_separated_ones(self, tmp_path, written_hash):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({p: p.upper() for p in "abcd"})
         old = [CompletionRequest(prompt=p, top_logprobs=1) for p in "ab"]
         with path.open("w", encoding="utf-8") as fh:  # lines as earlier versions wrote them
             for request in old:
                 fh.write(json.dumps({
-                    "request_hash": request_hash(request),
+                    "request_hash": written_hash(request),
                     "request": request.to_dict(),
                     "completion": backend.complete(request).to_dict(),
                     "created_at": 1.5,
@@ -499,10 +521,12 @@ class TestCache:
             # A request field that decoded to a list cannot be a lookup key.
             (lambda d: d["request"].update(prompt=["p"]), "unhashable type"),
             (lambda d: d["request"].update(stop=[["x"]]), "unhashable type"),
+            (lambda d: d["completion"].update(text=None), "text must be a string, not None"),
+            (lambda d: d["completion"].update(text=["B"]), r"text must be a string, not \['B'\]"),
         ],
         ids=[
             "missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned",
-            "top_logprobs_null", "prompt_list", "stop_nested_list",
+            "top_logprobs_null", "prompt_list", "stop_nested_list", "text_null", "text_a_list",
         ],
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
@@ -915,6 +939,16 @@ class TestHttpBackend:
         session = ScriptedSession(FakeResponse(payload=payload), FakeResponse(payload=payload))
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(MalformedResponseError, match="align"):
+            complete(backend, CompletionRequest(prompt="q", top_logprobs=5))
+        assert session.posts == 1
+
+    @pytest.mark.parametrize("text", [None, 5, ["True"]], ids=["null", "number", "list"])
+    def test_text_not_a_string_is_malformed_and_not_retried(self, text):
+        payload = self.payload()
+        payload["choices"][0]["text"] = text
+        session = ScriptedSession(FakeResponse(payload=payload), FakeResponse(payload=payload))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(MalformedResponseError, match="text must be a string"):
             complete(backend, CompletionRequest(prompt="q", top_logprobs=5))
         assert session.posts == 1
 

@@ -11,7 +11,13 @@ from calibra.concern import ConcernLexicon
 from calibra.harness import RunConfig, aggregate, read_records
 from calibra.qa import EvalRecord, QAItem
 from calibra.strategies import StrategyConfig
-from conftest import E2E_ITEMS, E2E_STANDARD, add_verbalized_entry, e2e_script_entries
+from conftest import (
+    E2E_ITEMS,
+    E2E_STANDARD,
+    add_p_true_entry,
+    add_verbalized_entry,
+    e2e_script_entries,
+)
 
 
 @pytest.fixture
@@ -335,12 +341,22 @@ class Inputs:
         row = {"id": "q1", "question": "Capital of France?", "answers": ["Paris"], **fields}
         return self.file("d.jsonl", json.dumps(row) + "\n")
 
-    def verbalized_yes_script(self) -> str:
-        # The first evaluation (q1, standard) gets "Yes" where a confidence belongs.
+    def q1_script(self, answer=None, p_true=None, verbalized=None) -> str:
+        """The e2e script with the first evaluation's (q1, standard) replies changed.
+
+        `answer` replaces its scripted answer; `p_true` (the probe's top
+        alternatives) and `verbalized` (a reply) script its probes.
+        """
         entries = e2e_script_entries()
         prompt = f"Question: {E2E_ITEMS[0].question}\nAnswer:"
-        add_verbalized_entry(entries, f"{prompt} {E2E_STANDARD['q1']['text']}", "Yes")
-        return self.file("yes.json", json.dumps({"entries": entries}))
+        reply = answer or E2E_STANDARD["q1"]
+        entries[prompt] = reply
+        context = f"{prompt} {reply['text']}"
+        if p_true is not None:
+            add_p_true_entry(entries, context, reply["text"], p_true)
+        if verbalized is not None:
+            add_verbalized_entry(entries, context, verbalized)
+        return self.file("q1.json", json.dumps({"entries": entries}))
 
 
 MISSING_ENTRY = ("error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
@@ -424,9 +440,27 @@ EXIT_CASES = {
     ),
     "unparseable_verbalized_reply": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--extract", "verbalized",
-                   "--mock-script", i.verbalized_yes_script()],
+                   "--mock-script", i.q1_script(verbalized="Yes")],
         3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
            "no numeral in confidence reply: 'Yes'", 2,
+    ),
+    "p_true_logprob_positive": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--extract", "p_true",
+                   "--mock-script", i.q1_script(p_true={"A": 0.5, "B": -2.0})],
+        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "log-probability 0.5 is invalid: it must be a number <= 0", 2,
+    ),
+    "token_logprob_nan": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--mock-script",
+                   i.q1_script(answer={"text": "False", "logprobs": [float("nan")]})],
+        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "log-probability nan is invalid: it must be a number <= 0", 1,
+    ),
+    "p_true_normalized_underflow": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"], p_true_normalized=True),
+                   "--extract", "p_true", "--mock-script", i.q1_script(p_true={"A": -800.0})],
+        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "cannot normalize P(True): p(A) + p(B) is 0 in {{'A': -800.0}}", 2,
     ),
     "record_without_correct": (
         lambda i: ["metrics", "--report", i.report({"correct": MISSING})],
@@ -529,6 +563,11 @@ EXIT_CASES = {
         1, "error: demonstrations_count must be in 0..1, the number of configured "
            "demonstrations; got -1", 0,
     ),
+    "sweep_values_repeated": (
+        lambda i: ["sweep", "--config", i.config(), "--axis", "thought_char_budget",
+                   "--values", "100,200,100"],
+        1, "error: thought_char_budget: 100 is repeated", 0,
+    ),
     "demonstration_a_string": (
         lambda i: ["run", "--config", i.config(demonstrations=["QA"])],
         1, "error: demonstrations: each must be a pair of strings, not 'QA'", 0,
@@ -611,6 +650,29 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(), "--concern-lexicon",
                    i.file("lexicon.txt", "caf\u00e9\n", encoding="latin-1")],
         1, "error: concern_lexicon_path: 'utf-8' codec can't decode byte 0xe9", 0,
+    ),
+    "lexicon_without_patterns": (
+        lambda i: ["run", "--config", i.config(), "--concern-lexicon",
+                   i.file("lexicon.txt", "# no patterns yet\n\n")],
+        1, "error: concern_lexicon_path: {tmp}/lexicon.txt: lexicon must contain at least one "
+           "pattern", 0,
+    ),
+    "lexicon_star_only": (
+        lambda i: ["run", "--config", i.config(concern_lexicon_path=i.file("lexicon.txt", "*\n"))],
+        1, "error: concern_lexicon_path: {tmp}/lexicon.txt: pattern '*' would match the empty "
+           "string", 0,
+    ),
+    "config_a_list": (
+        lambda i: ["run", "--config", i.file("c.json", '["a"]')],
+        1, "error: {tmp}/c.json: a config must be a JSON object", 0,
+    ),
+    "config_a_string": (
+        lambda i: ["run", "--config", i.file("c.json", '"ab"')],
+        1, "error: {tmp}/c.json: a config must be a JSON object", 0,
+    ),
+    "config_a_number": (
+        lambda i: ["run", "--config", i.file("c.json", "5")],
+        1, "error: {tmp}/c.json: a config must be a JSON object", 0,
     ),
     "metrics_records_missing": (
         lambda i: ["metrics", "--report", i.report()],

@@ -189,7 +189,8 @@ class TestImprovement:
     def test_zero_baseline_flagged_undefined(self):
         ids = ["a"]
         outcome = improvement([rec("a", False)], [rec("a", True)], ids)
-        assert outcome.undefined and outcome.relative_improvement is None
+        assert outcome.relative_improvement is None
+        assert outcome.absolute_improvement == 1.0
 
     def test_missing_records_rejected(self):
         with pytest.raises(ConcernError):

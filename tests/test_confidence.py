@@ -50,6 +50,13 @@ class TestTokenProb:
         with pytest.raises(ConfidenceError):
             token_prob_confidence(completion_with([0.1]))
 
+    @pytest.mark.parametrize("lp", [math.nan, None, "-0.1"], ids=["nan", "null", "a_string"])
+    def test_nan_or_non_number_logprob_rejected(self, lp):
+        # NaN > 0 is false, and an endpoint may send null; either would end the
+        # run in a traceback, when its record is built or at the comparison.
+        with pytest.raises(ConfidenceError, match=f"log-probability {lp!r} is invalid"):
+            token_prob_confidence(completion_with([-0.1, lp]))
+
     def test_empty_rejected(self):
         with pytest.raises(ConfidenceError):
             token_prob_confidence(completion_with([]))
@@ -106,6 +113,25 @@ class TestPTrue:
     def test_missing_a_uses_zero(self):
         backend = p_true_backend({"B": math.log(0.8), "C": math.log(0.1)})
         assert p_true_confidence(backend, "ctx", "Paris").value == 0.0
+
+    @pytest.mark.parametrize("top", [
+        {"A": 0.5, "B": -2.0},  # p(A) would be 1.65
+        {"A": -0.1, "B": 0.2},
+        {"A": math.nan, "B": -2.0},
+    ], ids=["a_positive", "b_positive", "a_nan"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_choice_logprob_above_zero_or_nan_rejected(self, top, normalized):
+        with pytest.raises(ConfidenceError, match="log-probability .* is invalid: it must be a"):
+            p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=normalized)
+
+    @pytest.mark.parametrize("top", [
+        {"A": -800.0},
+        {"A": -math.inf, "B": -math.inf},
+    ], ids=["underflow", "both_minus_infinity"])
+    def test_normalized_needs_some_probability(self, top):
+        assert p_true_confidence(p_true_backend(top), "ctx", "Paris").value == 0.0
+        with pytest.raises(ConfidenceError, match=r"cannot normalize P\(True\)"):
+            p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=True)
 
 
 class TestParseVerbalized:

@@ -592,6 +592,21 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(config, "thought_char_budget", [])
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("thought_char_budget", [100, 200, 100], "thought_char_budget: 100 is repeated"),
+        ("demonstrations_count", [1, 0, 1], "demonstrations_count: 1 is repeated"),
+    ], ids=["thought_char_budget", "demonstrations_count"])
+    def test_repeated_value_rejected_before_any_run(
+        self, e2e_dataset, e2e_script, tmp_path, monkeypatch, axis, values, message
+    ):
+        # A repeat would pay every request again and write its run directory twice.
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path, demonstrations=[["Q?", "A"]])
+        runs = []
+        monkeypatch.setattr(harness, "run_eval", lambda variant: runs.append(variant))
+        with pytest.raises(ConfigError, match=message):
+            sweep(config, axis, values)
+        assert runs == []
+
     def test_unknown_axis_rejected(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         with pytest.raises(ConfigError):

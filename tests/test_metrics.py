@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,11 +9,8 @@ from hypothesis import strategies as st
 from calibra.metrics import (
     bucket_index,
     bucketize,
-    confidence_gap,
     distribution_curve,
     ece,
-    ice_neg,
-    ice_pos,
     macro_ce,
     silverman_bandwidth,
     summarize,
@@ -129,8 +127,8 @@ class TestEce:
         rng = random.Random(11)
         for _ in range(100):
             records = random_records(rng, rng.randint(1, 15))
-            avg_conf, acc, _ = confidence_gap(records, "m")
-            assert abs(ece(records, "m", 1) - abs(avg_conf - acc)) < 1e-12
+            summary = summarize(records, "m", 1)
+            assert abs(ece(records, "m", 1) - abs(summary.avg_confidence - summary.accuracy)) < 1e-12
 
     def test_permutation_invariant(self):
         rng = random.Random(3)
@@ -156,13 +154,14 @@ class TestEce:
 
 class TestIceAndMacro:
     def test_ice_pos_perfect(self):
-        assert ice_pos([rec("a", True, 1.0)], "m") == 0.0
+        assert summarize([rec("a", True, 1.0)], "m").ice_pos == 0.0
 
     def test_ice_neg_worst(self):
-        assert ice_neg([rec("a", False, 1.0)], "m") == 1.0
+        assert summarize([rec("a", False, 1.0)], "m").ice_neg == 1.0
 
     def test_ice_pos_hand_sum(self):
-        assert abs(ice_pos([rec("a", True, 0.9), rec("b", True, 0.6)], "m") - 0.25) < 1e-12
+        records = [rec("a", True, 0.9), rec("b", True, 0.6)]
+        assert abs(summarize(records, "m").ice_pos - 0.25) < 1e-12
 
     def test_bucket_canceling_toy_macro_is_one(self):
         # One wrong at conf 1 and one correct at conf 0: both ICE terms hit 1.
@@ -189,10 +188,10 @@ class TestIceAndMacro:
         assert flag == "no_correct" and abs(value - 0.7) < 1e-12
 
     def test_oracle_equivalence(self):
-        """macro_ce, ice_pos, ice_neg and confidence_gap against direct sums.
+        """summarize's macro_ce, ICEs, average confidence and accuracy against direct sums.
 
         Every fourth set is all correct and the next all wrong, so the empty
-        class's ICE must raise.
+        class's ICE must read NaN.
         """
         rng = random.Random(13)
         for k in range(200):
@@ -202,16 +201,18 @@ class TestIceAndMacro:
             confs = [r.confidences["m"] for r in records]
             shortfalls = [1 - r.confidences["m"] for r in records if r.correct]
             excesses = [r.confidences["m"] for r in records if not r.correct]
+            summary = summarize(records, "m")
             assert abs(macro_ce(records, "m")[0] - macro_oracle(records)) < 1e-12
-            for view, errors in ((ice_pos, shortfalls), (ice_neg, excesses)):
+            assert abs(summary.macro_ce - macro_oracle(records)) < 1e-12
+            for value, errors in ((summary.ice_pos, shortfalls), (summary.ice_neg, excesses)):
                 if errors:
-                    assert abs(view(records, "m") - sum(errors) / len(errors)) < 1e-12
+                    assert abs(value - sum(errors) / len(errors)) < 1e-12
                 else:
-                    with pytest.raises(ValueError):
-                        view(records, "m")
+                    assert math.isnan(value)
             avg = sum(confs) / len(confs)
             acc = sum(1 for r in records if r.correct) / len(records)
-            assert confidence_gap(records, "m") == pytest.approx((avg, acc, avg - acc), abs=1e-12)
+            assert summary.avg_confidence == pytest.approx(avg, abs=1e-12)
+            assert summary.accuracy == pytest.approx(acc, abs=1e-12)
 
     def test_macro_one_iff_inverted(self):
         records = [rec("a", True, 0.0), rec("b", False, 1.0), rec("c", True, 0.0)]
@@ -220,20 +221,24 @@ class TestIceAndMacro:
         assert macro_ce(records, "m")[0] < 1.0
 
 
+def gap(records):
+    """metrics.csv's over-confidence gap: average confidence minus accuracy."""
+    summary = summarize(records, "m")
+    return summary.avg_confidence, summary.accuracy, summary.avg_confidence - summary.accuracy
+
+
 class TestConfidenceGap:
     def test_perfect_instance_calibration_zero_gap(self):
         records = [rec("a", True, 1.0), rec("b", False, 0.0)]
-        _, _, gap = confidence_gap(records, "m")
-        assert gap == 0.0
+        assert gap(records)[2] == 0.0
 
     def test_overconfident(self):
         records = [rec("a", True, 1.0), rec("b", False, 1.0)]
-        avg, acc, gap = confidence_gap(records, "m")
-        assert (avg, acc, gap) == (1.0, 0.5, 0.5)
+        assert gap(records) == (1.0, 0.5, 0.5)
 
     def test_hand_sum(self):
         records = [rec("a", True, 0.8), rec("b", False, 0.8)]
-        assert abs(confidence_gap(records, "m")[2] - 0.3) < 1e-12
+        assert abs(gap(records)[2] - 0.3) < 1e-12
 
 
 class TestWinsTable:
