@@ -55,13 +55,57 @@ class ScriptError(BackendError):
     """Mock script construction or lookup failure."""
 
 
-# Compact JSON with sorted keys, the one format of every JSON file calibra
-# writes: cache lines, records.jsonl, transcripts.jsonl, report.json,
-# run_meta.json and datasets. A cache line's `request_hash` digests the
-# request in this form. Encoders are reentrant, so threads share this one.
-# Every value it encodes is a tree of tuples, dicts and decoded JSON, never
-# a cycle, so it does not check for one.
+# Compact, ASCII-escaped JSON with sorted keys, the one format of every JSON
+# file calibra writes: cache lines, records.jsonl, transcripts.jsonl,
+# report.json, run_meta.json and datasets. A cache line's `request_hash`
+# digests the request in this form. `encode_line` writes it; this encoder
+# defines it, and writes every value whose orjson bytes could differ.
+# Encoders are reentrant, so threads share this one. Every value it encodes
+# is a tree of tuples, dicts and decoded JSON, never a cycle, so it does not
+# check for one.
 LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+# Dataclasses and datetimes raise in orjson, as they do in json.
+_ORJSON_OPTIONS = (
+    orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+)
+# Searches of the output bytes; a compiled literal searches faster than `in`.
+# A float in [1e-5, 1e-4): orjson writes 0.00001 where repr writes 1e-05.
+_SMALL_FLOAT = re.compile(rb"0\.0000").search
+# An exponent: orjson writes 1e16 and 1e-7 where repr writes 1e+16 and 1e-07.
+_EXPONENT = re.compile(rb"e[-0-9]").search
+_NULL = re.compile(rb"null").search
+
+
+def encode_line(value) -> str:
+    """`LINE_ENCODER.encode(value)`, written by orjson when its bytes provably match.
+
+    The two agree on the bytes of every JSON value except these, which go
+    to `LINE_ENCODER`: a value orjson refuses (an integer outside
+    [-2**63, 2**64), a lone surrogate, a non-string key, a namedtuple or a
+    numpy scalar), non-ASCII text and DEL (json escapes both), NaN and
+    ±inf (orjson writes `null`, so any `null` falls back) and floats below
+    1e-4 or from 1e16 on (orjson writes `0.00001` and `1e16`, repr `1e-05`
+    and `1e+16`). Each test is on the output bytes and may also fall back
+    on a string holding the same bytes. orjson also writes UUIDs and
+    enum members, which json refuses; calibra encodes neither.
+    """
+    try:
+        out = orjson.dumps(value, option=_ORJSON_OPTIONS)
+    except TypeError:  # orjson.JSONEncodeError
+        return LINE_ENCODER.encode(value)
+    # A line that falls back should fail early, so the float tests come
+    # first: a real endpoint's logprobs of near-certain tokens (-1e-05,
+    # -3e-07) fail them on most replies.
+    if (
+        out.isascii()
+        and _SMALL_FLOAT(out) is None
+        and _EXPONENT(out) is None
+        and _NULL(out) is None
+        and 0x7F not in out  # DEL; an int is found by one memchr, faster than b"\x7f"
+    ):
+        return out.decode("ascii")
+    return LINE_ENCODER.encode(value)
 
 
 def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int) -> None:
@@ -165,7 +209,7 @@ def tokenize(text: str) -> list[str]:
 
 def _canonical_request(request: CompletionRequest) -> tuple[str, str]:
     """The request's canonical JSON and the SHA-256 hex digest of those bytes."""
-    canonical = LINE_ENCODER.encode(request.to_dict())
+    canonical = encode_line(request.to_dict())
     return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -321,7 +365,7 @@ class ResponseCache:
         # so the request is encoded once: its bytes are what `request_hash` digests.
         canonical, digest = _canonical_request(request)
         line = (
-            f'{{"completion":{LINE_ENCODER.encode(completion.to_dict())},'
+            f'{{"completion":{encode_line(completion.to_dict())},'
             f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'
         )
         key = _request_key(request)
@@ -571,13 +615,18 @@ class HttpBackend:
             raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         if not 200 <= resp.status_code < 300:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+        # A body that is not JSON, or not of the expected shape or types.
         try:
             payload = resp.json()
             choice = payload["choices"][0]
             text = choice["text"]
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"unparseable completion body: {exc}") from exc
         logprobs = choice.get("logprobs")
+        if logprobs and not isinstance(logprobs, dict):
+            raise MalformedResponseError(
+                f"unusable completion: logprobs must be an object, not {type(logprobs).__name__}"
+            )
         if request.top_logprobs > 0 and not logprobs:
             raise CapabilityError(
                 "backend returned no logprobs but top_logprobs was requested; "

@@ -18,14 +18,14 @@ from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
 from . import metrics as cal
 from .backend import (
-    LINE_ENCODER,
     Backend,
     HttpBackend,
     ResponseCache,
+    encode_line,
     load_mock_script,
 )
 from .concern import ConcernError, ConcernLexicon, concern_rate, detect_concern
-from .qa import EvalRecord, QAItem, accuracy, exact_match
+from .qa import EvalRecord, QAItem, accuracy, exact_match, is_string_sequence
 from .strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 
 logger = logging.getLogger(__name__)
@@ -67,8 +67,12 @@ class RunConfig(StrategyConfig):
             raise ConfigError(str(exc)) from exc
         if isinstance(self.dataset_path, (str, Path)):
             self.dataset_path = [str(self.dataset_path)]
+        elif is_string_sequence(self.dataset_path):
+            self.dataset_path = list(self.dataset_path)
         else:
-            self.dataset_path = [str(p) for p in self.dataset_path]
+            raise ConfigError(
+                f"dataset_path: expected a path or a list of paths, not {self.dataset_path!r}"
+            )
         if not self.dataset_path:
             raise ConfigError("at least one dataset path required")
         # Curve CSVs and the records' dataset column use the file stem, so stems must differ.
@@ -160,7 +164,7 @@ def write_dataset(items: Sequence[QAItem], path: str | Path) -> None:
                 row["gold_facts"] = list(item.gold_facts)
             if item.external_knowledge:
                 row["external_knowledge"] = item.external_knowledge
-            fh.write(LINE_ENCODER.encode(row) + "\n")
+            fh.write(encode_line(row) + "\n")
 
 
 @dataclass
@@ -178,8 +182,8 @@ class RunReport:
         return d
 
     def to_json(self) -> str:
-        """One line of compact, sorted-key JSON, written by json's C encoder."""
-        return LINE_ENCODER.encode(self.to_dict())
+        """One line of compact, sorted-key JSON."""
+        return encode_line(self.to_dict())
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:
@@ -308,7 +312,7 @@ def evaluate(
             strategy_id=strategy_id,
             dataset=dataset,
         )
-        line = LINE_ENCODER.encode(transcript.to_dict()) + "\n" if transcripts is not None else None
+        line = encode_line(transcript.to_dict()) + "\n" if transcripts is not None else None
         return record, line
 
     records: list[EvalRecord] = []
@@ -439,13 +443,13 @@ def emit_report(
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     with (out_dir / "records.jsonl").open("w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(LINE_ENCODER.encode(vars(r)) + "\n")
+            fh.write(encode_line(vars(r)) + "\n")
     meta_path = out_dir / "run_meta.json"
     meta = {"written_at": time.time()}
     transcripts_path = out_dir / "transcripts.jsonl"
     if transcripts_path.exists():
         meta["transcripts_path"] = str(transcripts_path)
-    meta_path.write_text(LINE_ENCODER.encode(meta) + "\n", encoding="utf-8")
+    meta_path.write_text(encode_line(meta) + "\n", encoding="utf-8")
     with (out_dir / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

@@ -271,7 +271,11 @@ class StrategyConfig:
         self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
         # Checked here, before any request: a repeated id would count its rows twice.
         for key, known in self._KNOWN_IDS.items():
-            ids = list(getattr(self, key))
+            ids = getattr(self, key)
+            # A string would be read as its letters, each an unknown id.
+            if not is_string_sequence(ids):
+                raise ValueError(f"{key}: expected a list of ids, not {ids!r}")
+            ids = list(ids)
             setattr(self, key, ids)
             for index, id_ in enumerate(ids):
                 if id_ not in known:

@@ -4,15 +4,19 @@ import itertools
 import json
 import logging
 import math
+import random
 import re
 import shutil
+import struct
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import orjson
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from calibra import backend as backend_module
 from calibra.backend import (
@@ -28,12 +32,15 @@ from calibra.backend import (
     ScriptError,
     TransportError,
     complete,
+    encode_line,
     load_mock_script,
     mock_from_script,
     tokenize,
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
-from conftest import FIXTURES
+from calibra.qa import QAItem
+from calibra.strategies import StrategyConfig, execute, plan
+from conftest import FIXTURES, add_p_true_entry, add_verbalized_entry, build_script
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +141,14 @@ class TestCompletion:
         # A loaded cache holds one per entry; slots keep each one small.
         assert not hasattr(Completion("a", ["a"], [-0.1], [{"a": -0.1}]), "__dict__")
 
+    def test_frozen_and_replace_checks_again(self):
+        completion = Completion("a", ["a"], [-0.1], [{"a": -0.1}], "length")
+        with pytest.raises(FrozenInstanceError):
+            completion.text = "b"
+        assert replace(completion, finish_reason="stop").finish_reason == "stop"
+        with pytest.raises(ValueError, match="must align"):
+            replace(completion, tokens=())
+
     @pytest.mark.parametrize("tokens, logprobs, top, message", [
         (("a",), (-0.1,), (["a", -0.1],), "must be objects"),
         (("a",), (-0.1,), (None,), "must be objects"),
@@ -155,6 +170,139 @@ class TestCompletion:
     def test_tokenize_concatenates(self):
         text = "False. There will  need\nto be further research."
         assert "".join(tokenize(text)) == text
+
+
+# Values that meet each output test of the guard: non-ASCII text, DEL,
+# control characters, lone surrogates, the bytes of `null`, an exponent or a
+# small float inside a string, integers at the edges of 64 bits, floats at
+# the edges of [1e-4, 1e16), and NaN and the infinities.
+_EDGE_TEXTS = ["a", '"', "\\", "/", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600",
+               "\ud800", "\udfff", "null", "e5", "e-", "0.0000", "1e16"]
+_EDGE_INTS = [0, -1, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64 - 1, 2**64, -2**64, 10**30]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-4, -1e-4, 9.999999999999999e-05, 1e-05, -1e-07,
+                1e16, 9999999999999998.0, 1e15, 1.5e300, 0.1, -0.35667494393873245,
+                math.nan, math.inf, -math.inf]
+_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+# Any character: `st.characters()` leaves out the surrogates, drawn here apart.
+_ANY_CHAR = st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))
+_TEXT = st.lists(
+    st.one_of(_ASCII, _ASCII, st.sampled_from(_EDGE_TEXTS), _ANY_CHAR), max_size=8
+).map("".join)
+# Mostly values that orjson writes as json does, so that many trees take the
+# orjson path, and any value at all in the last branch.
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(-2**63, 2**64 - 1),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+    _TEXT,
+    st.one_of(
+        st.none(), st.integers(), st.floats(), st.sampled_from(_EDGE_INTS + _EDGE_FLOATS),
+    ),
+)
+_KEYS = st.one_of(_TEXT, _TEXT, _TEXT, st.integers(), st.none(), st.booleans())
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(encode, value):
+    """The text `encode` writes for `value`, or the type of what it raises."""
+    try:
+        return encode(value)
+    except Exception as exc:
+        return type(exc)
+
+
+class _OracleUnused:
+    """A `LINE_ENCODER` stand-in that fails the test if the guard falls back."""
+
+    def encode(self, value):
+        pytest.fail(f"encode_line fell back to json for {value!r:.200}")
+
+
+class TestEncodeLine:
+    """`encode_line` writes `LINE_ENCODER`'s bytes, through orjson where they provably agree."""
+
+    @given(_TREES)
+    def test_equals_the_json_encoder(self, value):
+        assert _outcome(encode_line, value) == _outcome(LINE_ENCODER.encode, value)
+
+    @pytest.mark.parametrize("value", _EDGE_TEXTS + _EDGE_INTS + _EDGE_FLOATS, ids=ascii)
+    def test_edge_values_equal_the_json_encoder(self, value):
+        trees = [value, [value, 0.5], {"k": (value, "v")}]
+        if isinstance(value, str):
+            trees.append({value: 1, "k": 2})
+        for tree in trees:
+            assert encode_line(tree) == LINE_ENCODER.encode(tree)
+
+    def test_bench_like_cache_line_takes_orjson(self, tmp_path, monkeypatch):
+        request = CompletionRequest(
+            prompt="Question: Is water wet?\nAnswer:", top_logprobs=1, seed=3
+        )
+        completion = Completion(
+            " Yes", [" Yes"], [-0.35667494393873245], [{" Yes": -0.35667494393873245, " No": -1.2}]
+        )
+        monkeypatch.setattr(backend_module, "LINE_ENCODER", _OracleUnused())
+        cache = ResponseCache(tmp_path / "cache.jsonl", mock_from_script({}))
+        cache.put(request, completion)
+        cache.close()
+        line = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
+        assert line == LINE_ENCODER.encode(json.loads(line)) + "\n"
+
+    def test_bench_like_transcript_line_takes_orjson(self, monkeypatch):
+        item = QAItem(
+            id="q1", question="Is water wet?", gold_answers=("Yes",), answer_kind="boolean"
+        )
+        entries = build_script("standard", item, {"answer": {"text": "Yes", "logprobs": [-0.25]}})
+        context = f"{next(iter(entries))} Yes"
+        add_p_true_entry(entries, context, "Yes", {"A": math.log(0.7), "B": math.log(0.2)})
+        add_verbalized_entry(entries, context, " 0.85")
+        config = StrategyConfig(extraction_method_ids=["token_prob", "p_true", "verbalized"])
+        row = execute(plan("standard", item), item, mock_from_script(entries), config).to_dict()
+        expected = LINE_ENCODER.encode(row)
+        monkeypatch.setattr(backend_module, "LINE_ENCODER", _OracleUnused())
+        assert encode_line(row) == expected
+
+    def test_small_logprob_and_non_ascii_prompt_fall_back_to_json(self, tmp_path):
+        request = CompletionRequest(prompt="Is it café?", top_logprobs=1)
+        completion = Completion(" Yes", [" Yes"], [-1e-05], [{" Yes": -1e-05}])
+        cache = ResponseCache(tmp_path / "cache.jsonl", mock_from_script({}))
+        cache.put(request, completion)
+        cache.close()
+        line = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
+        assert line == LINE_ENCODER.encode(json.loads(line)) + "\n"
+        assert '"token_logprobs":[-1e-05]' in line and '"prompt":"Is it caf\\u00e9?"' in line
+
+    def test_installed_orjson_writes_floats_in_range_as_json_does(self):
+        # The guard lets through every float in [1e-4, 1e16) on the premise
+        # that orjson writes it as repr does. That rests on orjson's float
+        # writer, so it is checked here on whichever orjson is installed.
+        rng = random.Random(20)
+
+        def double(exponents):
+            bits = rng.getrandbits(1) << 63 | rng.choice(exponents) << 52 | rng.getrandbits(52)
+            return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+        in_range = range(1023 - 14, 1023 + 54)  # biased exponents of 2**-14 .. 2**53
+        floats = [double(in_range) for _ in range(200_000)]
+        floats += [round(-rng.uniform(1e-4, 30.0), rng.randint(0, 17)) for _ in range(100_000)]
+        floats = [x for x in floats if 1e-4 <= abs(x) < 1e16]
+        assert len(floats) > 290_000
+        for start in range(0, len(floats), 10_000):
+            batch = floats[start:start + 10_000]
+            if orjson.dumps(batch) != LINE_ENCODER.encode(batch).encode():
+                bad = next(x for x in batch if orjson.dumps(x) != repr(x).encode())
+                pytest.fail(f"orjson {orjson.__version__} writes {bad!r} as {orjson.dumps(bad)!r}")
+        # Outside that range orjson's forms differ, and the guard must see each.
+        for x in [double(range(2047)) for _ in range(20_000)]:
+            assert encode_line([x]) == LINE_ENCODER.encode([x]), x
 
 
 class TestRequestHash:
@@ -957,6 +1105,22 @@ class TestHttpBackend:
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(MalformedResponseError):
             backend.complete(CompletionRequest(prompt="q"))
+
+    @pytest.mark.parametrize("body, message", [
+        ({"choices": [{"text": " True", "logprobs": [1]}]}, "logprobs must be an object, not list"),
+        ([{"choices": [{"text": " True"}]}], "list indices must be integers"),
+        ({"choices": None}, "not subscriptable"),
+        ({"choices": [[" True"]]}, "list indices must be integers"),
+    ], ids=["logprobs_a_list", "body_a_list", "choices_null", "choice_a_list"])
+    @pytest.mark.parametrize("top_logprobs", [0, 5])
+    def test_body_of_the_wrong_shape_is_malformed_and_not_retried(
+        self, body, message, top_logprobs
+    ):
+        session = ScriptedSession(FakeResponse(payload=body), FakeResponse(payload=body))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(MalformedResponseError, match=message):
+            complete(backend, CompletionRequest(prompt="q", top_logprobs=top_logprobs))
+        assert session.posts == 1
 
     def test_http_error_surfaces_body(self):
         session = FakeSession(FakeResponse(status_code=500, text="kaput"))

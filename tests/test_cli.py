@@ -382,6 +382,22 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(), "--extract", "token_prob", "--extract", "token_prob"],
         1, "error: extraction_method_ids: 'token_prob' is repeated", 0,
     ),
+    "strategy_ids_a_string": (
+        lambda i: ["run", "--config", i.config(strategy_ids="standard")],
+        1, "error: strategy_ids: expected a list of ids, not 'standard'", 0,
+    ),
+    "methods_a_string": (
+        lambda i: ["run", "--config", i.config(extraction_method_ids="token_prob")],
+        1, "error: extraction_method_ids: expected a list of ids, not 'token_prob'", 0,
+    ),
+    "dataset_path_a_number": (
+        lambda i: ["run", "--config", i.config(dataset_path=5)],
+        1, "error: dataset_path: expected a path or a list of paths, not 5", 0,
+    ),
+    "dataset_path_a_list_of_numbers": (
+        lambda i: ["run", "--config", i.config(dataset_path=[5])],
+        1, "error: dataset_path: expected a path or a list of paths, not [5]", 0,
+    ),
     "config_not_json": (
         lambda i: ["run", "--config", i.file("bad.json", "{")],
         1, "error: {tmp}/bad.json: Expecting property name", 0,
@@ -798,6 +814,7 @@ CONSTRUCTOR_CASES = {
     "record_confidence_above_1": (record, {"confidences": {"token_prob": 1.5}}),
     "unknown_method": (StrategyConfig, {"extraction_method_ids": ["mystery"]}),
     "repeated_method": (StrategyConfig, {"extraction_method_ids": ["token_prob", "token_prob"]}),
+    "methods_a_string": (StrategyConfig, {"extraction_method_ids": "token_prob"}),
     "thought_char_budget_negative": (StrategyConfig, {"thought_char_budget": -5}),
     "max_tokens_a_float": (StrategyConfig, {"max_tokens": 60.5}),
     "self_consistency_n_a_bool": (StrategyConfig, {"self_consistency_n": True}),

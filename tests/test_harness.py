@@ -685,6 +685,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(dataset_path=["d"], **{field: ids})
 
+    def test_one_dataset_path_may_be_a_string(self, tmp_path):
+        assert RunConfig(dataset_path="d.jsonl").dataset_path == ["d.jsonl"]
+        assert RunConfig(dataset_path=tmp_path / "d.jsonl").dataset_path == [str(tmp_path / "d.jsonl")]
+
     def test_readme_key_table_lists_every_field(self):
         """Each key of README.md's config table, with the JSON of its default."""
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
