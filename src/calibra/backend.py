@@ -1,10 +1,9 @@
 """Completion backends: an OpenAI-compatible HTTP client and a scripted mock.
 
-Both expose a single `complete(request)` method returning a `Completion`;
-its per-token log-probabilities and top-K alternatives are filled only for
-a request with `top_logprobs >= 1`. A JSONL response cache is a backend
-too: it answers repeated requests itself and asks the backend it wraps
-only on a miss.
+Both expose a single `complete(request)` method returning the `Completion`
+that `parse_reply` reads from a `/v1/completions` reply body, which the mock
+renders itself. A JSONL response cache is a backend too: it answers
+repeated requests itself and asks the backend it wraps only on a miss.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, Optional, Protocol, Sequence, TextIO
+from typing import Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
 
 import orjson
 import requests
@@ -41,6 +40,9 @@ class BackendError(Exception):
 
 class TransportError(BackendError):
     """Retryable network, rate-limit (429) or server (5xx) failure."""
+
+    # The seconds a 429 or 503 reply's numeric Retry-After header asked for.
+    retry_after: Optional[float] = None
 
 
 class MalformedResponseError(BackendError):
@@ -402,15 +404,18 @@ class ResponseCache:
 # complete's retry policy: attempts per request, and the first wait, doubled after each.
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5
+# The longest wait a Retry-After header can ask of one retry.
+RETRY_AFTER_CAP_SECONDS = 30.0
 
 
 def complete(backend: Backend, request: CompletionRequest) -> Completion:
     """Run a completion with bounded retry on transport errors.
 
     Malformed responses are surfaced immediately; only transport and
-    rate-limit failures are retried, with exponential backoff. A
-    `ResponseCache` backend is retried as a whole, so a miss that failed is
-    looked up again.
+    rate-limit failures are retried, with exponential backoff, waiting
+    longer where a `Retry-After` header asks, up to `RETRY_AFTER_CAP_SECONDS`.
+    A `ResponseCache` backend is retried as a whole, so a miss that failed
+    is looked up again.
     """
     last_error: Optional[Exception] = None
     for attempt in range(MAX_ATTEMPTS):
@@ -420,36 +425,61 @@ def complete(backend: Backend, request: CompletionRequest) -> Completion:
             last_error = exc
             if attempt + 1 < MAX_ATTEMPTS:
                 delay = BACKOFF_SECONDS * (2**attempt)
+                if exc.retry_after is not None:
+                    delay = max(delay, min(exc.retry_after, RETRY_AFTER_CAP_SECONDS))
                 logger.warning("transport error (%s); retrying in %.1fs", exc, delay)
                 time.sleep(delay)
     raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-@dataclass(frozen=True)
-class MockResponse:
+def parse_reply(body, request: CompletionRequest) -> Completion:
+    """The `Completion` in `body`, an OpenAI `/v1/completions` reply to `request`.
+
+    An unreadable body is a `MalformedResponseError`. A reply without logprobs has
+    no tokens, none made up, and is a `CapabilityError` if the request asked for them.
+    """
+    try:
+        choice = body["choices"][0]
+        text = choice["text"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise MalformedResponseError(f"unparseable completion body: {exc}") from exc
+    logprobs = choice.get("logprobs")
+    if logprobs and not isinstance(logprobs, dict):
+        raise MalformedResponseError(
+            f"unusable completion: logprobs must be an object, not {type(logprobs).__name__}"
+        )
+    if request.top_logprobs > 0 and not logprobs:
+        raise CapabilityError(
+            "backend returned no logprobs but top_logprobs was requested; "
+            "token-probability and P(True) extraction need a logprobs-capable endpoint"
+        )
+    finish = choice.get("finish_reason", "stop")
+    if finish not in ("stop", "length"):
+        finish = "error"
+    logprobs = logprobs or {}
+    try:
+        tokens = tuple(logprobs.get("tokens", ()))
+        top = logprobs.get("top_logprobs") or [{} for _ in tokens]
+        return Completion(text, tokens, logprobs.get("token_logprobs", ()), top, finish)
+    except (TypeError, ValueError) as exc:
+        raise MalformedResponseError(f"unusable completion: {exc}") from exc
+
+
+class MockResponse(NamedTuple):
     """One scripted reply; `texts` with several entries cycles by request seed."""
 
     texts: tuple[str, ...]
     logprobs: Optional[tuple[float, ...]] = None
     top_logprobs: Optional[tuple[dict, ...]] = None
 
-    def pick(self, seed: Optional[int]) -> str:
-        index = (seed or 0) % len(self.texts)
-        return self.texts[index]
-
-
-# The reply to an unscripted prompt under fallback="unknown".
-_UNKNOWN = MockResponse(texts=("UNKNOWN",))
-
 
 class MockBackend:
     """Deterministic scripted backend keyed by exact prompt.
 
     Lookup is pure: the reply depends only on the request (including its
-    seed), never on call order. The call counter is telemetry only. Like
-    `HttpBackend`, a request with `top_logprobs == 0` gets only the text,
-    with empty token and logprob arrays; the script's logprobs (0.0 per
-    token where it gives none) answer requests with `top_logprobs >= 1`.
+    seed), never on call order. The call counter, telemetry only, counts
+    each `reply`. Like an endpoint, it sends logprobs only to a request with
+    `top_logprobs >= 1`: the script's, or 0.0 per token where it gives none.
     """
 
     def __init__(
@@ -459,48 +489,44 @@ class MockBackend:
     ):
         self._responses = responses
         self.fallback = fallback
-        self._calls = 0
+        self.call_count = 0
         self._lock = threading.Lock()
 
-    @property
-    def call_count(self) -> int:
-        return self._calls
-
-    def complete(self, request: CompletionRequest) -> Completion:
+    def reply(self, request: CompletionRequest) -> dict:
+        """The `/v1/completions` body an endpoint serving this script sends for `request`."""
         with self._lock:
-            self._calls += 1
+            self.call_count += 1
         response = self._responses.get(request.prompt)
         if response is None:
             if self.fallback != "unknown":
                 raise ScriptError(f"no script entry matches prompt: {request.prompt[:120]!r}")
-            response = _UNKNOWN
-        text = response.pick(request.seed)
-        if request.top_logprobs == 0:
-            # As over HTTP: a request that asks for no logprobs gets no tokens.
-            return Completion(text, (), (), (), "stop")
-        return _synthesize(text, response.logprobs, response.top_logprobs)
+            response = MockResponse(("UNKNOWN",))
+        text = response.texts[(request.seed or 0) % len(response.texts)]
+        choice = {"text": text, "finish_reason": "stop"}
+        if request.top_logprobs >= 1:
+            choice["logprobs"] = _synthesize(text, response)
+        return {"choices": [choice]}
+
+    def complete(self, request: CompletionRequest) -> Completion:
+        return parse_reply(self.reply(request), request)
 
 
-def _synthesize(
-    text: str,
-    logprobs: Optional[Sequence[float]],
-    top_logprobs: Optional[Sequence[dict]],
-) -> Completion:
+def _synthesize(text: str, response: MockResponse) -> dict:
+    """The `logprobs` object of a reply: the script's, its tokens reshaped to match."""
     tokens = tokenize(text)
-    logprobs = tuple(logprobs) if logprobs else (0.0,) * len(tokens)
+    logprobs = response.logprobs or (0.0,) * len(tokens)
     # Scripted logprobs take precedence over whitespace tokenization; reshape
     # the token list to match while keeping concatenation equal to the text.
     if len(logprobs) < len(tokens):
-        head, tail = tokens[: len(logprobs) - 1], tokens[len(logprobs) - 1 :]
-        tokens = head + ["".join(tail)]
+        tokens = tokens[: len(logprobs) - 1] + ["".join(tokens[len(logprobs) - 1 :])]
     elif len(logprobs) > len(tokens):
         tokens = tokens + [""] * (len(logprobs) - len(tokens))
-    if top_logprobs is None:
-        top = tuple({tok: lp} for tok, lp in zip(tokens, logprobs))
+    if response.top_logprobs is None:
+        top = [{tok: lp} for tok, lp in zip(tokens, logprobs)]
     else:
-        # Every call matching the script entry shares its dicts; copy them once.
-        top = tuple(dict(m) for m in top_logprobs)
-    return Completion(text, tokens, logprobs, top, "stop")
+        # Every call of the entry shares its dicts, so copy them; the parser rejects non-dicts.
+        top = [dict(m) if isinstance(m, dict) else m for m in response.top_logprobs]
+    return {"tokens": tokens, "token_logprobs": logprobs, "top_logprobs": top}
 
 
 def mock_from_script(
@@ -511,14 +537,14 @@ def mock_from_script(
 
     Keys are exact prompts; values are either a reply string, a list of
     reply strings (cycled by request seed), or a dict with keys
-    `text`/`texts` and optional `logprobs` and `top_logprobs`.
+    `text`/`texts` and optional `logprobs` and `top_logprobs`. A reply that
+    is not a string is a `ScriptError`.
     """
     if not isinstance(entries, dict):
         raise ScriptError("entries must be an object keyed by prompt")
     responses = {}
     for prompt, value in entries.items():
-        logprobs = None
-        top_lp = None
+        logprobs = top_lp = None
         if isinstance(value, str):
             texts: tuple[str, ...] = (value,)
         elif isinstance(value, list):
@@ -545,7 +571,11 @@ def mock_from_script(
             raise ScriptError(f"unsupported script value for {prompt[:60]!r}")
         if not texts:
             raise ScriptError(f"script entry for {prompt[:60]!r} has no replies")
-        responses[prompt] = MockResponse(texts=texts, logprobs=logprobs, top_logprobs=top_lp)
+        for text in texts:
+            if not isinstance(text, str):
+                raise ScriptError(f"script entry for {prompt[:60]!r} has a reply that is not "
+                                  f"a string: {text!r}")
+        responses[prompt] = MockResponse(texts, logprobs, top_lp)
     return MockBackend(responses, fallback=fallback)
 
 
@@ -609,37 +639,17 @@ class HttpBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
-        if resp.status_code == 429:
-            raise TransportError(f"rate limited: {resp.text[:200]}")
-        if resp.status_code >= 500:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if resp.status_code == 429 or resp.status_code >= 500:
+            what = "rate limited" if resp.status_code == 429 else f"HTTP {resp.status_code}"
+            error = TransportError(f"{what}: {resp.text[:200]}")
+            wait = resp.headers.get("Retry-After", "")
+            if resp.status_code in (429, 503) and wait.isascii() and wait.isdigit():  # not a date
+                error.retry_after = float(wait)
+            raise error
         if not 200 <= resp.status_code < 300:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-        # A body that is not JSON, or not of the expected shape or types.
         try:
-            payload = resp.json()
-            choice = payload["choices"][0]
-            text = choice["text"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            body = resp.json()
+        except ValueError as exc:
             raise MalformedResponseError(f"unparseable completion body: {exc}") from exc
-        logprobs = choice.get("logprobs")
-        if logprobs and not isinstance(logprobs, dict):
-            raise MalformedResponseError(
-                f"unusable completion: logprobs must be an object, not {type(logprobs).__name__}"
-            )
-        if request.top_logprobs > 0 and not logprobs:
-            raise CapabilityError(
-                "backend returned no logprobs but top_logprobs was requested; "
-                "token-probability and P(True) extraction need a logprobs-capable endpoint"
-            )
-        finish = choice.get("finish_reason", "stop")
-        if finish not in ("stop", "length"):
-            finish = "error"
-        # A reply without logprobs has no tokens to report; none are made up.
-        logprobs = logprobs or {}
-        try:
-            tokens = tuple(logprobs.get("tokens", ()))
-            top = logprobs.get("top_logprobs") or [{} for _ in tokens]
-            return Completion(text, tokens, logprobs.get("token_logprobs", ()), top, finish)
-        except (TypeError, ValueError) as exc:
-            raise MalformedResponseError(f"unusable completion: {exc}") from exc
+        return parse_reply(body, request)

@@ -1,7 +1,9 @@
-"""Shared fixtures: a 4-item boolean dataset and a mock-script builder.
+"""Shared fixtures: a 4-item boolean dataset, a mock-script builder and a fake endpoint.
 
 The script builder mirrors the executor's rendering so tests can script
 exact-prompt mock entries for multi-step pipelines without running them.
+`ScriptEndpoint` serves a mock's script over `HttpBackend`, so one script
+can drive both backends.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from calibra.backend import CompletionRequest, MockBackend
 from calibra.confidence import P_TRUE_QUESTION, POSSIBLE_ANSWER_PREFIX, VERBALIZED_SUFFIX
 from calibra.qa import QAItem, normalize_answer
 from calibra.strategies import StrategyConfig, plan, render_step
@@ -198,3 +201,44 @@ def e2e_script(tmp_path) -> Path:
 def e2e_expected() -> dict:
     with (FIXTURES / "e2e_expected.json").open(encoding="utf-8") as fh:
         return json.load(fh)
+
+
+class FakeResponse:
+    """A `requests.Response` stand-in: a status, a JSON payload, a text and headers."""
+
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
+        self.status_code = status_code
+        self._payload = payload
+        self.text = text
+        self.headers = headers or {}
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("no json")
+        return self._payload
+
+
+def _over_the_wire(body):
+    """`body` as the client decodes it once an endpoint has sent it as JSON."""
+    return json.loads(json.dumps(body))
+
+
+class ScriptEndpoint:
+    """A `requests.Session` stand-in for an endpoint that serves a mock's script.
+
+    Each post is answered with `mock.reply` to the request the posted body
+    describes, sent through JSON, so an `HttpBackend` over this session reads
+    the replies a run on the mock reads. `posts` holds the posted bodies.
+    """
+
+    def __init__(self, mock: MockBackend):
+        self.mock = mock
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts.append(json)
+        request = CompletionRequest(
+            prompt=json["prompt"], max_tokens=json["max_tokens"], temperature=json["temperature"],
+            top_logprobs=json.get("logprobs", 0), seed=json.get("seed"), stop=json.get("stop"),
+        )
+        return FakeResponse(payload=_over_the_wire(self.mock.reply(request)))

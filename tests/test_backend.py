@@ -38,9 +38,18 @@ from calibra.backend import (
     tokenize,
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
+from calibra.harness import run_eval
 from calibra.qa import QAItem
 from calibra.strategies import StrategyConfig, execute, plan
-from conftest import FIXTURES, add_p_true_entry, add_verbalized_entry, build_script
+from conftest import (
+    FIXTURES,
+    FakeResponse,
+    ScriptEndpoint,
+    add_p_true_entry,
+    add_verbalized_entry,
+    build_script,
+)
+from test_harness import e2e_config
 
 
 @pytest.fixture(autouse=True)
@@ -412,8 +421,33 @@ class TestMockBackend:
     def test_misaligned_top_logprobs_alone_checked_per_call(self):
         backend = mock_from_script({"p": {"text": "True", "top_logprobs": [{}, {}]}})
         assert backend.complete(CompletionRequest(prompt="p")).text == "True"
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(MalformedResponseError, match="^unusable completion: .* must align$"):
             backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
+
+    @pytest.mark.parametrize("value, reply", [
+        ([1], "1"),
+        ({"text": None}, "None"),
+        ({"texts": ["True", ["False"]]}, "['False']"),
+    ], ids=["list", "text", "texts"])
+    def test_reply_not_a_string_rejected(self, value, reply):
+        with pytest.raises(ScriptError, match=re.escape(
+            f"script entry for 'p' has a reply that is not a string: {reply}"
+        )):
+            mock_from_script({"p": value})
+
+    def test_reply_is_the_endpoint_body(self):
+        backend = mock_from_script({"p": {"text": "True", "logprobs": [-0.25]}})
+        assert backend.reply(CompletionRequest(prompt="p")) == {
+            "choices": [{"text": "True", "finish_reason": "stop"}]
+        }
+        body = backend.reply(CompletionRequest(prompt="p", top_logprobs=1))
+        assert json.loads(json.dumps(body)) == {"choices": [{
+            "text": "True",
+            "finish_reason": "stop",
+            "logprobs": {"tokens": ["True"], "token_logprobs": [-0.25],
+                         "top_logprobs": [{"True": -0.25}]},
+        }]}
+        assert backend.call_count == 2
 
     def test_empty_logprobs_are_not_checked_against_top_logprobs(self):
         backend = mock_from_script(
@@ -956,18 +990,6 @@ class TestRetry:
         assert backend.calls == 1
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
 class FakeSession:
     def __init__(self, response):
         self.response = response
@@ -1128,22 +1150,77 @@ class TestHttpBackend:
         with pytest.raises(Exception, match="kaput"):
             backend.complete(CompletionRequest(prompt="q"))
 
+    @pytest.mark.parametrize("status", [429, 503, 500])
+    @pytest.mark.parametrize("header, waits", [
+        ("2", [2.0, 2.0]),
+        ("120", [30.0, 30.0]),
+        ("0", [0.5, 1.0]),
+        ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),
+        ("1.5", [0.5, 1.0]),
+    ], ids=["seconds", "capped", "zero", "date", "malformed"])
+    def test_retry_after_sets_the_wait(self, monkeypatch, status, header, waits):
+        slept = []
+        monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.5)
+        monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+        busy = FakeResponse(status_code=status, text="busy", headers={"Retry-After": header})
+        session = ScriptedSession(busy, busy, FakeResponse(payload=self.payload()))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        assert complete(backend, CompletionRequest(prompt="q")).text == " True"
+        assert session.posts == 3
+        # Only a 429 or 503 asks for a wait; a 500's header is not read.
+        assert slept == (waits if status != 500 else [0.5, 1.0])
+
 
 class TestMockMatchesHttp:
-    """The mock answers the logprob field of a request as an HTTP endpoint does."""
+    """The mock answers as an endpoint serving its script does, read by the same parser."""
 
     script = {"p": {"text": " True", "logprobs": [-0.1], "top_logprobs": [{" True": -0.1}]}}
 
-    def http_reply_without_logprobs(self):
-        payload = {"choices": [{"text": " True", "finish_reason": "stop"}]}
-        session = FakeSession(FakeResponse(payload=payload))
-        return HttpBackend("http://host", "m", api_key="k", session=session)
+    def test_a_run_over_http_writes_the_mocks_bytes(self, tmp_path, e2e_dataset, e2e_script):
+        mock = load_mock_script(e2e_script)
+        session = ScriptEndpoint(load_mock_script(e2e_script))
+        http = HttpBackend("http://host", "m", api_key="k", session=session)
+        outputs = []
+        for name, backend in (("mock", mock), ("http", http)):
+            out = tmp_path / name
+            run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path, out_dir=str(out)),
+                     backend=backend)
+            outputs.append({file: (out / file).read_bytes()
+                            for file in ("report.json", "records.jsonl", "transcripts.jsonl")})
+        assert outputs[0] == outputs[1]
+        assert len(session.posts) == mock.call_count > 0
 
-    def test_no_logprobs_requested_no_tokens_on_either(self):
-        request = CompletionRequest(prompt="p")
-        mock = mock_from_script(self.script).complete(request)
-        http = self.http_reply_without_logprobs().complete(request)
-        assert mock == http == Completion(" True", (), (), (), "stop")
+    # One entry of each form the script takes, and an unscripted prompt.
+    forms = {
+        "text": " True",
+        "texts": ["True", "False", "No"],
+        "logprobs": {"text": "two words here", "logprobs": [-0.5, -1.5]},
+        "more_logprobs": {"text": "one", "logprobs": [-0.5, -1.5]},
+        "top_logprobs": script["p"],
+        "empty": "",
+        "misaligned": {"text": "True", "top_logprobs": [{}, {}]},
+        "top_logprobs_not_objects": {"text": "True", "top_logprobs": [[["True", -0.1]]]},
+        "nan": {"text": "True", "logprobs": [float("nan")]},
+    }
+
+    @pytest.mark.parametrize("prompt", [*forms, "unscripted"])
+    def test_each_request_gets_the_same_completion(self, prompt):
+        mock = mock_from_script(self.forms, fallback="unknown")
+        session = ScriptEndpoint(mock_from_script(self.forms, fallback="unknown"))
+        http = HttpBackend("http://host", "m", api_key="k", session=session)
+        for top_logprobs, seed in itertools.product((0, 1, 5), (None, 1, 2)):
+            request = CompletionRequest(prompt=prompt, top_logprobs=top_logprobs, seed=seed)
+            outcomes = []
+            for backend in (mock, http):
+                try:
+                    outcomes.append(backend.complete(request).to_dict())
+                except BackendError as exc:
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
+            # NaN != NaN, so the completions compare by their JSON.
+            assert json.dumps(outcomes[0]) == json.dumps(outcomes[1]), request
+            if top_logprobs == 0:
+                assert outcomes[0]["tokens"] == outcomes[0]["top_logprobs"] == (), request
+        assert len(session.posts) == mock.call_count == 9
 
     def test_unknown_fallback_asks_like_any_request(self):
         backend = mock_from_script({}, fallback="unknown")

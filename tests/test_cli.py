@@ -622,6 +622,21 @@ EXIT_CASES = {
         2, "error: {tmp}/s.json: script entry for 'Question: Did Aristotle use a laptop?\\nAnswer:' "
            "has no replies", 0,
     ),
+    "script_reply_not_a_string": (
+        # The first request's entry: it used to fail that request, exit 3.
+        lambda i: ["run", "--config", i.config(), "--mock-script", i.file("s.json", json.dumps(
+            {"entries": {f"Question: {E2E_ITEMS[0].question}\nAnswer:": [1]}}))],
+        2, "error: {tmp}/s.json: script entry for 'Question: Did Aristotle use a laptop?\\nAnswer:' "
+           "has a reply that is not a string: 1", 0,
+    ),
+    "script_top_logprobs_misaligned": (
+        # As an endpoint's reply with misaligned logprobs is; it used to exit 3.
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--mock-script",
+                   i.q1_script(answer={"text": "False", "top_logprobs": [{}, {}]})],
+        2, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "step 'answer' failed: unusable completion: tokens, token_logprobs and top_logprobs "
+           "must align", 1,
+    ),
     "config_missing": (
         lambda i: ["run", "--config", str(i.tmp / "nope.json")],
         1, "error: config: [Errno 2] No such file or directory: '{tmp}/nope.json'", 0,
