@@ -12,6 +12,7 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -110,12 +111,17 @@ def encode_line(value) -> str:
     return LINE_ENCODER.encode(value)
 
 
+def check_temperature(name: str, value) -> None:
+    """A finite number >= 0, not a bool; a NaN never equals itself, so it misses its cache entry."""
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
+
+
 def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int) -> None:
     """Range checks for a request's fields, whether built or read from a cache line."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    check_temperature("temperature", temperature)
     if not 0 <= top_logprobs <= 5:
         raise ValueError("top_logprobs must be in [0, 5]")
 
@@ -173,10 +179,31 @@ class Completion:
         set_field(self, "tokens", tuple(self.tokens))
         set_field(self, "token_logprobs", tuple(self.token_logprobs))
         set_field(self, "top_logprobs", tuple(self.top_logprobs))
-        if not all(isinstance(m, dict) for m in self.top_logprobs):
-            raise ValueError("top_logprobs entries must be objects")
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
+        if not self.tokens:
+            return  # a reply without logprobs
+        # Tokens are strings and log-probabilities numbers <= 0 (NaN fails, -inf
+        # passes), tested by a join, a sum and a max; only a failure looks for what to name.
+        try:
+            "".join(self.tokens)
+        except TypeError:
+            bad = next(t for t in self.tokens if not isinstance(t, str))
+            raise ValueError(f"token {bad!r} is invalid: it must be a string") from None
+        lps = [*self.token_logprobs]
+        try:
+            for top in self.top_logprobs:
+                lps += dict.values(top)
+        except TypeError:
+            raise ValueError("top_logprobs entries must be objects") from None
+        try:
+            total = sum(lps)  # NaN if any value is
+            if max(lps) <= 0 and total == total:
+                return
+        except TypeError:
+            pass
+        bad = next(lp for lp in lps if not (isinstance(lp, (int, float)) and lp <= 0))
+        raise ValueError(f"log-probability {bad!r} is invalid: it must be a number <= 0")
 
     def to_dict(self, logprobs: bool = True) -> dict:
         """The fields as JSON values, sharing this completion's tuples and dicts.
@@ -207,12 +234,6 @@ class Backend(Protocol):
 def tokenize(text: str) -> list[str]:
     """Whitespace-preserving split; the pieces concatenate back to the text."""
     return _TOKEN_RE.findall(text)
-
-
-def _canonical_request(request: CompletionRequest) -> tuple[str, str]:
-    """The request's canonical JSON and the SHA-256 hex digest of those bytes."""
-    canonical = encode_line(request.to_dict())
-    return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 _LINE_KEYS = ("request_hash", "request", "completion", "created_at")
@@ -273,7 +294,7 @@ class ResponseCache:
     reads are lock-free once loaded; appends are serialized and go through
     one handle, opened on the first `put` and flushed after every line, so
     another reader (or a run that crashes) sees each entry written.
-    Load checks each line's keys, request fields and token alignment, and
+    Load checks each line's keys, request fields and completion, and
     names `file:line` for a line that fails. A torn last line, left by a
     crash mid-write, is skipped on load and cut off before the next append.
     The file has a single writer at a time. `close` releases the handle.
@@ -312,9 +333,9 @@ class ResponseCache:
                 try:
                     raw = orjson.loads(line)
                 except orjson.JSONDecodeError:
-                    # orjson rejects some values LINE_ENCODER writes (NaN,
-                    # Infinity, lone surrogates); json reads them. A line
-                    # neither reads is torn or malformed.
+                    # orjson rejects -Infinity (a logprob) and lone surrogates,
+                    # which LINE_ENCODER writes; json reads them, and NaN or Infinity,
+                    # which then fail the checks. A line neither reads is torn or malformed.
                     try:
                         raw = json.loads(line.decode("utf-8"))
                     except ValueError as exc:
@@ -365,7 +386,8 @@ class ResponseCache:
         """
         # The entry's canonical JSON, keys in sorted order, built from pieces
         # so the request is encoded once: its bytes are what `request_hash` digests.
-        canonical, digest = _canonical_request(request)
+        canonical = encode_line(request.to_dict())
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         line = (
             f'{{"completion":{encode_line(completion.to_dict())},'
             f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'

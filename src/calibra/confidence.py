@@ -2,7 +2,8 @@
 
 Three ways to score how sure the model is of an answer it already gave:
 averaged token log-probability, the probability of affirming the answer in
-a True/False follow-up, and a verbalized numeric confidence.
+a True/False follow-up, and a verbalized numeric confidence. Every
+log-probability they read is a number <= 0: `Completion` checks each one.
 """
 
 from __future__ import annotations
@@ -46,28 +47,12 @@ class ConfidenceResult:
     reply: Optional[str] = None
 
 
-def _check_logprob(lp: float) -> None:
-    """A log-probability is a number <= 0; NaN fails the comparison too."""
-    if not (isinstance(lp, (int, float)) and lp <= 0):
-        raise ConfidenceError(f"log-probability {lp!r} is invalid: it must be a number <= 0")
-
-
 def token_prob_confidence(completion: Completion) -> ConfidenceResult:
     """exp(mean per-token logprob): the reciprocal perplexity of the sequence."""
     if not completion.token_logprobs:
-        raise ConfidenceError("completion has no token logprobs")
-    for lp in completion.token_logprobs:
-        _check_logprob(lp)
+        raise ConfidenceError("empty reply: the completion has no token logprobs")
     value = math.exp(sum(completion.token_logprobs) / len(completion.token_logprobs))
     return ConfidenceResult(value=value, raw_value=value)
-
-
-def _match_choice(top_logprobs: dict, choice: str) -> Optional[float]:
-    for token, lp in top_logprobs.items():
-        if token.strip().casefold() == choice.casefold():
-            _check_logprob(lp)
-            return lp
-    return None
 
 
 def p_true_confidence(
@@ -83,31 +68,24 @@ def p_true_confidence(
     "A" (one leading space trimmed, case-folded). `normalized` rescales to
     p(A) / (p(A) + p(B)).
     """
-    prompt = (
-        f"{answer_context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
-    )
+    prompt = f"{answer_context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
     request = CompletionRequest(prompt=prompt, max_tokens=1, temperature=0.0, top_logprobs=5)
     completion = complete(backend, request)
     if not completion.top_logprobs:
-        raise ExtractionFailedError("backend returned no top-logprobs for the P(True) probe")
+        raise ExtractionFailedError("empty reply to the P(True) probe: no top-logprobs to read")
     first = completion.top_logprobs[0]
-    lp_a = _match_choice(first, "A")
-    lp_b = _match_choice(first, "B")
+    # Read in reverse, so that of two tokens that fold alike the first is kept.
+    folded = {token.strip().casefold(): lp for token, lp in reversed(first.items())}
+    lp_a, lp_b = folded.get("a"), folded.get("b")
     if lp_a is None and lp_b is None:
-        raise ExtractionFailedError(
-            f"neither 'A' nor 'B' among top tokens: {sorted(first)}"
-        )
+        raise ExtractionFailedError(f"neither 'A' nor 'B' among top tokens: {sorted(first)}")
     p_a = math.exp(lp_a) if lp_a is not None else 0.0
     p_b = math.exp(lp_b) if lp_b is not None else 0.0
     if normalized and not p_a + p_b > 0:
         raise ConfidenceError(f"cannot normalize P(True): p(A) + p(B) is 0 in {first}")
     value = p_a / (p_a + p_b) if normalized else p_a
-    return ConfidenceResult(
-        value=value,
-        raw_value=value,
-        aux={"p_a": p_a, "p_b": p_b},
-        reply=completion.text,
-    )
+    return ConfidenceResult(value=value, raw_value=value, aux={"p_a": p_a, "p_b": p_b},
+                            reply=completion.text)
 
 
 def parse_verbalized(text: str) -> ConfidenceResult:

@@ -19,6 +19,7 @@ from .backend import (
     Backend,
     Completion,
     CompletionRequest,
+    check_temperature,
     complete,
 )
 from .confidence import (
@@ -290,8 +291,7 @@ class StrategyConfig:
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}")
         for key in ("temperature", "self_consistency_temperature"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0")
+            check_temperature(key, getattr(self, key))
 
 
 def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None) -> StrategyPlan:

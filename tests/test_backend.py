@@ -38,7 +38,7 @@ from calibra.backend import (
     tokenize,
 )
 from calibra.confidence import ConfidenceError, token_prob_confidence
-from calibra.harness import run_eval
+from calibra.harness import RunConfig, run_eval, write_dataset
 from calibra.qa import QAItem
 from calibra.strategies import StrategyConfig, execute, plan
 from conftest import (
@@ -121,6 +121,13 @@ class TestCompletionRequest:
         with pytest.raises(TypeError, match="unhashable"):
             CompletionRequest(prompt=["q"])
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, True, -0.5, "1"])
+    def test_temperature_must_be_a_finite_number(self, temperature):
+        # A NaN never equals itself, so its cache entry would never be hit.
+        with pytest.raises(ValueError, match=re.escape(
+                f"temperature must be a finite number >= 0, not {temperature!r}")):
+            CompletionRequest(prompt="q", temperature=temperature)
+
 
 class TestCompletion:
     def test_length_mismatch_rejected(self):
@@ -169,6 +176,29 @@ class TestCompletion:
     ):
         with pytest.raises(ValueError, match=message):
             Completion("a", tokens, logprobs, top)
+
+    @pytest.mark.parametrize("lp", [math.nan, None, "-0.1"], ids=["nan", "null", "a_string"])
+    def test_nan_or_non_number_logprob_rejected(self, lp):
+        # NaN > 0 is false, and an endpoint may send null; either would end the
+        # run in a traceback, when its record is built or at the comparison.
+        with pytest.raises(ValueError, match=re.escape(f"log-probability {lp!r} is invalid")):
+            Completion("ab", ("a", "b"), (-0.1, lp), ({"a": -0.1}, {"b": -0.1}))
+
+    @pytest.mark.parametrize("tokens, logprobs, top, message", [
+        (("a", 5), (-0.1, -0.2), ({}, {}), "token 5 is invalid: it must be a string"),
+        (("a",), (0.5,), ({},), "log-probability 0.5 is invalid: it must be a number <= 0"),
+        (("a",), (True,), ({},), "log-probability True is invalid"),
+        (("a",), (-0.1,), ({"a": -0.1, "b": 0.5},), "log-probability 0.5 is invalid"),
+        (("a",), (-0.1,), ({"b": math.nan, "a": -0.1},), "log-probability nan is invalid"),
+        (("a",), (-0.1,), ({"a": -0.1, "b": "x"},), "log-probability 'x' is invalid"),
+    ], ids=["token_a_number", "positive", "true", "top_positive", "top_nan", "top_a_string"])
+    def test_every_value_is_checked(self, tokens, logprobs, top, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Completion("a", tokens, logprobs, top)
+
+    def test_minus_infinity_and_zero_are_log_probabilities(self):
+        completion = Completion("ab", ("a", "b"), (-math.inf, 0), ({"a": -math.inf}, {"b": 0.0}))
+        assert completion.token_logprobs == (-math.inf, 0)
 
     def test_from_dict_rejects_misaligned_tokens(self):
         with pytest.raises(ValueError, match="align"):
@@ -705,10 +735,22 @@ class TestCache:
             (lambda d: d["request"].update(stop=[["x"]]), "unhashable type"),
             (lambda d: d["completion"].update(text=None), "text must be a string, not None"),
             (lambda d: d["completion"].update(text=["B"]), r"text must be a string, not \['B'\]"),
+            (
+                lambda d: d["completion"].update(
+                    tokens=["B"], token_logprobs=[0.5], top_logprobs=[{"B": 0.5}]
+                ),
+                "log-probability 0.5 is invalid: it must be a number <= 0",
+            ),
+            # json writes NaN, and a NaN temperature would never hit its entry.
+            (
+                lambda d: d["request"].update(temperature=math.nan),
+                "temperature must be a finite number >= 0, not nan",
+            ),
         ],
         ids=[
             "missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned",
             "top_logprobs_null", "prompt_list", "stop_nested_list", "text_null", "text_a_list",
+            "logprob_positive", "temperature_nan",
         ],
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
@@ -727,12 +769,12 @@ class TestCache:
             ResponseCache(path, backend)
 
     def test_values_only_json_reads_load_as_json_reads_them(self, tmp_path):
-        # -Infinity and NaN (logprobs as an endpoint may send them) and a lone
-        # surrogate are written by LINE_ENCODER but rejected by orjson.
+        # -Infinity (a logprob an endpoint may send) and a lone surrogate are
+        # written by LINE_ENCODER but rejected by orjson.
         path = tmp_path / "cache.jsonl"
         written = {
-            CompletionRequest(prompt="q nan", top_logprobs=2): Completion(
-                " A", (" A",), (float("-inf"),), ({" A": float("-inf"), " B": float("nan")},)
+            CompletionRequest(prompt="q inf", top_logprobs=2): Completion(
+                " A", (" A",), (float("-inf"),), ({" A": float("-inf"), " B": -800.0},)
             ),
             CompletionRequest(prompt="q surrogate \ud83d"): Completion("half \ud800 pair", (), (), ()),
         }
@@ -748,9 +790,7 @@ class TestCache:
         reloaded = ResponseCache(path, backend)
         for line, request in zip(lines, written):
             expected = Completion.from_dict(json.loads(line)["completion"])
-            loaded = complete(reloaded, request)
-            # NaN != NaN, so compare what the completion writes.
-            assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(expected.to_dict())
+            assert complete(reloaded, request) == expected
         assert backend.call_count == 0
 
     def test_int_temperature_hits_an_entry_written_as_float(self, tmp_path):
@@ -819,11 +859,18 @@ class TestCache:
     def test_loads_a_file_written_before_orjson_parsed_lines(self, tmp_path):
         # Written by put when load parsed every line with json alone: four lines
         # from the mock (seed, stop, logprobs, an int temperature) and the two
-        # lines of test_values_only_json_reads_load_as_json_reads_them.
+        # lines test_values_only_json_reads_load_as_json_reads_them wrote then.
+        # The fifth holds a NaN alternative, which no completion may hold now.
         path = tmp_path / "cache.jsonl"
         shutil.copyfile(FIXTURES / "cache_before_orjson.jsonl", path)
-        before = path.read_bytes()
         backend = mock_from_script({})
+        with pytest.raises(ValueError, match="cache.jsonl:5: invalid cache line: "
+                                             "log-probability nan is invalid"):
+            ResponseCache(path, backend)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert b"NaN" in lines.pop(4)
+        path.write_bytes(b"".join(lines))
+        before = path.read_bytes()
         cache = ResponseCache(path, backend)
         for line in before.splitlines():
             raw = json.loads(line)
@@ -1122,6 +1169,26 @@ class TestHttpBackend:
             complete(backend, CompletionRequest(prompt="q", top_logprobs=5))
         assert session.posts == 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("token_logprobs", ["x"], "log-probability 'x' is invalid: it must be a number <= 0"),
+        ("token_logprobs", [0.5], "log-probability 0.5 is invalid: it must be a number <= 0"),
+        ("token_logprobs", [None], "log-probability None is invalid: it must be a number <= 0"),
+        ("token_logprobs", [math.nan], "log-probability nan is invalid: it must be a number <= 0"),
+        ("tokens", [5], "token 5 is invalid: it must be a string"),
+        ("top_logprobs", [{" True": -0.1, " False": 0.5}], "log-probability 0.5 is invalid"),
+        ("top_logprobs", [{" True": -0.1, " False": math.nan}], "log-probability nan is invalid"),
+    ], ids=["logprob_a_string", "logprob_positive", "logprob_null", "logprob_nan",
+            "token_a_number", "top_positive", "top_nan"])
+    def test_unusable_values_are_malformed_and_not_retried(self, field, value, message):
+        payload = self.payload()
+        payload["choices"][0]["logprobs"][field] = value
+        payload = json.loads(json.dumps(payload))  # as sent: NaN is the token `NaN`
+        session = ScriptedSession(FakeResponse(payload=payload), FakeResponse(payload=payload))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(MalformedResponseError, match=re.escape(f"unusable completion: {message}")):
+            complete(backend, CompletionRequest(prompt="q", top_logprobs=5))
+        assert session.posts == 1
+
     def test_malformed_body(self):
         session = FakeSession(FakeResponse(payload={"nope": []}))
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
@@ -1189,6 +1256,54 @@ class TestMockMatchesHttp:
                             for file in ("report.json", "records.jsonl", "transcripts.jsonl")})
         assert outputs[0] == outputs[1]
         assert len(session.posts) == mock.call_count > 0
+
+    def test_a_run_on_replies_like_a_real_endpoints(self, tmp_path):
+        # A non-ASCII question, a free-form item and near-certain tokens'
+        # logprobs, through a cache: their lines take encode_line's fallback.
+        items = [
+            QAItem(id="q1", question="Is café a French word?", gold_answers=("Yes",)),
+            QAItem(id="q2", question="What is the capital of France?", gold_answers=("Paris",),
+                   answer_kind="free_form"),
+        ]
+        answers = {"q1": {"text": " Yes, café is.", "logprobs": [-1e-05, -0.25, -3e-07, -0.5]},
+                   "q2": {"text": " Paris", "logprobs": [-3e-07]}}
+        thoughts = {"fact": "1. A café serves coffee.", "source": "1. A dictionary.",
+                    "reflection": "The facts agree."}
+        entries: dict = {}
+        for item in items:
+            for sid, steps in (("standard", {"answer": answers[item.id]}),
+                               ("far_final", {**thoughts, "answer": answers[item.id]})):
+                script = build_script(sid, item, steps)
+                entries.update(script)
+                answer_prompt, answer = list(script.items())[-1]
+                context = f"{answer_prompt} {answer['text']}"
+                add_p_true_entry(entries, context, answer["text"], {" A": -1e-05, " B": -11.5})
+                add_verbalized_entry(entries, context, " 0.9")
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset(items, dataset)
+        mock = mock_from_script(entries)
+        session = ScriptEndpoint(mock_from_script(entries))
+        http = HttpBackend("http://host", "m", api_key="k", session=session)
+        outputs, caches = [], []
+        for name, backend in (("mock", mock), ("http", http)):
+            config = RunConfig(
+                dataset_path=[str(dataset)], strategy_ids=["standard", "far_final"],
+                extraction_method_ids=["token_prob", "p_true", "verbalized"], worker_count=1,
+                cache_path=str(tmp_path / f"{name}.jsonl"), out_dir=str(tmp_path / name),
+            )
+            run_eval(config, backend=backend)
+            outputs.append({file: (tmp_path / name / file).read_bytes()
+                            for file in ("report.json", "records.jsonl", "transcripts.jsonl")})
+            caches.append((tmp_path / f"{name}.jsonl").read_text(encoding="utf-8").splitlines())
+        assert outputs[0] == outputs[1]
+        assert len(session.posts) == mock.call_count > 0
+        for lines in caches:
+            for line in lines:
+                assert line == LINE_ENCODER.encode(json.loads(line))
+            assert any("1e-05" in line for line in lines)
+            assert any("caf\\u00e9" in line for line in lines)
+        undated = [[{**json.loads(line), "created_at": None} for line in lines] for lines in caches]
+        assert undated[0] == undated[1]
 
     # One entry of each form the script takes, and an unscripted prompt.
     forms = {

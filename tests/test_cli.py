@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from calibra import harness
+from calibra.backend import CompletionRequest
 from calibra.cli import main
 from calibra.concern import ConcernLexicon
 from calibra.harness import RunConfig, aggregate, read_records
@@ -100,7 +101,8 @@ class TestRun:
         config = write_config(tmp_path, e2e_dataset, e2e_script, **{field: value})
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 1, result.output
-        assert f"error: {field} must be >= " in result.output
+        rule = "a finite number >= 0" if field.endswith("temperature") else ">= "
+        assert f"error: {field} must be {rule}" in result.output
 
     def test_datasets_sharing_a_file_stem_exit_1(self, runner, tmp_path, e2e_dataset, e2e_script):
         paths = [tmp_path / "a" / "d.jsonl", tmp_path / "b" / "d.jsonl"]
@@ -422,6 +424,22 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(worker_count=True)],
         1, "error: worker_count must be an integer, not True", 0,
     ),
+    "temperature_nan": (
+        lambda i: ["run", "--config", i.config(temperature=float("nan"))],
+        1, "error: temperature must be a finite number >= 0, not nan", 0,
+    ),
+    "temperature_infinity": (
+        lambda i: ["run", "--config", i.config(temperature=float("inf"))],
+        1, "error: temperature must be a finite number >= 0, not inf", 0,
+    ),
+    "temperature_true": (
+        lambda i: ["run", "--config", i.config(temperature=True)],
+        1, "error: temperature must be a finite number >= 0, not True", 0,
+    ),
+    "self_consistency_temperature_nan": (
+        lambda i: ["run", "--config", i.config(self_consistency_temperature=float("nan"))],
+        1, "error: self_consistency_temperature must be a finite number >= 0, not nan", 0,
+    ),
     "max_tokens_a_float": (
         lambda i: ["run", "--config", i.config(max_tokens=60.5)],
         1, "error: max_tokens must be an integer, not 60.5", 0,
@@ -460,17 +478,36 @@ EXIT_CASES = {
         3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
            "no numeral in confidence reply: 'Yes'", 2,
     ),
+    # A log-probability that is not a number <= 0 is a broken endpoint, as over HTTP.
     "p_true_logprob_positive": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--extract", "p_true",
                    "--mock-script", i.q1_script(p_true={"A": 0.5, "B": -2.0})],
-        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
-           "log-probability 0.5 is invalid: it must be a number <= 0", 2,
+        2, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "unusable completion: log-probability 0.5 is invalid: it must be a number <= 0", 2,
     ),
     "token_logprob_nan": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--mock-script",
                    i.q1_script(answer={"text": "False", "logprobs": [float("nan")]})],
-        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
-           "log-probability nan is invalid: it must be a number <= 0", 1,
+        2, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "step 'answer' failed: unusable completion: log-probability nan is invalid: "
+           "it must be a number <= 0", 1,
+    ),
+    "token_logprob_a_string": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--mock-script",
+                   i.q1_script(answer={"text": "False", "logprobs": ["x"]})],
+        2, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "step 'answer' failed: unusable completion: log-probability 'x' is invalid: "
+           "it must be a number <= 0", 1,
+    ),
+    "cache_line_logprob_positive": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--cache", i.file(
+            "cache.jsonl", json.dumps({
+                "completion": {"text": "False", "tokens": ["False"], "token_logprobs": [0.5],
+                               "top_logprobs": [{"False": 0.5}]},
+                "created_at": 0, "request": CompletionRequest(prompt="p").to_dict(),
+                "request_hash": ""}) + "\n")],
+        3, "error: {tmp}/cache.jsonl:1: invalid cache line: log-probability 0.5 is invalid: "
+           "it must be a number <= 0", 0,
     ),
     "p_true_normalized_underflow": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"], p_true_normalized=True),
@@ -831,6 +868,8 @@ CONSTRUCTOR_CASES = {
     "repeated_method": (StrategyConfig, {"extraction_method_ids": ["token_prob", "token_prob"]}),
     "methods_a_string": (StrategyConfig, {"extraction_method_ids": "token_prob"}),
     "thought_char_budget_negative": (StrategyConfig, {"thought_char_budget": -5}),
+    "temperature_nan": (StrategyConfig, {"temperature": float("nan")}),
+    "temperature_true": (StrategyConfig, {"temperature": True}),
     "max_tokens_a_float": (StrategyConfig, {"max_tokens": 60.5}),
     "self_consistency_n_a_bool": (StrategyConfig, {"self_consistency_n": True}),
     "demonstration_a_string": (StrategyConfig, {"demonstrations": ["QA"]}),

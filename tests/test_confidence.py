@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from calibra.backend import Completion, mock_from_script
+from calibra.backend import Completion, MalformedResponseError, mock_from_script
 from calibra.confidence import (
     ConfidenceError,
     ExtractionFailedError,
@@ -47,15 +47,9 @@ class TestTokenProb:
             assert abs(value - 1.0 / perplexity) < 1e-9
 
     def test_positive_logprob_rejected(self):
-        with pytest.raises(ConfidenceError):
-            token_prob_confidence(completion_with([0.1]))
-
-    @pytest.mark.parametrize("lp", [math.nan, None, "-0.1"], ids=["nan", "null", "a_string"])
-    def test_nan_or_non_number_logprob_rejected(self, lp):
-        # NaN > 0 is false, and an endpoint may send null; either would end the
-        # run in a traceback, when its record is built or at the comparison.
-        with pytest.raises(ConfidenceError, match=f"log-probability {lp!r} is invalid"):
-            token_prob_confidence(completion_with([-0.1, lp]))
+        # Before token_prob can read it: `Completion` checks every log-probability.
+        with pytest.raises(ValueError, match="log-probability 0.1 is invalid"):
+            completion_with([0.1])
 
     def test_empty_rejected(self):
         with pytest.raises(ConfidenceError):
@@ -101,6 +95,10 @@ class TestPTrue:
         norm = p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=True).value
         assert norm >= raw
 
+    def test_first_of_two_alike_tokens_is_read(self):
+        backend = p_true_backend({" A": math.log(0.6), "a": math.log(0.1), "B": math.log(0.2)})
+        assert p_true_confidence(backend, "ctx", "Paris").value == pytest.approx(0.6)
+
     def test_case_fold(self):
         backend = p_true_backend({"a": math.log(0.5), "B": math.log(0.3)})
         assert p_true_confidence(backend, "ctx", "Paris").value == pytest.approx(0.5)
@@ -109,6 +107,11 @@ class TestPTrue:
         backend = p_true_backend({"C": math.log(0.9), "D": math.log(0.05)})
         with pytest.raises(ExtractionFailedError, match="C"):
             p_true_confidence(backend, "ctx", "Paris")
+
+    def test_empty_reply_names_the_reason(self):
+        prompt = f"ctx\n{POSSIBLE_ANSWER_PREFIX}Paris\n{P_TRUE_QUESTION}\n"
+        with pytest.raises(ExtractionFailedError, match=r"empty reply to the P\(True\) probe"):
+            p_true_confidence(mock_from_script({prompt: ""}), "ctx", "Paris")
 
     def test_missing_a_uses_zero(self):
         backend = p_true_backend({"B": math.log(0.8), "C": math.log(0.1)})
@@ -121,7 +124,9 @@ class TestPTrue:
     ], ids=["a_positive", "b_positive", "a_nan"])
     @pytest.mark.parametrize("normalized", [False, True])
     def test_choice_logprob_above_zero_or_nan_rejected(self, top, normalized):
-        with pytest.raises(ConfidenceError, match="log-probability .* is invalid: it must be a"):
+        # The reply is unusable as an endpoint's would be, before P(True) reads it.
+        with pytest.raises(MalformedResponseError,
+                           match="unusable completion: log-probability .* is invalid: it must be a"):
             p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=normalized)
 
     @pytest.mark.parametrize("top", [

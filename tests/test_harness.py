@@ -711,9 +711,10 @@ class TestRunConfig:
         "field, value, message",
         [
             ("max_tokens", 0, "max_tokens must be >= 1"),
-            ("temperature", -0.5, "temperature must be >= 0"),
+            ("temperature", -0.5, "temperature must be a finite number >= 0"),
             ("self_consistency_n", 0, "self_consistency_n must be >= 1"),
-            ("self_consistency_temperature", -0.1, "self_consistency_temperature must be >= 0"),
+            ("self_consistency_temperature", -0.1,
+             "self_consistency_temperature must be a finite number >= 0"),
         ],
     )
     def test_request_fields_checked_once_at_construction(self, field, value, message):
