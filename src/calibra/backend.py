@@ -9,7 +9,6 @@ repeated requests itself and asks the backend it wraps only on a miss.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import logging
 import math
@@ -17,7 +16,7 @@ import os
 import re
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
@@ -60,9 +59,8 @@ class ScriptError(BackendError):
 
 # Compact, ASCII-escaped JSON with sorted keys, the one format of every JSON
 # file calibra writes: cache lines, records.jsonl, transcripts.jsonl,
-# report.json, run_meta.json and datasets. A cache line's `request_hash`
-# digests the request in this form. `encode_line` writes it; this encoder
-# defines it, and writes every value whose orjson bytes could differ.
+# report.json, run_meta.json and datasets. `encode_line` writes it; this
+# encoder defines it, and writes every value whose orjson bytes could differ.
 # Encoders are reentrant, so threads share this one. Every value it encodes
 # is a tree of tuples, dicts and decoded JSON, never a cycle, so it does not
 # check for one.
@@ -183,8 +181,8 @@ class Completion:
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
         if not self.tokens:
             return  # a reply without logprobs
-        # Tokens are strings and log-probabilities numbers <= 0 (NaN fails, -inf
-        # passes), tested by a join, a sum and a max; only a failure looks for what to name.
+        # Tokens are strings; log-probabilities are ints or floats (never bools) <= 0 that
+        # a float holds (NaN fails, -inf passes). Only a failure looks for what to name.
         try:
             "".join(self.tokens)
         except TypeError:
@@ -196,14 +194,20 @@ class Completion:
                 lps += dict.values(top)
         except TypeError:
             raise ValueError("top_logprobs entries must be objects") from None
+        # sum() raises on a non-number and on an int too large for a float beside a
+        # float, float() on a sum of such ints; only a maximum of 0 can hide False.
         try:
-            total = sum(lps)  # NaN if any value is
-            if max(lps) <= 0 and total == total:
+            total = float(sum(lps))  # NaN if any value is
+            most = max(lps)
+            if total == total and (most < 0 or most == 0 and bool not in set(map(type, lps))):
                 return
-        except TypeError:
+        except (OverflowError, TypeError):
             pass
-        bad = next(lp for lp in lps if not (isinstance(lp, (int, float)) and lp <= 0))
-        raise ValueError(f"log-probability {bad!r} is invalid: it must be a number <= 0")
+        for lp in lps:
+            with suppress(OverflowError):
+                if isinstance(lp, (int, float)) and not isinstance(lp, bool) and float(lp) <= 0:
+                    continue
+            raise ValueError(f"log-probability {lp!r} is invalid: it must be a number <= 0")
 
     def to_dict(self, logprobs: bool = True) -> dict:
         """The fields as JSON values, sharing this completion's tuples and dicts.
@@ -236,7 +240,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-_LINE_KEYS = ("request_hash", "request", "completion", "created_at")
+_LINE_KEYS = ("completion", "created_at", "request")
 
 
 @contextmanager
@@ -272,8 +276,8 @@ def _read_line(raw: dict) -> tuple[tuple, Completion]:
 
     Checks the line's keys, its request fields and the completion's tokens,
     and builds the key without a `CompletionRequest`; a field that decoded to
-    a list fails when the key is inserted. The stored `request_hash` is not
-    read back: lookups key on the request.
+    a list fails when the key is inserted. Other keys are not read, such as
+    the `request_hash` that older lines hold.
     """
     for name in _LINE_KEYS:
         if name not in raw:
@@ -289,11 +293,11 @@ class ResponseCache:
 
     `complete` returns the cached completion on a hit; on a miss it asks the
     wrapped `backend` and records the reply. Each line is the entry's
-    compact, key-sorted JSON, with the request's canonical hash
-    (`request_hash`) for other readers; lookups never compute it. Concurrent
-    reads are lock-free once loaded; appends are serialized and go through
-    one handle, opened on the first `put` and flushed after every line, so
-    another reader (or a run that crashes) sees each entry written.
+    compact, key-sorted JSON, with the keys `completion`, `created_at` and
+    `request`. Concurrent reads are lock-free once loaded; appends are
+    serialized and go through one handle, opened on the first `put` and
+    flushed after every line, so another reader (or a run that crashes)
+    sees each entry written.
     Load checks each line's keys, request fields and completion, and
     names `file:line` for a line that fails. A torn last line, left by a
     crash mid-write, is skipped on load and cut off before the next append.
@@ -384,14 +388,8 @@ class ResponseCache:
         When two workers miss on one request, the first to record wins and
         both get its completion, the one every later run reads back.
         """
-        # The entry's canonical JSON, keys in sorted order, built from pieces
-        # so the request is encoded once: its bytes are what `request_hash` digests.
-        canonical = encode_line(request.to_dict())
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        line = (
-            f'{{"completion":{encode_line(completion.to_dict())},'
-            f'"created_at":{time.time()!r},"request":{canonical},"request_hash":"{digest}"}}\n'
-        )
+        line = encode_line({"completion": completion.to_dict(), "created_at": time.time(),
+                            "request": request.to_dict()}) + "\n"
         key = _request_key(request)
         with self._lock:
             held = self._entries.get(key)
@@ -509,6 +507,8 @@ class MockBackend:
         responses: dict[str, MockResponse],
         fallback: Literal["error", "unknown"] = "error",
     ):
+        if fallback not in ("error", "unknown"):
+            raise ScriptError(f"fallback must be 'error' or 'unknown', not {fallback!r}")
         self._responses = responses
         self.fallback = fallback
         self.call_count = 0

@@ -3,7 +3,8 @@
 The script builder mirrors the executor's rendering so tests can script
 exact-prompt mock entries for multi-step pipelines without running them.
 `ScriptEndpoint` serves a mock's script over `HttpBackend`, so one script
-can drive both backends.
+can drive both backends, and serves the replies a script cannot express
+(errors, finish reasons, malformed bodies) where a test queues them.
 """
 
 from __future__ import annotations
@@ -228,15 +229,21 @@ class ScriptEndpoint:
 
     Each post is answered with `mock.reply` to the request the posted body
     describes, sent through JSON, so an `HttpBackend` over this session reads
-    the replies a run on the mock reads. `posts` holds the posted bodies.
+    the replies a run on the mock reads. `queued` maps a prompt to the
+    `FakeResponse`s its first posts get, in order, before the script answers
+    it. `posts` holds the posted bodies.
     """
 
-    def __init__(self, mock: MockBackend):
+    def __init__(self, mock: MockBackend, queued: dict[str, list[FakeResponse]] | None = None):
         self.mock = mock
+        self.queued = {prompt: list(responses) for prompt, responses in (queued or {}).items()}
         self.posts = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts.append(json)
+        queue = self.queued.get(json["prompt"])
+        if queue:
+            return queue.pop(0)
         request = CompletionRequest(
             prompt=json["prompt"], max_tokens=json["max_tokens"], temperature=json["temperature"],
             top_logprobs=json.get("logprobs", 0), seed=json.get("seed"), stop=json.get("stop"),

@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from calibra import backend as backend_module
+from calibra import cli
 from calibra.backend import (
     LINE_ENCODER,
     BackendError,
@@ -42,6 +43,7 @@ from calibra.harness import RunConfig, run_eval, write_dataset
 from calibra.qa import QAItem
 from calibra.strategies import StrategyConfig, execute, plan
 from conftest import (
+    E2E_ITEMS,
     FIXTURES,
     FakeResponse,
     ScriptEndpoint,
@@ -56,21 +58,6 @@ from test_harness import e2e_config
 def no_backoff(monkeypatch):
     """Retries in these tests do not wait."""
     monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.0)
-
-
-@pytest.fixture
-def written_hash(tmp_path):
-    """The `request_hash` field of the line `ResponseCache.put` writes for a request."""
-    paths = (tmp_path / f"hash{k}.jsonl" for k in itertools.count())
-
-    def digest(request: CompletionRequest) -> str:
-        path = next(paths)
-        cache = ResponseCache(path, mock_from_script({}))
-        cache.put(request, Completion("a", (), (), ()))
-        cache.close()
-        return json.loads(path.read_text(encoding="utf-8"))["request_hash"]
-
-    return digest
 
 
 class TestCompletionRequest:
@@ -100,13 +87,13 @@ class TestCompletionRequest:
         ],
         ids=["seed", "empty_stop", "stop", "int_temperature", "zero_temperature"],
     )
-    def test_from_dict_inverts_to_dict(self, request_, written_hash):
+    def test_from_dict_inverts_to_dict(self, request_):
         back = CompletionRequest.from_dict(request_.to_dict())
         assert back == request_
-        # Through JSON too, keeping the field types a cache line's hash depends on.
+        # Through JSON too, keeping the field types a cache line's request bytes depend on.
         reread = CompletionRequest.from_dict(json.loads(json.dumps(request_.to_dict())))
         assert reread == request_
-        assert written_hash(reread) == written_hash(request_)
+        assert encode_line(reread.to_dict()) == encode_line(request_.to_dict())
 
     def test_hash_keeps_equality(self):
         request = CompletionRequest(prompt="q", temperature=1)
@@ -191,7 +178,14 @@ class TestCompletion:
         (("a",), (-0.1,), ({"a": -0.1, "b": 0.5},), "log-probability 0.5 is invalid"),
         (("a",), (-0.1,), ({"b": math.nan, "a": -0.1},), "log-probability nan is invalid"),
         (("a",), (-0.1,), ({"a": -0.1, "b": "x"},), "log-probability 'x' is invalid"),
-    ], ids=["token_a_number", "positive", "true", "top_positive", "top_nan", "top_a_string"])
+        # A bool is an int, and False would read as probability 1.
+        (("a",), (False,), ({},), "log-probability False is invalid"),
+        (("a",), (-0.1,), ({"a": -0.1, "b": False},), "log-probability False is invalid"),
+        # float() of these overflows; -10**400 is below every float but -inf.
+        (("a", "b"), (-10**400, -0.1), ({}, {}), f"log-probability {-10**400} is invalid"),
+        (("a",), (-0.1,), ({"b": 10**400},), f"log-probability {10**400} is invalid"),
+    ], ids=["token_a_number", "positive", "true", "top_positive", "top_nan", "top_a_string",
+            "false", "top_false", "huge_negative_int", "top_huge_positive_int"])
     def test_every_value_is_checked(self, tokens, logprobs, top, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Completion("a", tokens, logprobs, top)
@@ -345,33 +339,28 @@ class TestEncodeLine:
 
 
 class TestRequestHash:
-    """The `request_hash` field of the lines `put` writes."""
+    """The SHA-256 of a cache line's `request` bytes, which older lines hold as `request_hash`."""
 
-    def test_stable_and_order_free(self, written_hash):
-        a = CompletionRequest(prompt="q", max_tokens=5, temperature=0.7)
-        b = CompletionRequest(prompt="q", temperature=0.7, max_tokens=5)
-        assert written_hash(a) == written_hash(b)
-
-    def test_digest_is_pinned(self, written_hash):
-        # Lookups key on the request's fields, never on this digest, so a
-        # change to the canonical encoding misses no entry. But other readers
-        # of a cache file may match lines by it, and new lines would then
-        # disagree with old ones.
-        request = CompletionRequest(
-            prompt="Q: Is the sky blue?\nA: ", max_tokens=16, temperature=0.7,
-            top_logprobs=5, seed=3, stop=("\n\n", "Q:"),
-        )
-        assert written_hash(request) == (
-            "66de4cd4c436e361e1065dd57c8ff8b0feff5edb201eee53049b310168567f56"
-        )
-        assert written_hash(CompletionRequest(prompt="caf\u00e9")) == (
-            "8d1628df0df39f00810c7ec7e8b36518e6aec2e65b25d4d0fcb8566336409be0"
-        )
-
-    def test_differs_on_prompt(self, written_hash):
-        assert written_hash(CompletionRequest(prompt="a")) != written_hash(
-            CompletionRequest(prompt="b")
-        )
+    def test_digest_is_pinned(self, tmp_path):
+        # Lookups key on the request's fields, never on this digest. But a
+        # reader that matches lines by it finds new lines as it found old ones.
+        pinned = {
+            CompletionRequest(
+                prompt="Q: Is the sky blue?\nA: ", max_tokens=16, temperature=0.7,
+                top_logprobs=5, seed=3, stop=("\n\n", "Q:"),
+            ): "66de4cd4c436e361e1065dd57c8ff8b0feff5edb201eee53049b310168567f56",
+            CompletionRequest(prompt="caf\u00e9"):
+                "8d1628df0df39f00810c7ec7e8b36518e6aec2e65b25d4d0fcb8566336409be0",
+        }
+        for k, (request, digest) in enumerate(pinned.items()):
+            path = tmp_path / f"cache{k}.jsonl"
+            cache = ResponseCache(path, mock_from_script({}))
+            cache.put(request, Completion("a", (), (), ()))
+            cache.close()
+            line = path.read_bytes()
+            start = line.index(b'"request":') + len(b'"request":')
+            assert line.endswith(b"}\n")  # `request` is the last key
+            assert hashlib.sha256(line[start:-2]).hexdigest() == digest
 
 
 class TestMockBackend:
@@ -444,6 +433,13 @@ class TestMockBackend:
         with pytest.raises(ScriptError, match="script entry for 'p' has no replies"):
             mock_from_script({"p": value})
 
+    @pytest.mark.parametrize("fallback", ["Unknown", None, ""])
+    def test_fallback_must_be_error_or_unknown(self, fallback):
+        # Checked when the script loads, not first at an unscripted prompt mid-run.
+        with pytest.raises(ScriptError, match=re.escape(
+                f"fallback must be 'error' or 'unknown', not {fallback!r}")):
+            mock_from_script({}, fallback=fallback)
+
     def test_misaligned_scripted_top_logprobs_rejected(self):
         with pytest.raises(ScriptError, match="align for 'p'"):
             mock_from_script({"p": {"text": "True", "logprobs": [-0.1], "top_logprobs": [{}, {}]}})
@@ -495,7 +491,7 @@ class TestMockBackend:
 
 
 class TestCache:
-    def test_round_trip_hash_fixed_point(self, tmp_path, written_hash):
+    def test_round_trip_hash_fixed_point(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         request = CompletionRequest(prompt="q", seed=5)
         completion = Completion(
@@ -506,7 +502,8 @@ class TestCache:
         cache.close()
         line = json.loads(path.read_text(encoding="utf-8"))
         reread = CompletionRequest.from_dict(line["request"])
-        assert written_hash(reread) == line["request_hash"]
+        assert reread == request
+        assert encode_line(reread.to_dict()) == encode_line(line["request"])
         assert ResponseCache(path, mock_from_script({})).get(reread) == completion
 
     def test_cache_short_circuits_backend(self, tmp_path):
@@ -559,7 +556,7 @@ class TestCache:
         assert ResponseCache(tmp_path / "cache.jsonl", backend).get(request) is not None
         assert encoded == []  # load does not encode either
 
-    def test_stale_request_hash_serves_only_its_own_request(self, tmp_path, written_hash):
+    def test_stale_request_hash_serves_only_its_own_request(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"a": "A", "b": "B", "c": "C"})
         cache = ResponseCache(path, backend)
@@ -568,8 +565,9 @@ class TestCache:
         cache.close()
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         stale = json.loads(lines[0])
-        # The line for "a" claims the hash of "c", a request it does not hold.
-        stale["request_hash"] = written_hash(CompletionRequest(prompt="c"))
+        # An older line's unread `request_hash`: the line for "a" claims the
+        # digest of the request "c", which it does not hold.
+        stale["request_hash"] = "15e4e9626f91cccc49e3356366ecfcc14a5d8c53a9b71ef6a97eee31f2cf8d2b"
         lines[0] = json.dumps(stale, sort_keys=True) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
 
@@ -645,7 +643,7 @@ class TestCache:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         for line in lines:
-            assert set(json.loads(line)) == {"request_hash", "request", "completion", "created_at"}
+            assert set(json.loads(line)) == {"request", "completion", "created_at"}
         reloaded = ResponseCache(path, backend)
         assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
 
@@ -667,22 +665,19 @@ class TestCache:
             rb'"top_logprobs":[{"False":-2.5,"True ":-0.125},{"\"yes\"":-1e-07}]},'
             rb'"created_at":1792327612.6909175,'
             rb'"request":{"max_tokens":120,"prompt":"Is it caf\u00e9?","seed":2,"stop":["\n"],'
-            rb'"temperature":1.2,"top_logprobs":2},'
-            rb'"request_hash":"5fc0f7d106c7fc90ac850b085fd8d4f2cba2699ebc56057336d70069e756e8e7"}'
+            rb'"temperature":1.2,"top_logprobs":2}}'
             b"\n"
         )
-        # The digest is of the request's bytes exactly as the line holds them.
-        start = line.index(b'"request":') + len(b'"request":')
-        request_bytes = line[start : line.index(b',"request_hash":')]
-        assert hashlib.sha256(request_bytes).hexdigest() == json.loads(line)["request_hash"]
+        assert line.decode("ascii") == LINE_ENCODER.encode(json.loads(line)) + "\n"
 
-    def test_loads_a_line_in_the_established_format(self, tmp_path, written_hash):
+    def test_loads_a_line_in_the_established_format(self, tmp_path):
         request = CompletionRequest(prompt="p", top_logprobs=1)
         line = (
             '{"completion": {"finish_reason": "stop", "text": "True", "token_logprobs": [-0.5], '
             '"tokens": ["True"], "top_logprobs": [{"True": -0.5}]}, "created_at": 1.5, '
             '"request": {"max_tokens": 120, "prompt": "p", "temperature": 1.2, '
-            '"top_logprobs": 1}, "request_hash": "' + written_hash(request) + '"}\n'
+            '"top_logprobs": 1}, "request_hash": '
+            '"b0d7d9d5f60ef2fb2f4f8b9d501f0463795746167fa97c0268cbe49491f5eae9"}\n'
         )
         path = tmp_path / "cache.jsonl"
         path.write_text(line, encoding="utf-8")
@@ -690,14 +685,16 @@ class TestCache:
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
 
-    def test_compact_lines_append_to_space_separated_ones(self, tmp_path, written_hash):
+    def test_compact_lines_append_to_space_separated_ones(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({p: p.upper() for p in "abcd"})
         old = [CompletionRequest(prompt=p, top_logprobs=1) for p in "ab"]
+        digests = ["68d1bf6a30d50ad09e69889ed365109b7570ff89f39530f263b98e4cef7ead7b",
+                   "e928140f463bd0b99c6a46493ccc40a66ae0c4aacd42a2c2464b0308527a221c"]
         with path.open("w", encoding="utf-8") as fh:  # lines as earlier versions wrote them
-            for request in old:
+            for request, digest in zip(old, digests):
                 fh.write(json.dumps({
-                    "request_hash": written_hash(request),
+                    "request_hash": digest,
                     "request": request.to_dict(),
                     "completion": backend.complete(request).to_dict(),
                     "created_at": 1.5,
@@ -741,6 +738,19 @@ class TestCache:
                 ),
                 "log-probability 0.5 is invalid: it must be a number <= 0",
             ),
+            (
+                lambda d: d["completion"].update(
+                    tokens=["B"], token_logprobs=[False], top_logprobs=[{"B": False}]
+                ),
+                "log-probability False is invalid: it must be a number <= 0",
+            ),
+            # orjson refuses it, and json reads an int that float() cannot take.
+            (
+                lambda d: d["completion"].update(
+                    tokens=["B"], token_logprobs=[-10**400], top_logprobs=[{"B": -0.1}]
+                ),
+                f"log-probability {-10**400} is invalid: it must be a number <= 0",
+            ),
             # json writes NaN, and a NaN temperature would never hit its entry.
             (
                 lambda d: d["request"].update(temperature=math.nan),
@@ -750,7 +760,7 @@ class TestCache:
         ids=[
             "missing_key", "missing_prompt", "max_tokens", "top_logprobs", "misaligned",
             "top_logprobs_null", "prompt_list", "stop_nested_list", "text_null", "text_a_list",
-            "logprob_positive", "temperature_nan",
+            "logprob_positive", "logprob_false", "logprob_huge_int", "temperature_nan",
         ],
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, damage, message):
@@ -879,6 +889,29 @@ class TestCache:
         cache.close()
         assert backend.call_count == 0
         assert path.read_bytes() == before
+
+    def test_new_lines_append_to_a_file_that_holds_request_hashes(self, tmp_path):
+        # The fixture's lines hold the `request_hash` that lines no longer do;
+        # a file mixing both loads every entry.
+        path = tmp_path / "cache.jsonl"
+        lines = (FIXTURES / "cache_before_orjson.jsonl").read_bytes().splitlines(keepends=True)
+        assert b"NaN" in lines.pop(4)
+        path.write_bytes(b"".join(lines))
+        new = [CompletionRequest(prompt=p, top_logprobs=1) for p in ("new a", "new b")]
+        cache = ResponseCache(path, mock_from_script({"new a": "A", "new b": "B b"}))
+        written = [complete(cache, request) for request in new]
+        cache.close()
+        assert [b'"request_hash"' in line for line in path.read_bytes().splitlines()] == [
+            True, True, True, True, True, False, False]
+        backend = mock_from_script({})
+        reloaded = ResponseCache(path, backend)
+        assert len(reloaded) == 7
+        for line in lines:
+            raw = json.loads(line)
+            loaded = complete(reloaded, CompletionRequest.from_dict(raw["request"]))
+            assert LINE_ENCODER.encode(loaded.to_dict()) == LINE_ENCODER.encode(raw["completion"])
+        assert [complete(reloaded, request) for request in new] == written
+        assert backend.call_count == 0
 
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -1177,8 +1210,12 @@ class TestHttpBackend:
         ("tokens", [5], "token 5 is invalid: it must be a string"),
         ("top_logprobs", [{" True": -0.1, " False": 0.5}], "log-probability 0.5 is invalid"),
         ("top_logprobs", [{" True": -0.1, " False": math.nan}], "log-probability nan is invalid"),
+        ("token_logprobs", [False], "log-probability False is invalid: it must be a number <= 0"),
+        ("top_logprobs", [{" True": -0.1, " False": False}], "log-probability False is invalid"),
+        ("token_logprobs", [-10**400], f"log-probability {-10**400} is invalid"),
     ], ids=["logprob_a_string", "logprob_positive", "logprob_null", "logprob_nan",
-            "token_a_number", "top_positive", "top_nan"])
+            "token_a_number", "top_positive", "top_nan", "logprob_false", "top_false",
+            "logprob_huge_int"])
     def test_unusable_values_are_malformed_and_not_retried(self, field, value, message):
         payload = self.payload()
         payload["choices"][0]["logprobs"][field] = value
@@ -1353,6 +1390,102 @@ class TestMockMatchesHttp:
         completion = backend.complete(CompletionRequest(prompt="p", top_logprobs=1))
         assert completion == Completion(" True", (" True",), (-0.1,), ({" True": -0.1},))
         assert token_prob_confidence(completion).value == pytest.approx(math.exp(-0.1))
+
+
+class TestRunOverAnEndpointsFaults:
+    """Replies a script cannot express, served to `run_eval` over `HttpBackend`."""
+
+    # The first request of the e2e run: q1's answer under `standard`, scripted as
+    # "False" with logprob -0.1. q2's is "False" with -0.5.
+    q1_answer = f"Question: {E2E_ITEMS[0].question}\nAnswer:"
+    q2_answer = f"Question: {E2E_ITEMS[1].question}\nAnswer:"
+    files = ("report.json", "records.jsonl", "transcripts.jsonl")
+
+    @staticmethod
+    def body(text="False", logprob=-0.1, finish_reason="stop"):
+        logprobs = {"tokens": [text], "token_logprobs": [logprob], "top_logprobs": [{text: logprob}]}
+        return {"choices": [{"text": text, "finish_reason": finish_reason, "logprobs": logprobs}]}
+
+    def run_both(self, tmp_path, e2e_dataset, e2e_script, queued):
+        """The output files of the e2e run on the mock and over an endpoint with `queued`."""
+        mock = load_mock_script(e2e_script)
+        endpoint = ScriptEndpoint(load_mock_script(e2e_script), queued)
+        http = HttpBackend("http://host", "m", api_key="k", session=endpoint)
+        outputs = []
+        for name, backend in (("mock", mock), ("http", http)):
+            out = tmp_path / name
+            run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path, out_dir=str(out)),
+                     backend=backend)
+            outputs.append({file: (out / file).read_bytes() for file in self.files})
+        return mock, endpoint, outputs
+
+    @pytest.mark.parametrize("busy, waits", [
+        (FakeResponse(status_code=503, text="busy"), [0.0]),
+        (FakeResponse(status_code=429, text="slow down", headers={"Retry-After": "2"}), [2.0]),
+    ], ids=["server_error", "rate_limited"])
+    def test_a_retried_reply_writes_the_mocks_bytes(
+        self, tmp_path, e2e_dataset, e2e_script, monkeypatch, busy, waits
+    ):
+        slept = []
+        monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+        mock, endpoint, (expected, got) = self.run_both(
+            tmp_path, e2e_dataset, e2e_script, {self.q1_answer: [busy]})
+        assert got == expected
+        assert len(endpoint.posts) == mock.call_count + 1
+        assert slept == waits
+
+    def test_finish_reasons_reach_the_transcript(self, tmp_path, e2e_dataset, e2e_script):
+        queued = {self.q1_answer: [FakeResponse(payload=self.body(finish_reason="length"))],
+                  self.q2_answer: [FakeResponse(payload=self.body(
+                      logprob=-0.5, finish_reason="content_filter"))]}
+        mock, endpoint, (expected, got) = self.run_both(tmp_path, e2e_dataset, e2e_script, queued)
+        assert len(endpoint.posts) == mock.call_count
+        for file in ("report.json", "records.jsonl"):
+            assert got[file] == expected[file]
+        reasons = {}
+        for line in got["transcripts.jsonl"].splitlines():
+            transcript = json.loads(line)
+            for step in transcript["steps"]:
+                reasons[step["prompt"]] = step["completion"]["finish_reason"]
+        assert reasons.pop(self.q1_answer) == "length"
+        assert reasons.pop(self.q2_answer) == "error"
+        assert set(reasons.values()) == {"stop"}
+
+    def fail_first(self, tmp_path, e2e_dataset, e2e_script, prompt, response, methods):
+        """The error that ends the e2e run over an endpoint that first answers `prompt`
+        with `response`, its causes' types, and how many times that prompt was posted."""
+        endpoint = ScriptEndpoint(load_mock_script(e2e_script), {prompt: [response]})
+        http = HttpBackend("http://host", "m", api_key="k", session=endpoint)
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path, extraction_method_ids=methods)
+        with pytest.raises(Exception) as info:
+            run_eval(config, backend=http)
+        causes, cause = [], info.value.__cause__
+        while cause is not None:
+            causes, cause = causes + [type(cause)], cause.__cause__
+        return info.value, causes, [post["prompt"] for post in endpoint.posts].count(prompt)
+
+    def test_a_p_true_probe_without_logprobs_is_a_capability_error(
+        self, tmp_path, e2e_dataset, e2e_script
+    ):
+        probe: dict = {}
+        add_p_true_entry(probe, f"{self.q1_answer} False", "False", {" A": -0.1})
+        (prompt,) = probe
+        bare = FakeResponse(payload={"choices": [{"text": " A", "finish_reason": "stop"}]})
+        error, causes, posts = self.fail_first(
+            tmp_path, e2e_dataset, e2e_script, prompt, bare, ["token_prob", "p_true"])
+        assert causes == [CapabilityError]
+        assert cli._exit_code(error) == 2
+        assert posts == 1
+
+    def test_a_body_of_the_wrong_shape_is_malformed_and_not_retried(
+        self, tmp_path, e2e_dataset, e2e_script
+    ):
+        error, causes, posts = self.fail_first(
+            tmp_path, e2e_dataset, e2e_script, self.q1_answer,
+            FakeResponse(payload={"choices": "x"}), ["token_prob"])
+        assert MalformedResponseError in causes
+        assert cli._exit_code(error) == 2
+        assert posts == 1
 
 
 class TestLoadScript:

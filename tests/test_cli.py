@@ -51,7 +51,7 @@ def write_config(tmp_path, e2e_dataset, e2e_script, **extra):
     }
     body.update(extra)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(body))
+    path.write_text(json.dumps(body), encoding="utf-8")
     return path
 
 
@@ -143,7 +143,7 @@ class TestRun:
         config = write_config(tmp_path, e2e_dataset, e2e_script)
         result = runner.invoke(main, ["run", "--config", str(config), "--cache", str(cache)])
         assert result.exit_code == 3, result.output
-        assert f"error: {cache}:1: invalid cache line: missing key 'request_hash'" in result.output
+        assert f"error: {cache}:1: invalid cache line: missing key 'completion'" in result.output
 
     def test_mock_script_flag_overrides_backend(self, runner, tmp_path, e2e_dataset, e2e_script):
         config = write_config(tmp_path, e2e_dataset, e2e_script, backend={"kind": "http"})
@@ -499,6 +499,22 @@ EXIT_CASES = {
            "step 'answer' failed: unusable completion: log-probability 'x' is invalid: "
            "it must be a number <= 0", 1,
     ),
+    "token_logprob_false": (
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--mock-script",
+                   i.q1_script(answer={"text": "False", "logprobs": [False]})],
+        2, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
+           "step 'answer' failed: unusable completion: log-probability False is invalid: "
+           "it must be a number <= 0", 1,
+    ),
+    "cache_line_logprob_huge_int": (
+        # float() of it overflows, which must be a data error, not a traceback.
+        lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--cache", i.file(
+            "cache.jsonl", json.dumps({
+                "completion": {"text": "False", "tokens": ["False"], "token_logprobs": [-10**400],
+                               "top_logprobs": [{"False": -0.1}]},
+                "created_at": 0, "request": CompletionRequest(prompt="p").to_dict()}) + "\n")],
+        3, "error: {tmp}/cache.jsonl:1: invalid cache line: log-probability -1000", 0,
+    ),
     "cache_line_logprob_positive": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--cache", i.file(
             "cache.jsonl", json.dumps({
@@ -651,6 +667,12 @@ EXIT_CASES = {
         lambda i: ["run", "--config", i.config(), "--mock-script",
                    i.file("s.json", '{"entries": {"q": {"logprobs": [-0.1]}}}')],
         2, "error: {tmp}/s.json: script entry for 'q' has neither text nor texts", 0,
+    ),
+    "script_fallback_unknown_value": (
+        # Checked when the script loads, before the first request.
+        lambda i: ["run", "--config", i.config(), "--mock-script", i.file("s.json", json.dumps(
+            {"fallback": "Unknown", "entries": e2e_script_entries()}))],
+        2, "error: {tmp}/s.json: fallback must be 'error' or 'unknown', not 'Unknown'", 0,
     ),
     "script_reply_list_empty": (
         # The first request's entry: it used to fail that request, exit 3.

@@ -121,7 +121,9 @@ class TestPTrue:
         {"A": 0.5, "B": -2.0},  # p(A) would be 1.65
         {"A": -0.1, "B": 0.2},
         {"A": math.nan, "B": -2.0},
-    ], ids=["a_positive", "b_positive", "a_nan"])
+        {"A": False, "B": -2.0},  # p(A) would be 1.0
+        {"A": -10**400, "B": -2.0},  # too large for a float
+    ], ids=["a_positive", "b_positive", "a_nan", "a_false", "a_huge_int"])
     @pytest.mark.parametrize("normalized", [False, True])
     def test_choice_logprob_above_zero_or_nan_rejected(self, top, normalized):
         # The reply is unusable as an endpoint's would be, before P(True) reads it.
