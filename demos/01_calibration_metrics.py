@@ -9,8 +9,6 @@ import random
 from calibra import (
     EvalRecord,
     distribution_curve,
-    ece,
-    macro_ce,
     summarize,
     wins_table,
 )
@@ -27,9 +25,9 @@ def main():
     # model is perfectly calibrated while every single prediction is
     # maximally miscalibrated.
     toy = [rec("a", False, 1.0), rec("b", True, 0.0)]
-    print(f"ECE (1 bucket):  {ece(toy, 'm', 1)}")
-    value, flag = macro_ce(toy, "m")
-    print(f"MacroCE:         {value}  (degeneracy: {flag})")
+    toy_summary = summarize(toy, "m", num_buckets=1)
+    print(f"ECE (1 bucket):  {toy_summary.ece}")
+    print(f"MacroCE:         {toy_summary.macro_ce}  (degeneracy: {toy_summary.degenerate_flag})")
     print()
 
     print("== A fuller summary on synthetic records ==")

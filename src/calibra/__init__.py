@@ -42,8 +42,6 @@ from .metrics import (
     DistributionCurve,
     bucketize,
     distribution_curve,
-    ece,
-    macro_ce,
     summarize,
     wins_table,
 )

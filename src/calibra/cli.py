@@ -122,6 +122,8 @@ def metrics(report_dir) -> None:
 @click.option("--out", "out_path", default=None, type=click.Path())
 def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None:
     """Select hard examples from a run report and optionally augment a dataset."""
+    if out_path and not dataset_path:
+        raise ConfigError("--out names where the augmented dataset goes; it needs --dataset")
     records_path = Path(report_dir) / "records.jsonl"
     if not records_path.exists():
         raise DataError(f"no records.jsonl under {report_dir}")

@@ -45,10 +45,10 @@ class DataError(Exception):
 _RUN_ONLY_FIELDS = ("cache_path", "out_dir", "worker_count", "concern_lexicon_path")
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig(StrategyConfig):
-    dataset_path: list[str]
-    strategy_ids: list[str] = field(default_factory=lambda: ["standard"])
+    dataset_path: tuple[str, ...]
+    strategy_ids: tuple[str, ...] = ("standard",)
     backend: dict = field(default_factory=dict)
     num_buckets: int = cal.DEFAULT_NUM_BUCKETS
     kde_grid_size: int = 256
@@ -66,9 +66,9 @@ class RunConfig(StrategyConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if isinstance(self.dataset_path, (str, Path)):
-            self.dataset_path = [str(self.dataset_path)]
+            object.__setattr__(self, "dataset_path", (str(self.dataset_path),))
         elif is_string_sequence(self.dataset_path):
-            self.dataset_path = list(self.dataset_path)
+            object.__setattr__(self, "dataset_path", tuple(self.dataset_path))
         else:
             raise ConfigError(
                 f"dataset_path: expected a path or a list of paths, not {self.dataset_path!r}"
@@ -496,17 +496,17 @@ def sweep(config: RunConfig, axis: str, values: Sequence) -> dict:
         if numbers.count(number) > 1:
             raise ConfigError(f"{axis}: {number} is repeated")
         if axis == "thought_char_budget":
-            variant = replace(config, thought_char_budget=number)
+            changes: dict = {"thought_char_budget": number}
         else:
             if not 0 <= number <= len(config.demonstrations):
                 raise ConfigError(
                     f"demonstrations_count must be in 0..{len(config.demonstrations)}, "
                     f"the number of configured demonstrations; got {number}"
                 )
-            variant = replace(config, demonstrations=config.demonstrations[:number])
-        if variant.out_dir:
-            variant.out_dir = str(Path(variant.out_dir) / f"{axis}_{value}")
-        variants.append((value, variant))
+            changes = {"demonstrations": config.demonstrations[:number]}
+        if config.out_dir:
+            changes["out_dir"] = str(Path(config.out_dir) / f"{axis}_{value}")
+        variants.append((value, replace(config, **changes)))
     # Every value is checked above, before the first request.
     return {value: run_eval(variant) for value, variant in variants}
 

@@ -133,21 +133,6 @@ def bucketize(
     return buckets
 
 
-def ece(records: Sequence[EvalRecord], method: str, num_buckets: int = DEFAULT_NUM_BUCKETS) -> float:
-    """Bucket-weighted mean absolute gap between accuracy and confidence."""
-    return summarize(records, method, num_buckets).ece
-
-
-def macro_ce(records: Sequence[EvalRecord], method: str) -> tuple[float, DegenerateFlag]:
-    """Macro average of ice_pos and ice_neg.
-
-    With one class empty, returns the other ICE plus a degeneracy flag
-    instead of silently reporting zero.
-    """
-    summary = summarize(records, method, 1)
-    return summary.macro_ce, summary.degenerate_flag
-
-
 def summarize(
     records: Sequence[EvalRecord],
     method: str,
@@ -155,8 +140,9 @@ def summarize(
 ) -> CalibrationSummary:
     """Compute the full calibration summary for one extraction method.
 
-    Each record's confidence is read once; `ece` and `macro_ce` are
-    shortcuts to fields of this summary.
+    Each record's confidence is read once. MacroCE does not depend on
+    `num_buckets`; with one class empty it is the other class's ICE, and
+    `degenerate_flag` names the empty class.
     """
     if not records:
         raise ValueError("at least one record required")

@@ -245,9 +245,12 @@ STRATEGY_IDS = tuple(STRATEGIES)
 SELF_ASK_MAX_FOLLOWUPS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
-    """Every knob that `plan` and `execute` read."""
+    """Every knob that `plan` and `execute` read; frozen, so a variant comes from `replace`.
+
+    `dataclasses.replace` builds a new config, so a variant passes every check again.
+    """
 
     max_tokens: int = DEFAULT_MAX_TOKENS
     temperature: float = DEFAULT_TEMPERATURE
@@ -257,7 +260,7 @@ class StrategyConfig:
     thought_char_budget: Optional[int] = None
     p_true_normalized: bool = False
     p_true_full_context: bool = True
-    extraction_method_ids: list[str] = field(default_factory=lambda: ["token_prob"])
+    extraction_method_ids: tuple[str, ...] = ("token_prob",)
 
     # The least value of each count; only thought_char_budget may be None, for no budget.
     # A subclass with counts or id lists of its own extends these two tables.
@@ -269,15 +272,15 @@ class StrategyConfig:
         for demo in self.demonstrations:
             if not is_string_sequence(demo) or len(demo) != 2:
                 raise ValueError(f"demonstrations: each must be a pair of strings, not {demo!r}")
-        self.demonstrations = tuple((q, a) for q, a in self.demonstrations)
+        object.__setattr__(self, "demonstrations", tuple((q, a) for q, a in self.demonstrations))
         # Checked here, before any request: a repeated id would count its rows twice.
         for key, known in self._KNOWN_IDS.items():
             ids = getattr(self, key)
             # A string would be read as its letters, each an unknown id.
             if not is_string_sequence(ids):
                 raise ValueError(f"{key}: expected a list of ids, not {ids!r}")
-            ids = list(ids)
-            setattr(self, key, ids)
+            ids = tuple(ids)
+            object.__setattr__(self, key, ids)
             for index, id_ in enumerate(ids):
                 if id_ not in known:
                     raise ValueError(f"{key}: unknown id {id_!r}; expected one of {known}")
@@ -370,9 +373,6 @@ def execute(
 ) -> Transcript:
     """Run a plan end to end; the transcript holds the confidences `config` names."""
     config = config or StrategyConfig()
-    for method in config.extraction_method_ids:
-        if method not in METHOD_IDS:
-            raise StrategyError(f"unknown extraction method {method!r}")
     priors: dict[str, str] = dict(strategy_plan.initial_priors)
     records: list[StepRecord] = []
     vote_detail: Optional[VoteDetail] = None

@@ -87,9 +87,8 @@ def test_criterion_1_toy_example():
         EvalRecord(item_id="a", correct=False, confidences={"m": 1.0}),
         EvalRecord(item_id="b", correct=True, confidences={"m": 0.0}),
     ]
-    ece = cal.ece(records, "m", 1)
-    macro, flag = cal.macro_ce(records, "m")
-    ok = ece == 0.0 and macro == 1.0 and flag == "none"
+    summary = cal.summarize(records, "m", 1)
+    ok = summary.ece == 0.0 and summary.macro_ce == 1.0 and summary.degenerate_flag == "none"
     ok = ok and (time.monotonic() - start) < 1.0
     report("1 toy example: ECE=0 and MacroCE=1 exactly", ok)
 
@@ -107,8 +106,9 @@ def test_criterion_2_metric_oracles():
             correct=[r.correct for r in records],
         )
         ok = ok and sum(b.size for b in buckets) == n
-        ok = ok and abs(cal.ece(records, "m", m) - ece_oracle(records, m)) <= 1e-12
-        macro, _ = cal.macro_ce(records, "m")
+        summary = cal.summarize(records, "m", m)
+        ok = ok and abs(summary.ece - ece_oracle(records, m)) <= 1e-12
+        macro = summary.macro_ce
         oracle = macro_oracle(records)
         if math.isnan(oracle):
             ok = ok and math.isnan(macro)
@@ -147,7 +147,7 @@ def test_criterion_4_single_bucket_collapse():
         records = random_records(rng, rng.randint(1, 30))
         acc = sum(r.correct for r in records) / len(records)
         avg = math.fsum(r.confidences["m"] for r in records) / len(records)
-        ok = ok and cal.ece(records, "m", 1) == abs(avg - acc)
+        ok = ok and cal.summarize(records, "m", 1).ece == abs(avg - acc)
     report("4 single-bucket ECE equals |avg_conf - accuracy| exactly", ok)
 
 

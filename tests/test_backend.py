@@ -38,10 +38,15 @@ from calibra.backend import (
     mock_from_script,
     tokenize,
 )
-from calibra.confidence import ConfidenceError, token_prob_confidence
+from calibra.confidence import (
+    P_TRUE_QUESTION,
+    VERBALIZED_SUFFIX,
+    ConfidenceError,
+    token_prob_confidence,
+)
 from calibra.harness import RunConfig, run_eval, write_dataset
 from calibra.qa import QAItem
-from calibra.strategies import StrategyConfig, execute, plan
+from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 from conftest import (
     E2E_ITEMS,
     FIXTURES,
@@ -1275,6 +1280,20 @@ class TestHttpBackend:
         assert slept == (waits if status != 500 else [0.5, 1.0])
 
 
+def readme_call_counts() -> dict[str, str]:
+    """Each strategy's `calls` cell in README.md's call-count table."""
+    readme = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| calls | strategies |", 1)[1].split("\n\n", 1)[0]
+    counts = {}
+    for row in table.strip().splitlines()[1:]:
+        calls, strategies = row.strip("|").split("|")
+        for sid in re.findall(r"`(\w+)`", strategies):
+            if sid in STRATEGY_IDS:
+                counts[sid] = calls.strip()
+    assert sorted(counts) == sorted(STRATEGY_IDS)
+    return counts
+
+
 class TestMockMatchesHttp:
     """The mock answers as an endpoint serving its script does, read by the same parser."""
 
@@ -1341,6 +1360,78 @@ class TestMockMatchesHttp:
             assert any("caf\\u00e9" in line for line in lines)
         undated = [[{**json.loads(line), "created_at": None} for line in lines] for lines in caches]
         assert undated[0] == undated[1]
+
+    # Both items carry gold_facts for far_human_facts; self_ask asks follow-ups on q1 only.
+    items = (
+        QAItem(id="q1", question="Did Aristotle use a laptop?", gold_answers=("No",),
+               answer_kind="boolean", gold_facts=("The first laptop was built in 1980.",)),
+        QAItem(id="q2", question="What is the capital of France?", gold_answers=("Paris",),
+               answer_kind="free_form", gold_facts=("Paris is the seat of government.",)),
+    )
+    # Each item's answer, and its self_consistency samples by seed; the first wins the vote.
+    answers = {"q1": ("No", ["No", "Yes", "No"]), "q2": ("Paris", ["Paris", "Lyon", "Paris"])}
+
+    def step_texts(self, item: QAItem) -> dict:
+        answer, samples = self.answers[item.id]
+        thoughts = ("knowledge", "reason", "decompose", "discussion", "fact", "source", "reflection")
+        return {
+            **{name: f"A {name} about {item.id}." for name in thoughts},
+            "followup_check": "Yes." if item.id == "q1" else "No.",
+            "followup_question": [f"Follow-up {k} on {item.id}?" for k in range(3)],
+            "followup_answer": [f"Intermediate {k}." for k in range(3)],
+            "sample": samples,
+            "answer": {"text": f" {answer}", "logprobs": [-0.25]},
+        }
+
+    @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
+    def test_every_strategy_with_every_method(self, tmp_path, strategy_id):
+        entries: dict = {}
+        for item in self.items:
+            script = build_script(strategy_id, item, self.step_texts(item))
+            entries.update(script)
+            # The final prompt and the reply the probes read: self_consistency's first sample.
+            prompt, reply = list(script.items())[-1]
+            text = reply[0] if isinstance(reply, list) else reply["text"]
+            add_p_true_entry(entries, f"{prompt} {text}", text, {" A": -0.2, " B": -1.8})
+            add_verbalized_entry(entries, f"{prompt} {text}", " 0.8")
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset(self.items, dataset)
+        mock = mock_from_script(entries)
+        session = ScriptEndpoint(mock_from_script(entries))
+        http = HttpBackend("http://host", "m", api_key="k", session=session)
+        outputs = []
+        for name, backend in (("mock", mock), ("http", http)):
+            config = RunConfig(
+                dataset_path=[str(dataset)], strategy_ids=[strategy_id],
+                extraction_method_ids=["token_prob", "p_true", "verbalized"],
+                self_consistency_n=3, worker_count=1, out_dir=str(tmp_path / name),
+            )
+            run_eval(config, backend=backend)
+            outputs.append({file: (tmp_path / name / file).read_bytes()
+                            for file in ("report.json", "records.jsonl", "transcripts.jsonl")})
+        assert outputs[0] == outputs[1]
+
+        # README's calls per evaluation, plus the p_true and verbalized probes.
+        cell = readme_call_counts()[strategy_id]
+
+        def calls(item: QAItem) -> int:
+            if cell == "n":
+                return config.self_consistency_n
+            if cell == "2 or 8":
+                return 8 if item.id == "q1" else 2
+            return int(cell)
+
+        expected = [calls(item) + 2 for item in self.items]
+        assert len(session.posts) == mock.call_count == sum(expected)
+        # One worker posts in task order, and each evaluation's probes come last.
+        start = 0
+        for count in expected:
+            prompts = [post["prompt"] for post in session.posts[start:start + count]]
+            probes = [p.endswith(P_TRUE_QUESTION + "\n") or p.endswith(VERBALIZED_SUFFIX)
+                      for p in prompts]
+            assert probes == [False] * (count - 2) + [True, True]
+            assert prompts[-1].endswith(VERBALIZED_SUFFIX)
+            start += count
 
     # One entry of each form the script takes, and an unscripted prompt.
     forms = {

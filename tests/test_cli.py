@@ -825,6 +825,11 @@ EXIT_CASES = {
                        {"id": "q4", "question": "q?", "answers": ["a"], "external_knowledge": "k"}))],
         1, "error: --out: [Errno 21] Is a directory: '{tmp}'", 0,
     ),
+    "augment_out_without_dataset": (
+        # Checked before records.jsonl is read: this run directory has none.
+        lambda i: ["augment", "--report", str(i.tmp), "--out", str(i.tmp / "aug.jsonl")],
+        1, "error: --out names where the augmented dataset goes; it needs --dataset", 0,
+    ),
     "augment_records_span_strategies": (
         lambda i: ["augment", "--report", str(Path(i.report({}, {"strategy_id": "far_final"})))],
         3, "error: the records span several strategies; choose one with --strategy", 0,

@@ -217,10 +217,9 @@ class TestRunEval:
         for sid in config.strategy_ids:
             records = [r for r in all_records if r.strategy_id == sid]
             stored = report.datasets[0]["strategies"][sid]["extractions"]["token_prob"]
-            assert cal.ece(records, "token_prob", 10) == pytest.approx(stored["ece"], abs=1e-12)
-            assert cal.macro_ce(records, "token_prob")[0] == pytest.approx(
-                stored["macro_ce"], abs=1e-12
-            )
+            summary = cal.summarize(records, "token_prob", 10)
+            assert summary.ece == pytest.approx(stored["ece"], abs=1e-12)
+            assert summary.macro_ce == pytest.approx(stored["macro_ce"], abs=1e-12)
 
     def test_report_json_reload_self_audit(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -231,7 +230,7 @@ class TestRunEval:
             if r.strategy_id == "standard"
         ]
         stored = reloaded["datasets"][0]["strategies"]["standard"]["extractions"]["token_prob"]
-        assert cal.ece(records, "token_prob", 10) == pytest.approx(stored["ece"], abs=1e-12)
+        assert cal.summarize(records, "token_prob", 10).ece == pytest.approx(stored["ece"], abs=1e-12)
 
     def test_transcripts_persisted(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -362,12 +361,14 @@ class TestRunEval:
             run_eval(config, backend=backend)
 
     def test_unknown_method_fails_before_any_request(self, e2e_dataset, e2e_script, tmp_path):
-        # A library caller can still change a config after its checks ran.
+        # A checked config cannot change, and a variant of it is checked again.
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
-        config.extraction_method_ids = ["token_prob", "mystery"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.extraction_method_ids = ["token_prob", "mystery"]
         backend = load_mock_script(e2e_script)
-        with pytest.raises(RuntimeError, match="unknown extraction method 'mystery'"):
-            run_eval(config, backend=backend)
+        with pytest.raises(ConfigError, match="extraction_method_ids: unknown id 'mystery'"):
+            run_eval(dataclasses.replace(
+                config, extraction_method_ids=["token_prob", "mystery"]), backend=backend)
         assert backend.call_count == 0
 
     def test_macro_average_over_two_datasets(self, e2e_dataset, e2e_script, tmp_path):
@@ -376,8 +377,8 @@ class TestRunEval:
         for row in rows:
             row["id"] = row["id"].replace("q", "r")
         write_lines(second, rows)
-        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
-        config.dataset_path = [str(e2e_dataset), str(second)]
+        config = dataclasses.replace(e2e_config(e2e_dataset, e2e_script, tmp_path),
+                                     dataset_path=[str(e2e_dataset), str(second)])
         # same questions under new ids need matching script entries; the mock
         # script keys on prompts, which depend only on question text.
         report = run_eval(config)
@@ -506,12 +507,13 @@ class TestEmitReport:
         second = tmp_path / "second.jsonl"
         rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
         write_lines(second, [dict(row, id=row["id"].replace("q", "r")) for row in rows])
-        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
-        config.dataset_path = [str(e2e_dataset), str(second)]
+        config = dataclasses.replace(e2e_config(e2e_dataset, e2e_script, tmp_path),
+                                     dataset_path=[str(e2e_dataset), str(second)])
+        assert config.dataset_path == (str(e2e_dataset), str(second))
         report = run_eval(config)
         records = read_records(Path(config.out_dir) / "records.jsonl")
         assert [r.dataset for r in records] == ["dataset"] * 8 + ["second"] * 8
-        assert [block["path"] for block in report.datasets] == config.dataset_path
+        assert tuple(block["path"] for block in report.datasets) == config.dataset_path
         metrics_rows = (Path(config.out_dir) / "metrics.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in metrics_rows] == ["dataset"] * 2 + ["second"] * 2
 
@@ -686,8 +688,16 @@ class TestRunConfig:
             RunConfig(dataset_path=["d"], **{field: ids})
 
     def test_one_dataset_path_may_be_a_string(self, tmp_path):
-        assert RunConfig(dataset_path="d.jsonl").dataset_path == ["d.jsonl"]
-        assert RunConfig(dataset_path=tmp_path / "d.jsonl").dataset_path == [str(tmp_path / "d.jsonl")]
+        assert RunConfig(dataset_path="d.jsonl").dataset_path == ("d.jsonl",)
+        assert RunConfig(dataset_path=tmp_path / "d.jsonl").dataset_path == (str(tmp_path / "d.jsonl"),)
+        assert RunConfig(dataset_path=["a.jsonl", "b.jsonl"]).dataset_path == ("a.jsonl", "b.jsonl")
+
+    def test_every_field_is_frozen(self):
+        for config in (StrategyConfig(), RunConfig(dataset_path=["d"])):
+            for f in dataclasses.fields(config):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(config, f.name, getattr(config, f.name))
+        assert config == RunConfig(dataset_path=["d"])
 
     def test_readme_key_table_lists_every_field(self):
         """Each key of README.md's config table, with the JSON of its default."""

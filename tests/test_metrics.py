@@ -10,8 +10,6 @@ from calibra.metrics import (
     bucket_index,
     bucketize,
     distribution_curve,
-    ece,
-    macro_ce,
     silverman_bandwidth,
     summarize,
     wins_table,
@@ -105,15 +103,15 @@ class TestEce:
         # One wrong prediction at confidence 1 and one correct at confidence 0,
         # in a single bucket: the errors cancel exactly.
         records = [rec("a", False, 1.0), rec("b", True, 0.0)]
-        assert ece(records, "m", 1) == 0.0
+        assert summarize(records, "m", 1).ece == 0.0
 
     def test_single_perfect_record(self):
-        assert ece([rec("a", True, 1.0)], "m", 10) == 0.0
+        assert summarize([rec("a", True, 1.0)], "m", 10).ece == 0.0
 
     def test_hand_summed_two_buckets(self):
         records = [rec("a", True, 0.9), rec("b", False, 0.8), rec("c", True, 0.6)]
         # all three in [0.5, 1): acc = 2/3, conf = 2.3/3; ece = |2/3 - 2.3/3|
-        assert abs(ece(records, "m", 2) - 0.1) < 1e-12
+        assert abs(summarize(records, "m", 2).ece - 0.1) < 1e-12
 
     def test_oracle_equivalence_200_cases(self):
         rng = random.Random(7)
@@ -121,30 +119,30 @@ class TestEce:
             n = rng.randint(1, 12)
             m = rng.randint(1, 4)
             records = random_records(rng, n)
-            assert abs(ece(records, "m", m) - ece_oracle(records, m)) < 1e-12
+            assert abs(summarize(records, "m", m).ece - ece_oracle(records, m)) < 1e-12
 
     def test_single_bucket_collapse(self):
         rng = random.Random(11)
         for _ in range(100):
             records = random_records(rng, rng.randint(1, 15))
             summary = summarize(records, "m", 1)
-            assert abs(ece(records, "m", 1) - abs(summary.avg_confidence - summary.accuracy)) < 1e-12
+            assert abs(summary.ece - abs(summary.avg_confidence - summary.accuracy)) < 1e-12
 
     def test_permutation_invariant(self):
         rng = random.Random(3)
         records = random_records(rng, 10)
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert ece(records, "m", 4) == ece(shuffled, "m", 4)
+        assert summarize(records, "m", 4).ece == summarize(shuffled, "m", 4).ece
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            ece([], "m", 10)
+            summarize([], "m", 10)
 
     def test_duplicate_ids_keep_their_own_correctness(self):
         # Two datasets can share an item id; correctness goes with each record.
         records = [rec("q1", True, 0.95), rec("q1", False, 0.95)]
-        assert ece(records, "m", 10) == pytest.approx(0.45)
+        assert summarize(records, "m", 10).ece == pytest.approx(0.45)
         assert summarize(records, "m", 10).buckets[9].accuracy == 0.5
 
     def test_correctness_flags_must_match_confidences(self):
@@ -166,26 +164,26 @@ class TestIceAndMacro:
     def test_bucket_canceling_toy_macro_is_one(self):
         # One wrong at conf 1 and one correct at conf 0: both ICE terms hit 1.
         records = [rec("a", False, 1.0), rec("b", True, 0.0)]
-        value, flag = macro_ce(records, "m")
-        assert value == 1.0 and flag == "none"
+        summary = summarize(records, "m")
+        assert summary.macro_ce == 1.0 and summary.degenerate_flag == "none"
 
     def test_perfectly_calibrated_macro_zero(self):
         records = [rec("a", True, 1.0), rec("b", False, 0.0)]
-        value, flag = macro_ce(records, "m")
-        assert value == 0.0 and flag == "none"
+        summary = summarize(records, "m")
+        assert summary.macro_ce == 0.0 and summary.degenerate_flag == "none"
 
     def test_macro_hand_sum(self):
         records = [rec("a", True, 0.9), rec("b", True, 0.6), rec("c", False, 0.8)]
-        value, flag = macro_ce(records, "m")
-        assert abs(value - 0.525) < 1e-12 and flag == "none"
+        summary = summarize(records, "m")
+        assert abs(summary.macro_ce - 0.525) < 1e-12 and summary.degenerate_flag == "none"
 
     def test_degenerate_all_correct(self):
-        value, flag = macro_ce([rec("a", True, 0.7)], "m")
-        assert flag == "no_incorrect" and abs(value - 0.3) < 1e-12
+        summary = summarize([rec("a", True, 0.7)], "m")
+        assert summary.degenerate_flag == "no_incorrect" and abs(summary.macro_ce - 0.3) < 1e-12
 
     def test_degenerate_all_wrong(self):
-        value, flag = macro_ce([rec("a", False, 0.7)], "m")
-        assert flag == "no_correct" and abs(value - 0.7) < 1e-12
+        summary = summarize([rec("a", False, 0.7)], "m")
+        assert summary.degenerate_flag == "no_correct" and abs(summary.macro_ce - 0.7) < 1e-12
 
     def test_oracle_equivalence(self):
         """summarize's macro_ce, ICEs, average confidence and accuracy against direct sums.
@@ -202,7 +200,6 @@ class TestIceAndMacro:
             shortfalls = [1 - r.confidences["m"] for r in records if r.correct]
             excesses = [r.confidences["m"] for r in records if not r.correct]
             summary = summarize(records, "m")
-            assert abs(macro_ce(records, "m")[0] - macro_oracle(records)) < 1e-12
             assert abs(summary.macro_ce - macro_oracle(records)) < 1e-12
             for value, errors in ((summary.ice_pos, shortfalls), (summary.ice_neg, excesses)):
                 if errors:
@@ -216,9 +213,9 @@ class TestIceAndMacro:
 
     def test_macro_one_iff_inverted(self):
         records = [rec("a", True, 0.0), rec("b", False, 1.0), rec("c", True, 0.0)]
-        assert macro_ce(records, "m")[0] == 1.0
+        assert summarize(records, "m").macro_ce == 1.0
         records[0] = rec("a", True, 0.01)
-        assert macro_ce(records, "m")[0] < 1.0
+        assert summarize(records, "m").macro_ce < 1.0
 
 
 def gap(records):
@@ -312,8 +309,6 @@ class TestSummarize:
         rng = random.Random(21)
         records = random_records(rng, 12)
         summary = summarize(records, "m", 4)
-        assert summary.ece == ece(records, "m", 4)
-        assert summary.macro_ce == macro_ce(records, "m")[0]
         assert summary.n == 12
         assert summary.n_pos + summary.n_neg == summary.n
 

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -333,12 +333,13 @@ class TestExecute:
             execute(plan("far_final", ITEM), ITEM, backend)
 
     def test_unknown_extraction_method(self):
-        entries = build_script("standard", ITEM, {"answer": "No"})
-        # The constructor rejects the id; a caller can still set it afterwards.
+        # A config is frozen, and a variant of it passes the constructor's checks again.
         config = StrategyConfig()
-        config.extraction_method_ids = ["mystery"]
-        with pytest.raises(StrategyError, match="mystery"):
-            execute(plan("standard", ITEM), ITEM, mock_from_script(entries), config)
+        with pytest.raises(FrozenInstanceError):
+            config.extraction_method_ids = ["mystery"]
+        with pytest.raises(ValueError, match="extraction_method_ids: unknown id 'mystery'"):
+            replace(config, extraction_method_ids=["token_prob", "mystery"])
+        assert config.extraction_method_ids == ("token_prob",)
 
 
 LOGPROB_FIELDS = {"tokens", "token_logprobs", "top_logprobs"}
