@@ -19,10 +19,12 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
 
 import orjson
-import requests
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -617,7 +619,10 @@ def load_mock_script(path: str | Path) -> MockBackend:
 
 
 class HttpBackend:
-    """Client for an OpenAI-compatible /v1/completions endpoint."""
+    """Client for an OpenAI-compatible /v1/completions endpoint.
+
+    Only this class imports `requests`, so mock, cached and offline runs never load it.
+    """
 
     def __init__(
         self,
@@ -631,7 +636,11 @@ class HttpBackend:
         self.model_id = model_id
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def _body(self, request: CompletionRequest) -> dict:
         body = {
@@ -649,6 +658,8 @@ class HttpBackend:
         return body
 
     def complete(self, request: CompletionRequest) -> Completion:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -290,7 +290,8 @@ def evaluate(
         items = load_dataset(ds_path)
         if not items:
             raise DataError(f"dataset {ds_path} is empty")
-        tasks += [(Path(ds_path).stem, item, sid) for sid in config.strategy_ids for item in items]
+        stem = Path(ds_path).stem
+        tasks += [(stem, item, sid) for sid in config.strategy_ids for item in items]
 
     def one(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
         """The record, and the transcript as its line when transcripts are written."""
@@ -490,23 +491,26 @@ def sweep(config: RunConfig, axis: str, values: Sequence) -> dict:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep requires at least one value")
-    numbers = [int(value) for value in values]
     variants = []
-    for value, number in zip(values, numbers):
-        if numbers.count(number) > 1:
-            raise ConfigError(f"{axis}: {number} is repeated")
+    for value in values:
         if axis == "thought_char_budget":
-            changes: dict = {"thought_char_budget": number}
+            changes: dict = {"thought_char_budget": value}
         else:
-            if not 0 <= number <= len(config.demonstrations):
+            if type(value) is not int:
+                raise ConfigError(f"demonstrations_count must be an integer, not {value!r}")
+            if not 0 <= value <= len(config.demonstrations):
                 raise ConfigError(
                     f"demonstrations_count must be in 0..{len(config.demonstrations)}, "
-                    f"the number of configured demonstrations; got {number}"
+                    f"the number of configured demonstrations; got {value}"
                 )
-            changes = {"demonstrations": config.demonstrations[:number]}
+            changes = {"demonstrations": config.demonstrations[:value]}
         if config.out_dir:
             changes["out_dir"] = str(Path(config.out_dir) / f"{axis}_{value}")
+        # `replace` runs the config's checks, so a budget that is not an integer stops here.
         variants.append((value, replace(config, **changes)))
+    for value in values:
+        if values.count(value) > 1:
+            raise ConfigError(f"{axis}: {value} is repeated")
     # Every value is checked above, before the first request.
     return {value: run_eval(variant) for value, variant in variants}
 

@@ -4,10 +4,12 @@ import itertools
 import json
 import logging
 import math
+import os
 import random
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import threading
 from dataclasses import FrozenInstanceError, replace
@@ -1279,6 +1281,58 @@ class TestHttpBackend:
         # Only a 429 or 503 asks for a wait; a 500's header is not read.
         assert slept == (waits if status != 500 else [0.5, 1.0])
 
+    def test_without_a_session_builds_a_requests_session(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("building the backend sent a request")
+
+        monkeypatch.setattr(requests.Session, "request", refuse)
+        backend = HttpBackend("http://h", "m")
+        assert isinstance(backend.session, requests.Session)
+
+
+# Runs in a fresh interpreter and prints whether `requests` is loaded after
+# each stage: import, a cached mock run that writes its report, `calibra
+# metrics` on that report, and building an `HttpBackend`.
+_REQUESTS_PROBE = """
+import json
+import sys
+
+from click.testing import CliRunner
+
+import calibra
+from calibra.cli import main
+from calibra.harness import RunConfig, run_eval
+
+dataset, script, out = sys.argv[1:]
+loaded = {"import": "requests" in sys.modules}
+run_eval(RunConfig(
+    dataset_path=[dataset], strategy_ids=["standard", "far_final"],
+    extraction_method_ids=["token_prob"], backend={"kind": "mock", "script_path": script},
+    worker_count=1, cache_path=out + "/cache.jsonl", out_dir=out,
+))
+loaded["run"] = "requests" in sys.modules
+result = CliRunner().invoke(main, ["metrics", "--report", out])
+assert result.exit_code == 0, result.output
+loaded["metrics"] = "requests" in sys.modules
+calibra.HttpBackend("http://h", "m")
+loaded["http_backend"] = "requests" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_http_backend_loads_requests(e2e_dataset, e2e_script, tmp_path):
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _REQUESTS_PROBE, str(e2e_dataset), str(e2e_script), str(out)],
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "import": False, "run": False, "metrics": False, "http_backend": True,
+    }
+    assert (out / "cache.jsonl").stat().st_size > 0
+
 
 def readme_call_counts() -> dict[str, str]:
     """Each strategy's `calls` cell in README.md's call-count table."""
@@ -1582,7 +1636,8 @@ class TestRunOverAnEndpointsFaults:
 class TestLoadScript:
     def test_loads_json_file(self, tmp_path):
         path = tmp_path / "script.json"
-        path.write_text(json.dumps({"fallback": "unknown", "entries": {"p": "True"}}))
+        script = {"fallback": "unknown", "entries": {"p": "True"}}
+        path.write_text(json.dumps(script), encoding="utf-8")
         backend = load_mock_script(path)
         assert backend.complete(CompletionRequest(prompt="p")).text == "True"
         assert backend.complete(CompletionRequest(prompt="other")).text == "UNKNOWN"
@@ -1594,7 +1649,10 @@ class TestLoadScript:
     ])
     def test_a_bad_script_is_a_script_error_naming_the_file(self, tmp_path, body, message):
         path = tmp_path / "script.json"
-        (path.write_bytes if isinstance(body, bytes) else path.write_text)(body)
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body, encoding="utf-8")
         with pytest.raises(ScriptError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_mock_script(path)
 
@@ -1602,7 +1660,7 @@ class TestLoadScript:
     @pytest.mark.parametrize("valid", [True, False], ids=["valid", "bad_value"])
     def test_load_pauses_and_restores_collector(self, tmp_path, monkeypatch, enabled, valid):
         path = tmp_path / "script.json"
-        path.write_text(json.dumps({"entries": {"p": "True" if valid else 1}}))
+        path.write_text(json.dumps({"entries": {"p": "True" if valid else 1}}), encoding="utf-8")
         build = backend_module.mock_from_script
         collecting = []  # the collector's state as the script is built
 

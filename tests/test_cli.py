@@ -125,21 +125,21 @@ class TestRun:
 
     def test_missing_script_entry_exit_2(self, runner, tmp_path, e2e_dataset):
         script = tmp_path / "empty_script.json"
-        script.write_text(json.dumps({"entries": {}}))
+        script.write_text(json.dumps({"entries": {}}), encoding="utf-8")
         config = write_config(tmp_path, e2e_dataset, script)
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 2
 
     def test_bad_dataset_exit_3(self, runner, tmp_path, e2e_script):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
+        bad.write_text("not json\n", encoding="utf-8")
         config = write_config(tmp_path, bad, e2e_script)
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 3
 
     def test_malformed_cache_exit_3(self, runner, tmp_path, e2e_dataset, e2e_script):
         cache = tmp_path / "bad.jsonl"
-        cache.write_text('{"oops": 1}\n')
+        cache.write_text('{"oops": 1}\n', encoding="utf-8")
         config = write_config(tmp_path, e2e_dataset, e2e_script)
         result = runner.invoke(main, ["run", "--config", str(config), "--cache", str(cache)])
         assert result.exit_code == 3, result.output
@@ -171,7 +171,9 @@ def run_out(runner, tmp_path, e2e_dataset, e2e_script, **extra) -> Path:
 def second_dataset(tmp_path, e2e_dataset) -> Path:
     """The e2e questions under ids r1..r4; the mock keys on prompts, so the script still fits."""
     path = tmp_path / "second.jsonl"
-    path.write_text(e2e_dataset.read_text().replace('"id": "q', '"id": "r'))
+    path.write_text(
+        e2e_dataset.read_text(encoding="utf-8").replace('"id": "q', '"id": "r'), encoding="utf-8"
+    )
     return path
 
 
@@ -196,7 +198,7 @@ class TestMetrics:
         out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
         result = runner.invoke(main, ["metrics", "--report", str(out)])
         assert result.exit_code == 0, result.output
-        assert result.output == (out / "report.json").read_text()
+        assert result.output == (out / "report.json").read_text(encoding="utf-8")
         recomputed = json.loads(result.output)
         for sid in ("standard", "far_final"):
             entry = recomputed["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
@@ -204,7 +206,7 @@ class TestMetrics:
 
     def test_empty_records_exit_3(self, runner, tmp_path, e2e_dataset, e2e_script):
         out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
-        (out / "records.jsonl").write_text("")
+        (out / "records.jsonl").write_text("", encoding="utf-8")
         result = runner.invoke(main, ["metrics", "--report", str(out)])
         assert result.exit_code == 3
 
@@ -235,20 +237,22 @@ class TestAugment:
     def test_augmented_dataset_written(self, runner, tmp_path, e2e_dataset, e2e_script):
         out = self.run_report(runner, tmp_path, e2e_dataset, e2e_script)
         # give every item external knowledge so augmentation can apply
-        rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
+        rows = [json.loads(line) for line in e2e_dataset.read_text(encoding="utf-8").splitlines()]
         for row in rows:
             row["external_knowledge"] = f"Background for {row['id']}."
         # The same file stem as the run's dataset: augment keeps only that dataset's records.
         enriched = tmp_path / "enriched" / e2e_dataset.name
         enriched.parent.mkdir()
-        enriched.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        enriched.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         result = runner.invoke(
             main,
             ["augment", "--report", str(out), "--strategy", "far_final",
              "--dataset", str(enriched), "--out", str(tmp_path / "aug.jsonl")],
         )
         assert result.exit_code == 0, result.output
-        augmented = [json.loads(l) for l in (tmp_path / "aug.jsonl").read_text().splitlines()]
+        augmented = [
+            json.loads(l) for l in (tmp_path / "aug.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
         by_id = {r["id"]: r for r in augmented}
         assert by_id["q4"]["question"].startswith("Knowledge: Background for q4.")
         assert by_id["q1"]["question"] == rows[0]["question"]
@@ -256,8 +260,9 @@ class TestAugment:
     def test_dataset_keeps_the_records_of_its_stem(self, runner, tmp_path, e2e_dataset, e2e_script):
         paths = [e2e_dataset, second_dataset(tmp_path, e2e_dataset)]
         for path in paths:  # external knowledge changes no prompt of the run
-            rows = [json.loads(line) for line in path.read_text().splitlines()]
-            path.write_text("".join(json.dumps({**r, "external_knowledge": "k"}) + "\n" for r in rows))
+            rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            lines = (json.dumps({**r, "external_knowledge": "k"}) + "\n" for r in rows)
+            path.write_text("".join(lines), encoding="utf-8")
         out = run_out(runner, tmp_path, e2e_dataset, e2e_script, dataset_path=[str(p) for p in paths])
         for dataset, expected in zip(paths, (["q4"], ["r4"])):
             result = runner.invoke(main, ["augment", "--report", str(out), "--strategy", "far_final",

@@ -87,7 +87,7 @@ class TestLexicon:
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lexicon.txt"
-        path.write_text("# comment\nnot enough data\n\nit depends  # inline\n")
+        path.write_text("# comment\nnot enough data\n\nit depends  # inline\n", encoding="utf-8")
         lexicon = ConcernLexicon.from_file(path)
         assert lexicon.patterns == ("not enough data", "it depends")
         assert detect_concern("We have not enough data.", lexicon)[0]

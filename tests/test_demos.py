@@ -16,7 +16,7 @@ def test_demo_exits_cleanly(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
 

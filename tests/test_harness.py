@@ -73,7 +73,9 @@ class TestLoadDataset:
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text('{"id": "1", "question": "q?", "answers": ["x"]}\nnot json\n')
+        path.write_text(
+            '{"id": "1", "question": "q?", "answers": ["x"]}\nnot json\n', encoding="utf-8"
+        )
         with pytest.raises(DataError, match=":2"):
             load_dataset(path)
 
@@ -235,7 +237,8 @@ class TestRunEval:
     def test_transcripts_persisted(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         run_eval(config)
-        lines = (Path(config.out_dir) / "transcripts.jsonl").read_text().strip().splitlines()
+        transcripts = Path(config.out_dir) / "transcripts.jsonl"
+        lines = transcripts.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 8  # 4 items x 2 strategies
         parsed = [json.loads(line) for line in lines]
         assert {t["strategy_id"] for t in parsed} == {"standard", "far_final"}
@@ -341,7 +344,7 @@ class TestRunEval:
 
     def test_empty_dataset_errors(self, e2e_script, tmp_path):
         empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
+        empty.write_text("", encoding="utf-8")
         config = RunConfig(
             dataset_path=[str(empty)],
             backend={"kind": "mock", "script_path": str(e2e_script)},
@@ -373,7 +376,7 @@ class TestRunEval:
 
     def test_macro_average_over_two_datasets(self, e2e_dataset, e2e_script, tmp_path):
         second = tmp_path / "second.jsonl"
-        rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
+        rows = [json.loads(line) for line in e2e_dataset.read_text(encoding="utf-8").splitlines()]
         for row in rows:
             row["id"] = row["id"].replace("q", "r")
         write_lines(second, rows)
@@ -404,7 +407,8 @@ class TestReadRecords:
     )
     def test_invalid_line_names_file_and_line(self, tmp_path, line, detail):
         path = tmp_path / "records.jsonl"
-        path.write_text('{"item_id": "0", "correct": true, "confidences": {"p": 0.5}}\n\n' + line)
+        first = '{"item_id": "0", "correct": true, "confidences": {"p": 0.5}}\n\n'
+        path.write_text(first + line, encoding="utf-8")
         message = re.escape(f"{path}:3: invalid record: ") + ".*" + re.escape(detail)
         with pytest.raises(DataError, match=message):
             read_records(path)
@@ -432,7 +436,8 @@ class TestEmitReport:
     def test_csv_row_count(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         run_eval(config)
-        rows = (Path(config.out_dir) / "metrics.csv").read_text().strip().splitlines()
+        metrics_csv = Path(config.out_dir) / "metrics.csv"
+        rows = metrics_csv.read_text(encoding="utf-8").strip().splitlines()
         assert len(rows) == 1 + len(config.strategy_ids) * len(config.extraction_method_ids)
 
     def test_kde_curves_integrate_to_one(self, e2e_dataset, e2e_script, tmp_path):
@@ -455,7 +460,7 @@ class TestEmitReport:
             prompt = f"Question: {item.question}\nAnswer: {E2E_STANDARD[item.id]['text']}"
             add_verbalized_entry(entries, prompt, reply)
         script = tmp_path / "script.json"
-        script.write_text(json.dumps({"entries": entries}))
+        script.write_text(json.dumps({"entries": entries}), encoding="utf-8")
         config = e2e_config(e2e_dataset, script, tmp_path, strategy_ids=["standard"],
                             extraction_method_ids=["verbalized"])
         run_eval(config)
@@ -505,7 +510,7 @@ class TestEmitReport:
 
     def test_records_carry_the_dataset_column(self, e2e_dataset, e2e_script, tmp_path):
         second = tmp_path / "second.jsonl"
-        rows = [json.loads(line) for line in e2e_dataset.read_text().splitlines()]
+        rows = [json.loads(line) for line in e2e_dataset.read_text(encoding="utf-8").splitlines()]
         write_lines(second, [dict(row, id=row["id"].replace("q", "r")) for row in rows])
         config = dataclasses.replace(e2e_config(e2e_dataset, e2e_script, tmp_path),
                                      dataset_path=[str(e2e_dataset), str(second)])
@@ -514,7 +519,8 @@ class TestEmitReport:
         records = read_records(Path(config.out_dir) / "records.jsonl")
         assert [r.dataset for r in records] == ["dataset"] * 8 + ["second"] * 8
         assert tuple(block["path"] for block in report.datasets) == config.dataset_path
-        metrics_rows = (Path(config.out_dir) / "metrics.csv").read_text().splitlines()[1:]
+        metrics_csv = Path(config.out_dir) / "metrics.csv"
+        metrics_rows = metrics_csv.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in metrics_rows] == ["dataset"] * 2 + ["second"] * 2
 
     def test_records_and_metrics_do_not_depend_on_the_inputs_location(
@@ -570,7 +576,7 @@ class TestSweep:
             for item in E2E_ITEMS:
                 entries.update(build_script("standard", item, {"answer": "True"}, cfg))
         script = tmp_path / "script.json"
-        script.write_text(json.dumps({"entries": entries}))
+        script.write_text(json.dumps({"entries": entries}), encoding="utf-8")
         config = RunConfig(
             dataset_path=[str(e2e_dataset)],
             strategy_ids=["standard"],
@@ -609,6 +615,31 @@ class TestSweep:
             sweep(config, axis, values)
         assert runs == []
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("thought_char_budget", [1.5, 2.9], "thought_char_budget must be an integer, not 1.5"),
+        ("thought_char_budget", [1.5, 1], "thought_char_budget must be an integer, not 1.5"),
+        ("thought_char_budget", [1, 1.0], "thought_char_budget must be an integer, not 1.0"),
+        ("thought_char_budget", [True], "thought_char_budget must be an integer, not True"),
+        ("demonstrations_count", [0.5], "demonstrations_count must be an integer, not 0.5"),
+        ("demonstrations_count", [True], "demonstrations_count must be an integer, not True"),
+    ], ids=["budget_floats", "budget_float_and_its_int", "budget_int_and_its_float",
+            "budget_bool", "count_float", "count_bool"])
+    def test_value_not_an_integer_rejected_before_any_run(
+        self, e2e_dataset, e2e_script, tmp_path, monkeypatch, axis, values, message
+    ):
+        # Truncated, [1.5, 2.9] would run budgets 1 and 2 filed under 1.5 and 2.9.
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path, demonstrations=[["Q?", "A"]])
+        runs = []
+        monkeypatch.setattr(harness, "run_eval", lambda variant: runs.append(variant))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sweep(config, axis, values)
+        assert runs == []
+
+    def test_each_value_runs_as_given(self, e2e_dataset, e2e_script, tmp_path, monkeypatch):
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path)
+        monkeypatch.setattr(harness, "run_eval", lambda variant: variant.thought_char_budget)
+        assert sweep(config, "thought_char_budget", [None, 0, 7]) == {None: None, 0: 0, 7: 7}
+
     def test_unknown_axis_rejected(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
         with pytest.raises(ConfigError):
@@ -636,7 +667,7 @@ class TestRunConfig:
         # Neither seed nor clamp_confidences could change a result, and
         # neither is a config key any more.
         for key in ("bogus", "seed", "clamp_confidences"):
-            path.write_text(json.dumps({"dataset_path": ["d"], key: 1}))
+            path.write_text(json.dumps({"dataset_path": ["d"], key: 1}), encoding="utf-8")
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_json(path)
 
