@@ -64,7 +64,7 @@ def main():
 
     print("== Confidence density (KDE) ==")
     confs = [r.confidences["m"] for r in records]
-    curve = distribution_curve(confs, "kde", grid_size=9)
+    curve = distribution_curve(confs, grid_size=9)
     for x, density in curve.points:
         print(f"x={x:+.3f}  density={density:.3f}")
     print(f"(Silverman bandwidth: {curve.bandwidth:.4f})")

@@ -181,6 +181,9 @@ class Completion:
         set_field(self, "top_logprobs", tuple(self.top_logprobs))
         if not (len(self.tokens) == len(self.token_logprobs) == len(self.top_logprobs)):
             raise ValueError("tokens, token_logprobs and top_logprobs must align")
+        if self.finish_reason not in ("stop", "length", "error"):
+            raise ValueError(f"finish_reason {self.finish_reason!r} is invalid: "
+                             "it must be 'stop', 'length' or 'error'")
         if not self.tokens:
             return  # a reply without logprobs
         # Tokens are strings; log-probabilities are ints or floats (never bools) <= 0 that

@@ -22,7 +22,7 @@ POSSIBLE_ANSWER_PREFIX = "Possible answer: "
 P_TRUE_QUESTION = "Is the possible answer: (A) True (B) False"
 VERBALIZED_SUFFIX = "Confidence (0-1):"
 
-_NUMERAL_RE = re.compile(r"\d+\.\d+|\.\d+|\d+")
+_NUMERAL_RE = re.compile(r"(\d+\.\d+|\.\d+|\d+)\s*(%?)")
 
 
 class ConfidenceError(Exception):
@@ -91,12 +91,12 @@ def p_true_confidence(
 def parse_verbalized(text: str) -> ConfidenceResult:
     """Read the first numeral in the text as a confidence, clamped to [0, 1].
 
-    The raw value is always preserved.
+    A numeral followed by "%" is a fraction of 100. The raw value is kept.
     """
     match = _NUMERAL_RE.search(text)
     if match is None:
         raise UnparseableConfidenceError(f"no numeral in confidence reply: {text[:120]!r}")
-    raw = float(match.group())
+    raw = float(match.group(1)) / (100 if match.group(2) else 1)
     # The numeral pattern has no sign, so only the upper bound can be crossed.
     value = min(1.0, raw)
     return ConfidenceResult(value=value, raw_value=raw, clamped=value != raw)

@@ -366,15 +366,12 @@ def aggregate(
                     confs = [r.confidence(method) for r in group]
                 except KeyError as exc:
                     raise DataError(exc.args[0]) from None
-                entry = cal.summarize(group, method, config["num_buckets"]).to_dict()
-                entry["curves"] = {}
-                for kind, grid_size in (
-                    ("histogram", config["num_buckets"]),
-                    ("kde", config["kde_grid_size"]),
-                ):
-                    curve = cal.distribution_curve(confs, kind, grid_size)
-                    entry["curves"][kind] = curve.to_dict()
-                    curves[f"{stem}__{sid}__{method}__{kind}"] = curve
+                summary = cal.summarize(group, method, config["num_buckets"])
+                entry = {**summary.to_dict(), "curves": {}}
+                kde = cal.distribution_curve(confs, grid_size=config["kde_grid_size"])
+                for curve in (summary.histogram(), kde):
+                    entry["curves"][curve.kind] = curve.to_dict()
+                    curves[f"{stem}__{sid}__{method}__{curve.kind}"] = curve
                 strat["extractions"][method] = entry
             block["strategies"][sid] = strat
         block["wins"] = {

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, Optional, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +59,13 @@ class CalibrationSummary:
                 d[key] = None
         return d
 
+    def histogram(self) -> DistributionCurve:
+        """The buckets, the ECE's bins, as midpoints with density size / (n * width)."""
+        num_buckets = len(self.buckets)
+        width = 1.0 / num_buckets
+        points = [((b.index + 0.5) / num_buckets, b.size / (self.n * width)) for b in self.buckets]
+        return DistributionCurve(points=points, bandwidth=width, kind="histogram")
+
 
 @dataclass
 class DistributionCurve:
@@ -94,7 +101,7 @@ def bucket_index(confidence: float, num_buckets: int) -> int:
 def bucketize(
     confidences: Sequence[tuple[str, float]],
     num_buckets: int,
-    correct: Optional[Sequence[bool]] = None,
+    correct: Sequence[bool],
 ) -> list[Bucket]:
     """Assign (id, confidence) pairs to equal-width buckets over [0, 1].
 
@@ -104,7 +111,7 @@ def bucketize(
     """
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
-    if correct is not None and len(correct) != len(confidences):
+    if len(correct) != len(confidences):
         raise ValueError(
             f"{len(correct)} correctness flags for {len(confidences)} confidences"
         )
@@ -123,13 +130,12 @@ def bucketize(
         m = bucket_index(conf, num_buckets)
         buckets[m].size += 1
         members[m].append(conf)
-        if correct is not None and correct[k]:
+        if correct[k]:
             hits[m] += 1
     for bucket, confs, hit in zip(buckets, members, hits):
         if confs:
             bucket.avg_confidence = math.fsum(confs) / len(confs)
-            if correct is not None:
-                bucket.accuracy = hit / len(confs)
+            bucket.accuracy = hit / len(confs)
     return buckets
 
 
@@ -205,30 +211,16 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * scale * n ** (-1 / 5)
 
 
-def distribution_curve(
-    confidences: Sequence[float],
-    kind: Literal["histogram", "kde"] = "kde",
-    grid_size: int = 256,
-) -> DistributionCurve:
-    """Density curve of a confidence sample.
+def distribution_curve(confidences: Sequence[float], grid_size: int = 256) -> DistributionCurve:
+    """Gaussian KDE curve of a confidence sample, with Silverman bandwidth.
 
-    Histogram mode gives each of `bucketize`'s buckets (the ECE's bins) as
-    its midpoint and density size / (n * width), so the bins hold exactly
-    the records the summary's buckets count.
-    KDE mode uses a Gaussian kernel with Silverman bandwidth, evaluated on
-    an even grid over [0, 1] padded by five bandwidths on each side so the
-    curve integrates to one. Degenerate samples (a single distinct value)
-    fall back to a fixed 0.05 bandwidth, flagged on the curve.
+    The curve is evaluated on an even grid over [0, 1] padded by five
+    bandwidths on each side, so it integrates to one. Degenerate samples (a
+    single distinct value) fall back to a fixed 0.05 bandwidth, flagged on
+    the curve. A summary's histogram is `CalibrationSummary.histogram`.
     """
     if not confidences:
         raise ValueError("at least one confidence required")
-    if kind == "histogram":
-        buckets = bucketize(list(enumerate(confidences)), grid_size)
-        width = 1.0 / grid_size
-        points = [
-            ((b.index + 0.5) / grid_size, b.size / (len(confidences) * width)) for b in buckets
-        ]
-        return DistributionCurve(points=points, bandwidth=width, kind="histogram")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     samples = np.asarray(confidences, dtype=float)

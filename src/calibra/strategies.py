@@ -33,7 +33,7 @@ from .qa import ExtractedAnswer, QAItem, is_string_sequence, normalize_answer
 
 ControlFlow = Literal["linear", "conditional_branch", "repeat_n_vote"]
 
-_PLACEHOLDER_RE = re.compile(r"\{(question|facts|prior:[a-z_]+)\}")
+_PLACEHOLDER_RE = re.compile(r"\{(question|facts|demonstrations|prior:[a-z_]+)\}")
 
 
 class StrategyError(Exception):
@@ -311,10 +311,11 @@ def plan(strategy_id: str, item: QAItem, config: Optional[StrategyConfig] = None
             )
         initial_priors["facts"] = "\n".join(item.gold_facts)
     if config.demonstrations and strategy_id in ("standard", "self_consistency"):
-        demo_block = "".join(
+        # A prior, not template text: it is sent verbatim and never truncated.
+        initial_priors["demonstrations"] = "".join(
             f"Question: {dq}\nAnswer: {da}\n\n" for dq, da in config.demonstrations
         )
-        steps = tuple(replace(s, template=demo_block + s.template) for s in steps)
+        steps = tuple(replace(s, template="{demonstrations}" + s.template) for s in steps)
     return StrategyPlan(
         strategy_id=strategy_id, steps=steps, control=control, initial_priors=initial_priors
     )
@@ -326,20 +327,21 @@ def render_step(
     priors: Mapping[str, str],
     thought_char_budget: Optional[int] = None,
 ) -> str:
-    """Substitute {question} and {prior:...} placeholders, bit-exactly.
+    """Substitute {question}, {facts}, {demonstrations} and {prior:...}, bit-exactly.
 
-    Prior-step text is truncated to the thought budget when one is set.
-    Unresolved placeholders are named in the error.
+    Prior-step text is truncated to the thought budget when one is set;
+    facts and demonstrations are sent whole. Unresolved placeholders are
+    named in the error.
     """
 
     def _sub(match: re.Match) -> str:
         key = match.group(1)
         if key == "question":
             return question
-        if key == "facts":
-            if "facts" not in priors:
-                raise StrategyError(f"step {step.name!r}: no facts available for {{facts}}")
-            return priors["facts"]
+        if key in ("facts", "demonstrations"):
+            if key not in priors:
+                raise StrategyError(f"step {step.name!r}: no {key} available for {{{key}}}")
+            return priors[key]
         prior_name = key.split(":", 1)[1]
         if prior_name not in priors:
             raise StrategyError(

@@ -277,7 +277,7 @@ def test_criterion_12_kde_normalization(e2e_dataset, e2e_script, tmp_path):
     ok = True
     count = 0
     for path in sorted((Path(config.out_dir) / "curves").glob("*__kde.csv")):
-        xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True, encoding="utf-8")
         ok = ok and abs(trapezoid(ys, xs) - 1.0) <= 1e-3
         count += 1
     ok = ok and count > 0

@@ -159,6 +159,12 @@ class TestCompletion:
         with pytest.raises(ValueError, match="must align"):
             replace(completion, tokens=())
 
+    @pytest.mark.parametrize("reason", ["banana", 5, None])
+    def test_finish_reason_is_stop_length_or_error(self, reason):
+        # A cache line's value would otherwise reach transcripts.jsonl.
+        with pytest.raises(ValueError, match=re.escape(f"finish_reason {reason!r} is invalid")):
+            Completion("a", (), (), (), reason)
+
     @pytest.mark.parametrize("tokens, logprobs, top, message", [
         (("a",), (-0.1,), (["a", -0.1],), "must be objects"),
         (("a",), (-0.1,), (None,), "must be objects"),

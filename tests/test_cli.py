@@ -530,6 +530,15 @@ EXIT_CASES = {
         3, "error: {tmp}/cache.jsonl:1: invalid cache line: log-probability 0.5 is invalid: "
            "it must be a number <= 0", 0,
     ),
+    **{f"cache_line_finish_reason_{name}": (
+        lambda i, reason=reason: ["run", "--config", i.config(strategy_ids=["standard"]),
+                                  "--cache", i.file("cache.jsonl", json.dumps({
+            "completion": {"text": "False", "tokens": [], "token_logprobs": [],
+                           "top_logprobs": [], "finish_reason": reason},
+            "created_at": 0, "request": CompletionRequest(prompt="p").to_dict()}) + "\n")],
+        3, f"error: {{tmp}}/cache.jsonl:1: invalid cache line: finish_reason {reason!r} is "
+           "invalid: it must be 'stop', 'length' or 'error'", 0,
+    ) for name, reason in (("unknown", "banana"), ("a_number", 5))},
     "p_true_normalized_underflow": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"], p_true_normalized=True),
                    "--extract", "p_true", "--mock-script", i.q1_script(p_true={"A": -800.0})],

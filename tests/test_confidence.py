@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from calibra.backend import Completion, MalformedResponseError, mock_from_script
 from calibra.confidence import (
     ConfidenceError,
+    ConfidenceResult,
     ExtractionFailedError,
     P_TRUE_QUESTION,
     POSSIBLE_ANSWER_PREFIX,
@@ -148,6 +149,16 @@ class TestParseVerbalized:
 
     def test_clamp_preserves_raw(self):
         result = parse_verbalized("1.2")
+        assert result.value == 1.0 and result.raw_value == 1.2 and result.clamped
+
+    @pytest.mark.parametrize("text, value", [
+        (" 90%", 0.9), ("85 %", 0.85), (" I am 85% sure", 0.85), ("7.5%", 0.075),
+    ])
+    def test_percent_is_a_fraction_of_100(self, text, value):
+        assert parse_verbalized(text) == ConfidenceResult(value=value, raw_value=value)
+
+    def test_percent_above_100_clamps(self):
+        result = parse_verbalized("120%")
         assert result.value == 1.0 and result.raw_value == 1.2 and result.clamped
 
     def test_unparseable(self):

@@ -448,7 +448,7 @@ class TestEmitReport:
         paths = sorted((Path(config.out_dir) / "curves").glob("*__kde.csv"))
         assert len(paths) == len(config.strategy_ids) * len(config.extraction_method_ids)
         for path in paths:
-            xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+            xs, ys = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True, encoding="utf-8")
             integral = (getattr(np, "trapezoid", None) or np.trapz)(ys, xs)
             assert abs(integral - 1.0) <= 1e-3
 

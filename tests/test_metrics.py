@@ -59,7 +59,7 @@ class TestBucketize:
     @pytest.mark.parametrize("num_buckets", [10, 100])
     def test_each_lower_bound_lands_in_its_own_bucket(self, num_buckets):
         # At M = 100, int(c * M) would put 0.29, 0.57 and 0.58 one bucket low.
-        buckets = bucketize([], num_buckets)
+        buckets = bucketize([], num_buckets, correct=[])
         for k, bucket in enumerate(buckets):
             assert bucket_index(k / num_buckets, num_buckets) == k
             assert bucket_index(bucket.lower, num_buckets) == k
@@ -68,25 +68,41 @@ class TestBucketize:
 
     def test_histogram_bins_are_the_buckets(self):
         samples = [0.0, 0.3, 0.3, 0.6, 0.7, 0.7, 0.7, 1.0]
-        curve = distribution_curve(samples, "histogram", grid_size=10)
-        buckets = bucketize(list(enumerate(samples)), 10)
-        for (x, density), bucket in zip(curve.points, buckets):
+        summary = summarize([rec(f"i{k}", True, c) for k, c in enumerate(samples)], "m", 10)
+        curve = summary.histogram()
+        assert curve.kind == "histogram" and len(curve.points) == 10
+        for (x, density), bucket in zip(curve.points, summary.buckets):
             assert bucket.lower <= x < bucket.upper
             assert density * len(samples) * curve.bandwidth == pytest.approx(bucket.size)
 
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_histogram_counts_each_confidence_in_its_bin(self, confs, num_buckets):
+        counts = [0] * num_buckets
+        for c in confs:
+            counts[bucket_index(c, num_buckets)] += 1
+        width = 1.0 / num_buckets
+        oracle = [((m + 0.5) / num_buckets, counts[m] / (len(confs) * width))
+                  for m in range(num_buckets)]
+        records = [rec(f"i{k}", k % 2 == 0, c) for k, c in enumerate(confs)]
+        curve = summarize(records, "m", num_buckets).histogram()
+        assert curve.points == oracle and curve.bandwidth == width
+
     def test_size_conservation(self):
-        buckets = bucketize([("a", 0.1), ("b", 0.12), ("c", 0.9)], 2)
+        buckets = bucketize([("a", 0.1), ("b", 0.12), ("c", 0.9)], 2, correct=[True] * 3)
         assert [b.size for b in buckets] == [2, 1]
         assert sum(b.size for b in buckets) == 3
 
     def test_empty_buckets_retained(self):
-        buckets = bucketize([("a", 0.95)], 10)
+        buckets = bucketize([("a", 0.95)], 10, correct=[True])
         assert len(buckets) == 10
         assert buckets[0].size == 0 and buckets[0].avg_confidence == 0.0
 
     def test_out_of_range_names_record(self):
         with pytest.raises(ValueError, match="bad"):
-            bucketize([("bad", 1.5)], 10)
+            bucketize([("bad", 1.5)], 10, correct=[True])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
@@ -94,7 +110,7 @@ class TestBucketize:
     )
     def test_conservation_property(self, confs, num_buckets):
         pairs = [(f"i{k}", c) for k, c in enumerate(confs)]
-        buckets = bucketize(pairs, num_buckets)
+        buckets = bucketize(pairs, num_buckets, correct=[True] * len(pairs))
         assert sum(b.size for b in buckets) == len(confs)
 
 
@@ -266,7 +282,7 @@ def trapezoid(points):
 
 class TestDistributionCurve:
     def test_kde_single_point_centered(self):
-        curve = distribution_curve([0.5], "kde", grid_size=501)
+        curve = distribution_curve([0.5], grid_size=501)
         assert curve.fallback_bandwidth and curve.bandwidth == 0.05
         peak_x = max(curve.points, key=lambda p: p[1])[0]
         assert abs(peak_x - 0.5) < 0.01
@@ -275,12 +291,13 @@ class TestDistributionCurve:
         rng = random.Random(5)
         for _ in range(20):
             samples = [rng.random() for _ in range(rng.randint(1, 40))]
-            curve = distribution_curve(samples, "kde", grid_size=512)
+            curve = distribution_curve(samples, grid_size=512)
             assert abs(trapezoid(curve.points) - 1.0) <= 1e-3
 
     def test_histogram_near_uniform(self):
         samples = [0.05 + 0.1 * k for k in range(10)]
-        curve = distribution_curve(samples, "histogram", grid_size=10)
+        records = [rec(f"i{k}", True, c) for k, c in enumerate(samples)]
+        curve = summarize(records, "m", 10).histogram()
         densities = [d for _, d in curve.points]
         assert all(abs(d - densities[0]) < 1e-9 for d in densities)
 
@@ -293,15 +310,16 @@ class TestDistributionCurve:
 
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
-            distribution_curve([0.5], "kde", grid_size=1)
+            distribution_curve([0.5], grid_size=1)
         with pytest.raises(ValueError):
-            distribution_curve([0.5], "histogram", grid_size=0)
+            summarize([rec("a", True, 0.5)], "m", 0).histogram()
         # One bucket is a valid num_buckets, so a one-bin histogram is too.
-        assert distribution_curve([0.2, 1.0], "histogram", grid_size=1).points == [(0.5, 1.0)]
+        records = [rec("a", True, 0.2), rec("b", False, 1.0)]
+        assert summarize(records, "m", 1).histogram().points == [(0.5, 1.0)]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            distribution_curve([], "kde")
+            distribution_curve([])
 
 
 class TestSummarize:

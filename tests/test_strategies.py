@@ -81,8 +81,22 @@ class TestPlan:
 
     def test_demonstrations_prepended(self):
         config = StrategyConfig(demonstrations=(("2+2?", "4"),))
-        p = plan("standard", ITEM, config)
-        assert p.steps[0].template.startswith("Question: 2+2?\nAnswer: 4\n\n")
+        backend = RecordingBackend()
+        execute(plan("standard", ITEM, config), ITEM, backend, config)
+        assert [r.prompt for r in backend.requests] == [
+            f"Question: 2+2?\nAnswer: 4\n\nQuestion: {ITEM.question}\nAnswer:"
+        ]
+
+    @pytest.mark.parametrize("strategy_id", ["standard", "self_consistency"])
+    @pytest.mark.parametrize("demo_question", ["What does {question} print?", "Say {prior:x}."])
+    def test_demonstrations_sent_verbatim(self, strategy_id, demo_question):
+        # Not substituted into, and not cut to the thought budget.
+        config = StrategyConfig(demonstrations=((demo_question, "x" * 20),),
+                                self_consistency_n=2, thought_char_budget=5)
+        backend = RecordingBackend()
+        execute(plan(strategy_id, ITEM, config), ITEM, backend, config)
+        demo = f"Question: {demo_question}\nAnswer: {'x' * 20}\n\n"
+        assert {r.prompt for r in backend.requests} == {f"{demo}Question: {ITEM.question}\nAnswer:"}
 
 
 class TestRenderStep:
