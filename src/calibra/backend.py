@@ -17,7 +17,8 @@ import re
 import threading
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
 
@@ -140,25 +141,24 @@ class CompletionRequest:
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
         # A field that is a list fails here, not at its first lookup.
-        hash(_request_key(self))
+        hash(self)
 
     def to_dict(self) -> dict:
-        d = {
-            "prompt": self.prompt,
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "top_logprobs": self.top_logprobs,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.stop is not None:
-            d["stop"] = list(self.stop)
-        return d
+        """The fields that are not None; `stop` stays a tuple, which JSON writes as a list."""
+        return {name: value for name, value in zip(_REQUEST_FIELDS, _request_key(self))
+                if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
         """The inverse of `to_dict`; the constructor checks the fields."""
         return cls(*_request_fields(d))
+
+
+_REQUEST_FIELDS = tuple(f.name for f in fields(CompletionRequest))
+# The cache's key for a request: its fields, in the order `_request_fields` reads them.
+# A getter, not vars(): on Python 3.11, vars() gives the instance a dict of its own,
+# which slows every later attribute read of the request.
+_request_key = attrgetter(*_REQUEST_FIELDS)
 
 
 # slots=True keeps each instance small; zero-argument super() fails under it on Python 3.10.
@@ -261,12 +261,6 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _request_key(request: CompletionRequest) -> tuple:
-    """The cache's key for `request`: its fields, in the order `_request_fields` reads them."""
-    return (request.prompt, request.max_tokens, request.temperature, request.top_logprobs,
-            request.seed, request.stop)
 
 
 def _request_fields(d: dict) -> tuple:

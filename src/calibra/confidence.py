@@ -22,7 +22,9 @@ POSSIBLE_ANSWER_PREFIX = "Possible answer: "
 P_TRUE_QUESTION = "Is the possible answer: (A) True (B) False"
 VERBALIZED_SUFFIX = "Confidence (0-1):"
 
-_NUMERAL_RE = re.compile(r"(\d+\.\d+|\.\d+|\d+)\s*(%?)")
+_NUMBER = r"(\d+\.\d+|\.\d+|\d+)"
+# A numeral with the sign written right before it, then a "%" or a denominator.
+_NUMERAL_RE = re.compile(rf"(-?){_NUMBER}\s*(?:(%)|(?:/|out\s+of)\s*{_NUMBER})?")
 
 
 class ConfidenceError(Exception):
@@ -30,7 +32,7 @@ class ConfidenceError(Exception):
 
 
 class UnparseableConfidenceError(ConfidenceError):
-    """No numeral found in a verbalized confidence reply."""
+    """A verbalized confidence reply with no numeral, or with a zero denominator."""
 
 
 class ExtractionFailedError(ConfidenceError):
@@ -91,14 +93,18 @@ def p_true_confidence(
 def parse_verbalized(text: str) -> ConfidenceResult:
     """Read the first numeral in the text as a confidence, clamped to [0, 1].
 
-    A numeral followed by "%" is a fraction of 100. The raw value is kept.
+    A numeral followed by "%" is a fraction of 100, and "a/b" or "a out of b"
+    is a/b. A minus sign right before the numeral is kept. The raw value is kept.
     """
     match = _NUMERAL_RE.search(text)
     if match is None:
         raise UnparseableConfidenceError(f"no numeral in confidence reply: {text[:120]!r}")
-    raw = float(match.group(1)) / (100 if match.group(2) else 1)
-    # The numeral pattern has no sign, so only the upper bound can be crossed.
-    value = min(1.0, raw)
+    sign, numerator, percent, denominator = match.groups()
+    scale = float(denominator or (100 if percent else 1))
+    if scale == 0:
+        raise UnparseableConfidenceError(f"zero denominator in confidence reply: {text[:120]!r}")
+    raw = float(sign + numerator) / scale
+    value = min(1.0, max(0.0, raw))
     return ConfidenceResult(value=value, raw_value=raw, clamped=value != raw)
 
 

@@ -176,10 +176,8 @@ class RunReport:
     macro: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        d = {"config": self.config, "datasets": self.datasets}
-        if self.macro is not None:
-            d["macro"] = self.macro
-        return d
+        """The fields, without `macro` when it is None."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     def to_json(self) -> str:
         """One line of compact, sorted-key JSON."""

@@ -80,11 +80,7 @@ class DistributionCurve:
     fallback_bandwidth: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bandwidth": self.bandwidth,
-            "fallback_bandwidth": self.fallback_bandwidth,
-        }
+        return {name: value for name, value in vars(self).items() if name != "points"}
 
 
 @lru_cache(maxsize=None)

@@ -164,16 +164,12 @@ class EvalRecord:
 def exact_match(answer: ExtractedAnswer, item: QAItem) -> bool:
     """Exact-match correctness after normalization.
 
-    Boolean items compare verdicts (unresolved counts as incorrect);
-    free-form items match the normalized answer against any gold alias.
+    Boolean items compare the normalized answer's verdict with the gold one
+    (unresolved counts as incorrect); free-form items match the normalized
+    answer against any gold alias.
     """
     if item.answer_kind == "boolean":
-        verdict = answer.boolean_value
-        if verdict is None:
-            verdict = extract_boolean(answer.raw_text)
-        if verdict == "unresolved":
-            return False
-        return verdict == item.gold_boolean
+        return _verdict(answer.normalized) == item.gold_boolean
     golds = {normalize_answer(g) for g in item.gold_answers}
     return answer.normalized in golds
 

@@ -98,11 +98,7 @@ class Transcript:
                 }
                 for index, rec in enumerate(self.step_records)
             ],
-            "final_answer": {
-                "raw_text": self.final_answer.raw_text,
-                "normalized": self.final_answer.normalized,
-                "boolean_value": self.final_answer.boolean_value,
-            },
+            "final_answer": dict(vars(self.final_answer)),
             "probes": {
                 method: {"reply": result.reply, **(result.aux or {})}
                 for method, result in self.confidences.items()
@@ -110,11 +106,7 @@ class Transcript:
             },
         }
         if self.vote_detail is not None:
-            d["vote"] = {
-                "candidates": self.vote_detail.candidates,
-                "counts": dict(self.vote_detail.counts),
-                "winner": self.vote_detail.winner,
-            }
+            d["vote"] = dict(vars(self.vote_detail))
         return d
 
 

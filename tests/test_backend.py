@@ -541,6 +541,36 @@ class TestCache:
         complete(fresh, request)
         assert backend.call_count == 1
 
+    def test_request_with_every_field_set_hits_after_reload(self, tmp_path):
+        # The key of a built request equals the key read back from its line.
+        path = tmp_path / "cache.jsonl"
+        request = CompletionRequest(prompt="q", max_tokens=7, temperature=0.5, top_logprobs=2,
+                                    seed=3, stop=("\n", "Q:"))
+        completion = Completion("True", ("True",), (-0.5,), ({"True": -0.5, "False": -1.0},))
+        cache = ResponseCache(path, mock_from_script({}))
+        cache.put(request, completion)
+        cache.close()
+        assert json.loads(path.read_text(encoding="utf-8"))["request"]["stop"] == ["\n", "Q:"]
+        backend = mock_from_script({})
+        reloaded = ResponseCache(path, backend)
+        assert len(reloaded) == 1
+        assert reloaded.complete(request) == completion
+        assert backend.call_count == 0
+        assert reloaded.get(replace(request, stop=("\n",))) is None
+
+    def test_blank_lines_between_entries_are_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = mock_from_script({"a": "A", "b": "B"})
+        for prompt in "ab":  # the second append follows the first entry's blank lines
+            cache = ResponseCache(path, backend)
+            cache.complete(CompletionRequest(prompt=prompt))
+            cache.close()
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write("\n  \r\n")
+        reloaded = ResponseCache(path, backend)
+        assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "ab"] == ["A", "B"]
+        assert backend.call_count == 2
+
     def test_each_put_visible_while_writer_open(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         writer = ResponseCache(path, mock_from_script({"p": "True"}))
@@ -1244,6 +1274,13 @@ class TestHttpBackend:
         backend = HttpBackend("http://host", "m", api_key="k", session=session)
         with pytest.raises(MalformedResponseError):
             backend.complete(CompletionRequest(prompt="q"))
+
+    def test_body_not_json_is_malformed_and_not_retried(self):
+        session = ScriptedSession(FakeResponse(text="<html>"), FakeResponse(payload=self.payload()))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(MalformedResponseError, match="unparseable completion body: no json"):
+            complete(backend, CompletionRequest(prompt="q"))
+        assert session.posts == 1
 
     @pytest.mark.parametrize("body, message", [
         ({"choices": [{"text": " True", "logprobs": [1]}]}, "logprobs must be an object, not list"),

@@ -274,6 +274,16 @@ class TestAugment:
         result = runner.invoke(main, ["augment", "--report", str(tmp_path)])
         assert result.exit_code == 3
 
+    def test_no_concern_flagged_record_warns_and_selects_nothing(
+        self, runner, tmp_path, e2e_dataset, e2e_script
+    ):
+        run = Inputs(tmp_path, e2e_dataset, e2e_script).report({}, {"item_id": "q2"})
+        result = runner.invoke(main, ["augment", "--report", run])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "warning: concern set is empty; nothing selected\n"
+        assert json.loads(result.stdout) == {"mode": "concern_triggered", "seed": 0,
+                                             "selected_ids": []}
+
 
 class TestSweepCommand:
     def test_budget_sweep_summary(self, runner, tmp_path, e2e_dataset, e2e_script):
@@ -857,6 +867,18 @@ EXIT_CASES = {
                    "--dataset", i.dataset_line(external_knowledge="k")],
         3, "error: no records for dataset 'd'", 0,
     ),
+    "augment_unknown_strategy": (
+        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--strategy", "nope"],
+        3, "error: no records for strategy 'nope'", 0,
+    ),
+    "backend_kind_unknown": (
+        lambda i: ["run", "--config", i.config(backend={"kind": "grpc"})],
+        1, "error: unknown backend kind 'grpc'", 0,
+    ),
+    "mock_backend_without_script_path": (
+        lambda i: ["run", "--config", i.config(backend={"kind": "mock"})],
+        1, "error: mock backend requires script_path", 0,
+    ),
     "augment_without_external_knowledge": (
         lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],
         3, "error: item 'q4' has no external_knowledge to inject", 0,
@@ -873,6 +895,17 @@ def test_exit_code_table(runner, tmp_path, e2e_dataset, e2e_script, mock_calls, 
     (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert line.startswith(message.format(tmp=tmp_path)), line
     assert mock_calls() == calls
+
+
+def test_error_of_no_known_kind_propagates(runner, tmp_path, e2e_dataset, e2e_script, monkeypatch):
+    # A bug is a traceback, not an `error:` line with an exit code.
+    def broken(config):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr("calibra.cli.run_eval", broken)
+    config = write_config(tmp_path, e2e_dataset, e2e_script)
+    with pytest.raises(RuntimeError, match="a bug"):
+        runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
 
 
 def item(**fields) -> QAItem:

@@ -161,9 +161,32 @@ class TestParseVerbalized:
         result = parse_verbalized("120%")
         assert result.value == 1.0 and result.raw_value == 1.2 and result.clamped
 
+    @pytest.mark.parametrize("text, value", [
+        (" 8/10", 0.8), (" 9.5/10", 0.95), ("3 / 4", 0.75), (" 4 out of 5", 0.8),
+        ("I'd say 8 out  of 10.", 0.8),
+    ])
+    def test_fraction_is_its_quotient(self, text, value):
+        assert parse_verbalized(text) == ConfidenceResult(value=value, raw_value=value)
+
+    @pytest.mark.parametrize("text", [" 8/0", "1 out of 0.0"])
+    def test_zero_denominator_is_unparseable(self, text):
+        with pytest.raises(UnparseableConfidenceError, match="zero denominator"):
+            parse_verbalized(text)
+
+    def test_minus_sign_is_kept_and_clamped(self):
+        assert parse_verbalized(" -0.2") == ConfidenceResult(value=0.0, raw_value=-0.2,
+                                                              clamped=True)
+
+    def test_range_reads_its_first_numeral(self):
+        # A range is not read as one: its first numeral, 70, clamps to 1.
+        assert parse_verbalized(" 70-80%") == ConfidenceResult(value=1.0, raw_value=70.0,
+                                                               clamped=True)
+
     def test_unparseable(self):
         with pytest.raises(UnparseableConfidenceError):
             parse_verbalized("I am not sure.")
+        with pytest.raises(UnparseableConfidenceError, match="no numeral"):
+            parse_verbalized("no idea")
 
     def test_first_numeral_wins(self):
         assert parse_verbalized("0.3 maybe 0.9").value == 0.3

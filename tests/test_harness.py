@@ -29,6 +29,7 @@ from calibra.backend import (
     load_mock_script,
     mock_from_script,
 )
+from calibra.qa import EvalRecord
 from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 from conftest import (
     E2E_FAR_ANSWER,
@@ -392,6 +393,30 @@ class TestRunEval:
         ]
         macro_ece = report.macro["strategies"]["standard"]["extractions"]["token_prob"]["ece"]
         assert macro_ece == pytest.approx(sum(per_ds) / 2)
+
+
+class TestAggregate:
+    CONFIG = {"strategy_ids": ["standard"], "extraction_method_ids": ["token_prob"],
+              "num_buckets": 2, "kde_grid_size": 8}
+
+    def report(self, datasets):
+        records = [EvalRecord(item_id=f"{d}{k}", correct=True, confidences={"token_prob": 0.75},
+                              strategy_id="standard", dataset=d)
+                   for d in datasets for k in range(2)]
+        report, _ = harness.aggregate(records, {**self.CONFIG, "dataset_path": datasets})
+        return report
+
+    def test_report_without_macro_has_no_macro_key(self):
+        report = self.report(["a"])
+        assert report.macro is None and set(report.to_dict()) == {"config", "datasets"}
+
+    def test_macro_ice_neg_is_null_when_every_dataset_has_no_incorrect(self):
+        report = self.report(["a", "b"])
+        for block in report.datasets:
+            assert block["strategies"]["standard"]["extractions"]["token_prob"]["ice_neg"] is None
+        macro = report.macro["strategies"]["standard"]["extractions"]["token_prob"]
+        assert macro["ice_neg"] is None and macro["ice_pos"] == 0.25
+        assert json.loads(report.to_json())["macro"] == report.macro
 
 
 class TestReadRecords:

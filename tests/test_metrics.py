@@ -273,6 +273,10 @@ class TestWinsTable:
         with pytest.raises(ValueError):
             wins_table([{"A": 0.1}, {"B": 0.1}])
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            wins_table([])
+
 
 def trapezoid(points):
     xs = [x for x, _ in points]
@@ -320,6 +324,11 @@ class TestDistributionCurve:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             distribution_curve([])
+
+    def test_row_leaves_out_the_points(self):
+        # The points are written once, as a CSV.
+        curve = distribution_curve([0.5], grid_size=8)
+        assert curve.to_dict() == {"bandwidth": 0.05, "fallback_bandwidth": True, "kind": "kde"}
 
 
 class TestSummarize:

@@ -85,6 +85,10 @@ class TestQAItem:
         item = make_item(gold_answers=("Yes", "true"), answer_kind="boolean")
         assert item.gold_boolean == "true"
 
+    def test_gold_boolean_of_a_free_form_item(self):
+        with pytest.raises(ValueError, match="'x' is not a boolean item"):
+            make_item().gold_boolean
+
 
 class TestExactMatch:
     def test_free_form_normalization_symmetry(self):
@@ -108,6 +112,12 @@ class TestExactMatch:
         item = make_item(gold_answers=("No",), answer_kind="boolean")
         answer = ExtractedAnswer.from_text("False, but evidence is thin.", "boolean")
         assert exact_match(answer, item)
+
+    def test_boolean_item_reads_the_normalized_text(self):
+        # An answer extracted as free-form has no boolean_value; its verdict is the same.
+        item = make_item(gold_answers=("No",), answer_kind="boolean")
+        assert exact_match(ExtractedAnswer.from_text("No, it is not."), item)
+        assert not exact_match(ExtractedAnswer.from_text("Yes."), item)
 
 
 def rec(item_id, correct, conf=0.5):

@@ -14,6 +14,7 @@ from calibra.strategies import (
     SELF_ASK_CHECK,
     SELF_ASK_MAX_FOLLOWUPS,
     STRATEGY_IDS,
+    Step,
     StrategyConfig,
     StrategyError,
     execute,
@@ -120,6 +121,10 @@ class TestRenderStep:
         step = plan("cot", ITEM).steps[1]
         with pytest.raises(StrategyError, match="reason"):
             render_step(step, ITEM.question, {})
+
+    def test_facts_placeholder_without_facts_named(self):
+        with pytest.raises(StrategyError, match=r"step 'fact': no facts available for \{facts\}"):
+            render_step(Step("fact", "Facts: {facts}"), ITEM.question, {})
 
     def test_thought_budget_truncates_priors(self):
         step = plan("cot", ITEM).steps[1]
@@ -443,6 +448,19 @@ class TestTranscriptRow:
             assert line(cache) == bare
             cache.close()
             assert mock.call_count == calls
+
+    def test_answer_and_vote_rows_are_copies(self):
+        transcript, _, _ = run_strategy("self_consistency", {"sample": ["True"] * 6 + ["False"] * 4})
+        answer, vote = transcript.final_answer, transcript.vote_detail
+        row = transcript.to_dict()
+        assert row["final_answer"] == {"raw_text": "True", "normalized": "true",
+                                       "boolean_value": "true"}
+        assert row["vote"]["winner"] == "true"
+        row["final_answer"]["normalized"] = "false"
+        row["vote"]["winner"] = "false"
+        assert transcript.final_answer is answer and answer.normalized == "true"
+        assert transcript.vote_detail is vote and vote.winner == "true"
+        assert transcript.to_dict()["final_answer"]["normalized"] == "true"
 
     def test_no_probes_without_probe_methods(self):
         transcript, _, _ = run_strategy("standard", {"answer": "No"})
