@@ -42,10 +42,7 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Retryable network, rate-limit (429) or server (5xx) failure."""
-
-    # The seconds a 429 or 503 reply's numeric Retry-After header asked for.
-    retry_after: Optional[float] = None
+    """A network, rate-limit (429) or server (5xx) failure that `HttpBackend` gave up retrying."""
 
 
 class MalformedResponseError(BackendError):
@@ -420,7 +417,7 @@ class ResponseCache:
                 self._fh = None
 
 
-# complete's retry policy: attempts per request, and the first wait, doubled after each.
+# HttpBackend's retry policy: attempts per request, and the first wait, doubled after each.
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5
 # The longest wait a Retry-After header can ask of one retry.
@@ -428,27 +425,8 @@ RETRY_AFTER_CAP_SECONDS = 30.0
 
 
 def complete(backend: Backend, request: CompletionRequest) -> Completion:
-    """Run a completion with bounded retry on transport errors.
-
-    Malformed responses are surfaced immediately; only transport and
-    rate-limit failures are retried, with exponential backoff, waiting
-    longer where a `Retry-After` header asks, up to `RETRY_AFTER_CAP_SECONDS`.
-    A `ResponseCache` backend is retried as a whole, so a miss that failed
-    is looked up again.
-    """
-    last_error: Optional[Exception] = None
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            return backend.complete(request)
-        except TransportError as exc:
-            last_error = exc
-            if attempt + 1 < MAX_ATTEMPTS:
-                delay = BACKOFF_SECONDS * (2**attempt)
-                if exc.retry_after is not None:
-                    delay = max(delay, min(exc.retry_after, RETRY_AFTER_CAP_SECONDS))
-                logger.warning("transport error (%s); retrying in %.1fs", exc, delay)
-                time.sleep(delay)
-    raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {last_error}")
+    """`backend.complete(request)`, under the one name `strategies` and `confidence` call."""
+    return backend.complete(request)
 
 
 def parse_reply(body, request: CompletionRequest) -> Completion:
@@ -655,27 +633,36 @@ class HttpBackend:
         return body
 
     def complete(self, request: CompletionRequest) -> Completion:
+        """The endpoint's reply to `request`; only a network error, a 429 or a 5xx is retried.
+
+        `MAX_ATTEMPTS` tries in all, with exponential backoff, or a 429 or 503's
+        longer numeric `Retry-After`, up to `RETRY_AFTER_CAP_SECONDS`.
+        """
         import requests
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self.session.post(
-                f"{self.base_url}/v1/completions",
-                json=self._body(request),
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
+        url, payload = f"{self.base_url}/v1/completions", self._body(request)
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                logger.warning("transport error (%s); retrying in %.1fs", error, delay)
+                time.sleep(delay)
+            delay = BACKOFF_SECONDS * 2**attempt
+            try:
+                resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
+            except requests.RequestException as exc:
+                error = str(exc)
+                continue
+            if resp.status_code != 429 and resp.status_code < 500:
+                break
             what = "rate limited" if resp.status_code == 429 else f"HTTP {resp.status_code}"
-            error = TransportError(f"{what}: {resp.text[:200]}")
+            error = f"{what}: {resp.text[:200]}"
             wait = resp.headers.get("Retry-After", "")
             if resp.status_code in (429, 503) and wait.isascii() and wait.isdigit():  # not a date
-                error.retry_after = float(wait)
-            raise error
+                delay = max(delay, min(float(wait), RETRY_AFTER_CAP_SECONDS))
+        else:
+            raise TransportError(f"giving up after {MAX_ATTEMPTS} attempts: {error}")
         if not 200 <= resp.status_code < 300:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:

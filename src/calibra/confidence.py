@@ -23,8 +23,10 @@ P_TRUE_QUESTION = "Is the possible answer: (A) True (B) False"
 VERBALIZED_SUFFIX = "Confidence (0-1):"
 
 _NUMBER = r"(\d+\.\d+|\.\d+|\d+)"
-# A numeral with the sign written right before it, then a "%" or a denominator.
-_NUMERAL_RE = re.compile(rf"(-?){_NUMBER}\s*(?:(%)|(?:/|out\s+of)\s*{_NUMBER})?")
+# A numeral with the sign written right before it, then a denominator, or a "%"
+# and a range's second bound ("-", an en dash or "to") with its own "%".
+_NUMERAL_RE = re.compile(rf"(-?){_NUMBER}\s*(?:(?:/|out\s+of)\s*{_NUMBER}|"
+                         rf"(%?)\s*(?:(?:-|\u2013|to)\s*{_NUMBER}\s*(%?))?)")
 
 
 class ConfidenceError(Exception):
@@ -67,8 +69,8 @@ def p_true_confidence(
 
     Appends the possible answer and the fixed True/False question, asks for
     a single token with top-5 alternatives, and reads off the probability of
-    "A" (one leading space trimmed, case-folded). `normalized` rescales to
-    p(A) / (p(A) + p(B)).
+    "A" (whitespace and parentheses stripped, case-folded, so " (A" is A).
+    `normalized` rescales to p(A) / (p(A) + p(B)).
     """
     prompt = f"{answer_context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
     request = CompletionRequest(prompt=prompt, max_tokens=1, temperature=0.0, top_logprobs=5)
@@ -77,7 +79,8 @@ def p_true_confidence(
         raise ExtractionFailedError("empty reply to the P(True) probe: no top-logprobs to read")
     first = completion.top_logprobs[0]
     # Read in reverse, so that of two tokens that fold alike the first is kept.
-    folded = {token.strip().casefold(): lp for token, lp in reversed(first.items())}
+    folded = {token.strip().strip("()").strip().casefold(): lp
+              for token, lp in reversed(first.items())}
     lp_a, lp_b = folded.get("a"), folded.get("b")
     if lp_a is None and lp_b is None:
         raise ExtractionFailedError(f"neither 'A' nor 'B' among top tokens: {sorted(first)}")
@@ -93,17 +96,20 @@ def p_true_confidence(
 def parse_verbalized(text: str) -> ConfidenceResult:
     """Read the first numeral in the text as a confidence, clamped to [0, 1].
 
-    A numeral followed by "%" is a fraction of 100, and "a/b" or "a out of b"
-    is a/b. A minus sign right before the numeral is kept. The raw value is kept.
+    A numeral followed by "%" is a fraction of 100, "a/b" or "a out of b" is
+    a/b, and a range "a-b", "a–b" or "a to b" is its midpoint, in percent if
+    either bound has a "%". A minus sign right before the numeral is kept, and
+    so is the raw value.
     """
     match = _NUMERAL_RE.search(text)
     if match is None:
         raise UnparseableConfidenceError(f"no numeral in confidence reply: {text[:120]!r}")
-    sign, numerator, percent, denominator = match.groups()
-    scale = float(denominator or (100 if percent else 1))
+    sign, first, denominator, percent, second, second_percent = match.groups()
+    scale = float(denominator or (100 if percent or second_percent else 1))
     if scale == 0:
         raise UnparseableConfidenceError(f"zero denominator in confidence reply: {text[:120]!r}")
-    raw = float(sign + numerator) / scale
+    raw = float(sign + first)
+    raw = (raw if second is None else (raw + float(second)) / 2) / scale
     value = min(1.0, max(0.0, raw))
     return ConfidenceResult(value=value, raw_value=raw, clamped=value != raw)
 

@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import orjson
 import pytest
@@ -558,6 +558,28 @@ class TestCache:
         assert backend.call_count == 0
         assert reloaded.get(replace(request, stop=("\n",))) is None
 
+    # A value other than the default for each `CompletionRequest` field.
+    FIELD_SAMPLES = {"prompt": "q", "max_tokens": 7, "temperature": 0.5, "top_logprobs": 2,
+                     "seed": 3, "stop": ("\n", "Q:")}
+
+    def test_every_request_field_reaches_the_key_of_a_loaded_line(self, tmp_path):
+        # The loader lists the fields by hand: a field added to the request but not
+        # to `_request_fields` would make every loaded line miss its request.
+        names = [field.name for field in fields(CompletionRequest)]
+        missing = sorted(set(names) - self.FIELD_SAMPLES.keys())
+        assert not missing, f"give FIELD_SAMPLES and _request_fields the new fields {missing}"
+        request = CompletionRequest(**{name: self.FIELD_SAMPLES[name] for name in names})
+        for field in fields(CompletionRequest):
+            assert getattr(request, field.name) != field.default, field.name
+        assert backend_module._request_fields(request.to_dict()) == \
+            backend_module._request_key(request)
+        completion = Completion("True", (), (), ())
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path, mock_from_script({}))
+        cache.put(request, completion)
+        cache.close()
+        assert ResponseCache(path, mock_from_script({})).get(request) == completion
+
     def test_blank_lines_between_entries_are_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({"a": "A", "b": "B"})
@@ -993,15 +1015,17 @@ class TestCacheAsBackend:
         cache.close()
 
     def test_transport_error_is_retried_through_the_cache(self, tmp_path):
+        # The endpoint retries inside the miss, so the cache records one reply.
         path = tmp_path / "cache.jsonl"
-        backend = FlakyBackend(failures=1)
-        cache = ResponseCache(path, backend)
+        session = ScriptedSession(FakeResponse(status_code=503, text="busy"),
+                                  FakeResponse(payload=OK_BODY))
+        cache = ResponseCache(path, HttpBackend("http://host", "m", api_key="k", session=session))
         request = CompletionRequest(prompt="p")
         completion = complete(cache, request)
         assert completion.text == "ok"
-        assert backend.calls == 2
+        assert session.posts == 2
         assert complete(cache, request) == completion
-        assert backend.calls == 2
+        assert session.posts == 2
         cache.close()
         (line,) = path.read_bytes().splitlines()
         assert Completion.from_dict(json.loads(line)["completion"]) == completion
@@ -1072,43 +1096,60 @@ class TestCacheAsBackend:
         assert len((tmp_path / "cache.jsonl").read_bytes().splitlines()) == 1
 
 
-class FlakyBackend:
-    def __init__(self, failures, exc=TransportError):
-        self.failures = failures
-        self.exc = exc
-        self.calls = 0
-
-    def complete(self, request):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise self.exc("boom")
-        return Completion(text="ok", tokens=("ok",), token_logprobs=(0.0,), top_logprobs=({"ok": 0.0},))
+OK_BODY = {"choices": [{"text": "ok", "finish_reason": "stop"}]}
 
 
 class TestRetry:
+    """`HttpBackend` retries a network error, a 429 or a 5xx; nothing else retries."""
+
     def test_retries_transport_errors(self):
-        backend = FlakyBackend(failures=2)
-        completion = complete(backend, CompletionRequest(prompt="p"))
-        assert completion.text == "ok"
-        assert backend.calls == 3
+        session = ScriptedSession(requests.ConnectionError("connection reset"),
+                                  FakeResponse(status_code=500, text="kaput"),
+                                  FakeResponse(payload=OK_BODY))
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "ok"
+        assert session.posts == 3
 
     def test_backoff_doubles_after_each_attempt(self, monkeypatch):
         slept = []
         monkeypatch.setattr(backend_module, "BACKOFF_SECONDS", 0.25)
         monkeypatch.setattr(backend_module.time, "sleep", slept.append)
-        with pytest.raises(TransportError, match="giving up after 3 attempts: boom"):
-            complete(FlakyBackend(failures=5), CompletionRequest(prompt="p"))
+        session = ScriptedSession(*[FakeResponse(status_code=500, text="boom")] * 5)
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(TransportError, match="giving up after 3 attempts: HTTP 500: boom"):
+            backend.complete(CompletionRequest(prompt="p"))
         assert slept == [0.25, 0.5]
 
     def test_gives_up_after_three(self):
-        backend = FlakyBackend(failures=5)
-        with pytest.raises(TransportError):
-            complete(backend, CompletionRequest(prompt="p"))
-        assert backend.calls == 3
+        session = ScriptedSession(*[FakeResponse(status_code=429, text="slow down")] * 5)
+        backend = HttpBackend("http://host", "m", api_key="k", session=session)
+        with pytest.raises(TransportError, match="giving up after 3 attempts: rate limited"):
+            backend.complete(CompletionRequest(prompt="p"))
+        assert session.posts == 3
 
-    def test_no_retry_on_malformed(self):
-        backend = FlakyBackend(failures=5, exc=MalformedResponseError)
-        with pytest.raises(MalformedResponseError):
+    def test_no_retry_on_malformed(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(backend_module.time, "sleep", slept.append)
+        for first, error in [(FakeResponse(status_code=400, text="bad request"), BackendError),
+                             (FakeResponse(text="<html>"), MalformedResponseError)]:
+            session = ScriptedSession(first, FakeResponse(payload=OK_BODY))
+            backend = HttpBackend("http://host", "m", api_key="k", session=session)
+            with pytest.raises(error) as info:
+                backend.complete(CompletionRequest(prompt="p"))
+            assert not isinstance(info.value, TransportError)
+            assert session.posts == 1
+        assert slept == []
+
+    def test_a_custom_backends_transport_error_is_not_retried(self):
+        class Failing:
+            calls = 0
+
+            def complete(self, request):
+                self.calls += 1
+                raise TransportError("boom")
+
+        backend = Failing()
+        with pytest.raises(TransportError, match="^boom$"):
             complete(backend, CompletionRequest(prompt="p"))
         assert backend.calls == 1
 
@@ -1124,7 +1165,7 @@ class FakeSession:
 
 
 class ScriptedSession:
-    """Answers each post with the next response in order."""
+    """Answers each post with the next response in order, or raises it if it is an exception."""
 
     def __init__(self, *responses):
         self.responses = list(responses)
@@ -1132,7 +1173,10 @@ class ScriptedSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts += 1
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 class TestHttpBackend:

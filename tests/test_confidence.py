@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from calibra.backend import Completion, MalformedResponseError, mock_from_script
+from calibra.backend import Completion, HttpBackend, MalformedResponseError, mock_from_script
 from calibra.confidence import (
     ConfidenceError,
     ConfidenceResult,
@@ -19,6 +19,7 @@ from calibra.confidence import (
     token_prob_confidence,
     verbalized_confidence,
 )
+from conftest import ScriptEndpoint
 
 
 def completion_with(logprobs):
@@ -114,6 +115,36 @@ class TestPTrue:
         with pytest.raises(ExtractionFailedError, match=r"empty reply to the P\(True\) probe"):
             p_true_confidence(mock_from_script({prompt: ""}), "ctx", "Paris")
 
+    @pytest.mark.parametrize("choice", [" (A", "(A)", "A)", "(A"])
+    def test_a_parenthesized_choice_reads_as_its_letter(self, choice):
+        backend = p_true_backend({"(": math.log(0.5), choice: math.log(0.3), "B": math.log(0.1)})
+        assert p_true_confidence(backend, "ctx", "Paris").value == pytest.approx(0.3)
+
+    def test_first_of_two_tokens_that_fold_alike_is_read(self):
+        backend = p_true_backend({" (A": math.log(0.3), "A": math.log(0.6), "B": math.log(0.05)})
+        assert p_true_confidence(backend, "ctx", "Paris").value == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("top, lp_a, lp_b", [
+        ({"(": -0.4, " (A": -1.2, " (B": -2.0}, -1.2, -2.0),
+        ({"(": -0.4, " (A": -1.2, " (B": -2.0, "A": -3.0, " The": -4.0, "B": -4.5, " I": -5.0},
+         -1.2, -2.0),
+        ({" A": -0.3, " B": -1.5}, -0.3, -1.5),
+    ], ids=["parenthesized", "more_than_requested", "spaced"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_over_http_reads_as_over_the_mock(self, top, lp_a, lp_b, normalized):
+        http = HttpBackend("http://host", "m", api_key="k",
+                           session=ScriptEndpoint(p_true_backend(top)))
+        results = [p_true_confidence(backend, "ctx", "Paris", normalized=normalized)
+                   for backend in (p_true_backend(top), http)]
+        assert results[0] == results[1]
+        p_a, p_b = math.exp(lp_a), math.exp(lp_b)
+        assert results[0].value == (p_a / (p_a + p_b) if normalized else p_a)
+
+    def test_a_lone_parenthesis_is_no_choice(self):
+        backend = p_true_backend({"(": math.log(0.9)})
+        with pytest.raises(ExtractionFailedError, match="neither 'A' nor 'B'"):
+            p_true_confidence(backend, "ctx", "Paris")
+
     def test_missing_a_uses_zero(self):
         backend = p_true_backend({"B": math.log(0.8), "C": math.log(0.1)})
         assert p_true_confidence(backend, "ctx", "Paris").value == 0.0
@@ -177,10 +208,19 @@ class TestParseVerbalized:
         assert parse_verbalized(" -0.2") == ConfidenceResult(value=0.0, raw_value=-0.2,
                                                               clamped=True)
 
-    def test_range_reads_its_first_numeral(self):
-        # A range is not read as one: its first numeral, 70, clamps to 1.
-        assert parse_verbalized(" 70-80%") == ConfidenceResult(value=1.0, raw_value=70.0,
-                                                               clamped=True)
+    @pytest.mark.parametrize("text", [
+        " 70-80%", " 70 to 80%", " 0.7-0.8", " 70%-80%", " 70 \u2013 80 %", "70%\u201380",
+        "0.7 to 0.8",
+    ])
+    def test_range_reads_its_midpoint(self, text):
+        # A "%" after either bound makes both bounds percentages.
+        assert parse_verbalized(text) == ConfidenceResult(value=0.75, raw_value=0.75)
+
+    @pytest.mark.parametrize("text, raw", [
+        (" 85", 85.0), ("0.85 - sure", 0.85), ("0.73 (fairly sure)", 0.73), ("70 tomorrow", 70.0),
+    ])
+    def test_a_numeral_without_a_second_bound_is_no_range(self, text, raw):
+        assert parse_verbalized(text).raw_value == raw
 
     def test_unparseable(self):
         with pytest.raises(UnparseableConfidenceError):
