@@ -17,8 +17,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Protocol, TextIO
 
@@ -124,8 +123,7 @@ def _check_request_fields(max_tokens: int, temperature: float, top_logprobs: int
         raise ValueError("top_logprobs must be in [0, 5]")
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class _RequestFields(NamedTuple):
     prompt: str
     max_tokens: int = DEFAULT_MAX_TOKENS
     temperature: float = DEFAULT_TEMPERATURE
@@ -133,29 +131,39 @@ class CompletionRequest:
     seed: Optional[int] = None
     stop: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
-        _check_request_fields(self.max_tokens, self.temperature, self.top_logprobs)
-        if self.stop is not None:
-            object.__setattr__(self, "stop", tuple(self.stop))
+
+class CompletionRequest(_RequestFields):
+    """A request as the tuple of its fields: its own cache key, equal to a loaded line's.
+
+    `_replace`, `_make`, `copy` and `pickle` all build one through `__new__`'s checks.
+    """
+
+    __slots__ = ()
+
+    # The defaults are `_RequestFields`'; spelled out, the call is faster than *args.
+    def __new__(cls, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS,
+                temperature: float = DEFAULT_TEMPERATURE, top_logprobs: int = 0,
+                seed: Optional[int] = None, stop: Optional[tuple[str, ...]] = None):
+        _check_request_fields(max_tokens, temperature, top_logprobs)
+        self = super().__new__(cls, prompt, max_tokens, temperature, top_logprobs, seed,
+                               None if stop is None else tuple(stop))
         # A field that is a list fails here, not at its first lookup.
         hash(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "CompletionRequest":
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`.
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         """The fields that are not None; `stop` stays a tuple, which JSON writes as a list."""
-        return {name: value for name, value in zip(_REQUEST_FIELDS, _request_key(self))
-                if value is not None}
+        return {name: value for name, value in zip(self._fields, self) if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
         """The inverse of `to_dict`; the constructor checks the fields."""
         return cls(*_request_fields(d))
-
-
-_REQUEST_FIELDS = tuple(f.name for f in fields(CompletionRequest))
-# The cache's key for a request: its fields, in the order `_request_fields` reads them.
-# A getter, not vars(): on Python 3.11, vars() gives the instance a dict of its own,
-# which slows every later attribute read of the request.
-_request_key = attrgetter(*_REQUEST_FIELDS)
 
 
 # slots=True keeps each instance small; zero-argument super() fails under it on Python 3.10.
@@ -271,9 +279,10 @@ def _read_line(raw: dict) -> tuple[tuple, Completion]:
     """Cache key and completion of a decoded cache line, the one reader of that format.
 
     Checks the line's keys, its request fields and the completion's tokens,
-    and builds the key without a `CompletionRequest`; a field that decoded to
-    a list fails when the key is inserted. Other keys are not read, such as
-    the `request_hash` that older lines hold.
+    and builds the key as a plain tuple, which equals the `CompletionRequest`
+    of the same fields; a field that decoded to a list fails when the key is
+    inserted. Other keys are not read, such as the `request_hash` that older
+    lines hold.
     """
     for name in _LINE_KEYS:
         if name not in raw:
@@ -369,7 +378,7 @@ class ResponseCache:
 
     def get(self, request: CompletionRequest) -> Optional[Completion]:
         """Cached completion for `request`, or None."""
-        return self._entries.get(_request_key(request))
+        return self._entries.get(request)
 
     def complete(self, request: CompletionRequest) -> Completion:
         """The cached completion for `request`; on a miss, the backend's, recorded."""
@@ -386,12 +395,11 @@ class ResponseCache:
         """
         line = encode_line({"completion": completion.to_dict(), "created_at": time.time(),
                             "request": request.to_dict()}) + "\n"
-        key = _request_key(request)
         with self._lock:
-            held = self._entries.get(key)
+            held = self._entries.get(request)
             if held is not None:
                 return held
-            self._entries[key] = completion
+            self._entries[request] = completion
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Optional, get_args
 
 from .backend import Backend, Completion, CompletionRequest, complete
@@ -119,4 +119,5 @@ def verbalized_confidence(backend: Backend, answer_context: str) -> ConfidenceRe
     prompt = f"{answer_context}\n{VERBALIZED_SUFFIX}"
     request = CompletionRequest(prompt=prompt, max_tokens=8, temperature=0.0)
     completion = complete(backend, request)
-    return replace(parse_verbalized(completion.text), reply=completion.text)
+    parsed = parse_verbalized(completion.text)
+    return ConfidenceResult(parsed.value, parsed.raw_value, parsed.clamped, reply=completion.text)

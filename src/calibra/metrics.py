@@ -228,5 +228,5 @@ def distribution_curve(confidences: Sequence[float], grid_size: int = 256) -> Di
     grid = np.linspace(0.0 - pad, 1.0 + pad, grid_size)
     diffs = (grid[:, None] - samples[None, :]) / h
     density = np.exp(-0.5 * diffs**2).sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
-    points = [(float(x), float(d)) for x, d in zip(grid, density)]
+    points = list(zip(grid.tolist(), density.tolist()))
     return DistributionCurve(points=points, bandwidth=h, kind="kde", fallback_bandwidth=fallback)

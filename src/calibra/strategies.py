@@ -375,8 +375,10 @@ def execute(
     answer_step = strategy_plan.steps[-1]
     answer_logprobs = 1 if "token_prob" in config.extraction_method_ids else 0
 
-    def run(step: Step, seed: Optional[int] = None, temperature: Optional[float] = None) -> Completion:
-        prompt = render_step(step, item.question, priors, config.thought_char_budget)
+    def run(step: Step, seed: Optional[int] = None, temperature: Optional[float] = None,
+            prompt: Optional[str] = None) -> Completion:
+        if prompt is None:
+            prompt = render_step(step, item.question, priors, config.thought_char_budget)
         try:
             request = CompletionRequest(
                 prompt=prompt,
@@ -394,10 +396,15 @@ def execute(
 
     if strategy_plan.control == "repeat_n_vote":
         step = strategy_plan.steps[0]
+        # One prompt for all samples (the step never reads its own prior); one answer per text.
+        prompt = render_step(step, item.question, priors, config.thought_char_budget)
+        extracted: dict[str, ExtractedAnswer] = {}
         candidates = []
         for i in range(config.self_consistency_n):
-            completion = run(step, seed=i, temperature=config.self_consistency_temperature)
-            candidates.append(ExtractedAnswer.from_text(completion.text, item.answer_kind))
+            text = run(step, i, config.self_consistency_temperature, prompt).text
+            if text not in extracted:
+                extracted[text] = ExtractedAnswer.from_text(text, item.answer_kind)
+            candidates.append(extracted[text])
         winner, counts = majority_vote(candidates)
         vote_detail = VoteDetail(
             candidates=[c.normalized for c in candidates], counts=counts, winner=winner.normalized

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import random
 import re
 import shutil
@@ -12,7 +14,7 @@ import struct
 import subprocess
 import sys
 import threading
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, replace
 
 import orjson
 import pytest
@@ -108,7 +110,7 @@ class TestCompletionRequest:
         assert request == twin and hash(request) == hash(twin)
         assert len({request: 1, twin: 2}) == 1
         assert hash(request) == hash(("q", 120, 1, 0, None, None))
-        reseeded = replace(twin, seed=4)
+        reseeded = twin._replace(seed=4)
         assert hash(reseeded) == hash(CompletionRequest(prompt="q", temperature=1.0, seed=4))
 
     def test_list_valued_field_fails_at_construction(self):
@@ -121,6 +123,31 @@ class TestCompletionRequest:
         with pytest.raises(ValueError, match=re.escape(
                 f"temperature must be a finite number >= 0, not {temperature!r}")):
             CompletionRequest(prompt="q", temperature=temperature)
+
+    def test_replace_and_make_check_as_the_constructor_does(self):
+        request = CompletionRequest(prompt="q")
+        with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+            request._replace(max_tokens=0)
+        with pytest.raises(ValueError, match="temperature must be a finite number"):
+            request._replace(temperature=math.nan)
+        with pytest.raises(TypeError, match="unhashable"):
+            CompletionRequest._make([["q"], 120, 1.2, 0, None, None])
+        assert request._replace(stop=["\n"]).stop == ("\n",)
+        assert type(CompletionRequest._make(request)) is CompletionRequest
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        request = CompletionRequest("q")
+        assert request == ("q", *CompletionRequest._field_defaults.values())
+        assert request == ("q", 120, 1.2, 0, None, None)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_keep_the_request(self, copier):
+        request = CompletionRequest(prompt="q", max_tokens=7, temperature=0.5, top_logprobs=2,
+                                    seed=3, stop=("\n",))
+        twin = copier(request)
+        assert twin == request and type(twin) is CompletionRequest
 
 
 class TestCompletion:
@@ -556,7 +583,7 @@ class TestCache:
         assert len(reloaded) == 1
         assert reloaded.complete(request) == completion
         assert backend.call_count == 0
-        assert reloaded.get(replace(request, stop=("\n",))) is None
+        assert reloaded.get(request._replace(stop=("\n",))) is None
 
     # A value other than the default for each `CompletionRequest` field.
     FIELD_SAMPLES = {"prompt": "q", "max_tokens": 7, "temperature": 0.5, "top_logprobs": 2,
@@ -565,14 +592,13 @@ class TestCache:
     def test_every_request_field_reaches_the_key_of_a_loaded_line(self, tmp_path):
         # The loader lists the fields by hand: a field added to the request but not
         # to `_request_fields` would make every loaded line miss its request.
-        names = [field.name for field in fields(CompletionRequest)]
+        names = list(CompletionRequest._fields)
         missing = sorted(set(names) - self.FIELD_SAMPLES.keys())
         assert not missing, f"give FIELD_SAMPLES and _request_fields the new fields {missing}"
         request = CompletionRequest(**{name: self.FIELD_SAMPLES[name] for name in names})
-        for field in fields(CompletionRequest):
-            assert getattr(request, field.name) != field.default, field.name
-        assert backend_module._request_fields(request.to_dict()) == \
-            backend_module._request_key(request)
+        for name in CompletionRequest._fields:
+            assert getattr(request, name) != CompletionRequest._field_defaults.get(name), name
+        assert backend_module._request_fields(request.to_dict()) == request
         completion = Completion("True", (), (), ())
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path, mock_from_script({}))
@@ -750,6 +776,23 @@ class TestCache:
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
 
+    def test_a_request_hits_the_plain_tuple_key_of_a_loaded_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        request = CompletionRequest(prompt="p", max_tokens=7, temperature=0, top_logprobs=1,
+                                    seed=3, stop=("\n",))
+        writer = ResponseCache(path, mock_from_script({"p": "A"}))
+        writer.complete(request)
+        writer.close()
+        backend = mock_from_script({"p": "B"})
+        reloaded = ResponseCache(path, backend)
+        (key,) = reloaded._entries
+        assert type(key) is tuple and key == request and hash(key) == hash(request)
+        assert reloaded.get(request).text == "A"
+        assert reloaded.put(request, Completion("B", (), (), ())).text == "A"
+        reloaded.close()
+        assert backend.call_count == 0
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
     def test_compact_lines_append_to_space_separated_ones(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         backend = mock_from_script({p: p.upper() for p in "abcd"})
@@ -896,7 +939,7 @@ class TestCache:
         assert backend.call_count == 0
         (name, value), = fields.items()
         if float(value) != value:  # the request at the float's value is another request
-            assert reloaded.get(replace(request, **{name: int(float(value))})) is None
+            assert reloaded.get(request._replace(**{name: int(float(value))})) is None
         reloaded.close()
 
     @pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])

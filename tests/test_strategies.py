@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from calibra import strategies
 from calibra.backend import LINE_ENCODER, Completion, HttpBackend, ResponseCache, mock_from_script
 from calibra.confidence import VERBALIZED_SUFFIX, token_prob_confidence
 from calibra.qa import ExtractedAnswer, QAItem
@@ -13,6 +14,7 @@ from calibra.strategies import (
     COT_PROMPT,
     SELF_ASK_CHECK,
     SELF_ASK_MAX_FOLLOWUPS,
+    STRATEGIES,
     STRATEGY_IDS,
     Step,
     StrategyConfig,
@@ -465,6 +467,56 @@ class TestTranscriptRow:
     def test_no_probes_without_probe_methods(self):
         transcript, _, _ = run_strategy("standard", {"answer": "No"})
         assert self.row(transcript)["probes"] == {}
+
+
+class SeedBackend:
+    """Replies `replies[request.seed]` and keeps each request."""
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        text = self.replies[request.seed]
+        return Completion(text, (text,), (-0.5,), ({text: -0.5},))
+
+
+class TestSelfConsistencySharing:
+    def test_one_render_and_one_extraction_per_distinct_reply(self, monkeypatch):
+        renders, extractions = [], []
+        render, extract = strategies.render_step, ExtractedAnswer.from_text
+        monkeypatch.setattr(strategies, "render_step",
+                            lambda *args: renders.append(args[0].name) or render(*args))
+        monkeypatch.setattr(ExtractedAnswer, "from_text",
+                            lambda text, kind: extractions.append(text) or extract(text, kind))
+        replies = ["Yes", "No", "No", "Yes", "No"]
+        backend = SeedBackend(replies)
+        config = StrategyConfig(self_consistency_n=5, extraction_method_ids=["token_prob"])
+        transcript = execute(plan("self_consistency", ITEM, config), ITEM, backend, config)
+        assert renders == ["sample"]
+        assert extractions == ["Yes", "No"]
+        prompt = f"Question: {ITEM.question}\nAnswer:"
+        assert [(r.prompt, r.seed, r.temperature, r.top_logprobs) for r in backend.requests] == \
+            [(prompt, seed, 0.7, 1) for seed in range(5)]
+        row = transcript.to_dict()
+        assert [(s["step"], s["prompt"], s["completion"]["text"]) for s in row["steps"]] == \
+            [("sample", prompt, text) for text in replies]
+        assert transcript.final_index == 1
+        assert row["steps"][1]["completion"]["tokens"] == ("No",)
+        assert row["vote"] == {"candidates": ["yes", "no", "no", "yes", "no"],
+                               "counts": {"yes": 2, "no": 3}, "winner": "no"}
+        assert row["final_answer"] == {"raw_text": "No", "normalized": "no",
+                                       "boolean_value": "false"}
+
+    def test_no_voted_step_reads_its_own_prior(self):
+        # `execute` renders a voted step once for all its samples, which is sound
+        # only while the step's template does not read the samples' replies.
+        voted = [(sid, step) for sid, (steps, control) in STRATEGIES.items()
+                 if control == "repeat_n_vote" for step in steps]
+        assert voted
+        for sid, step in voted:
+            assert f"{{prior:{step.name}}}" not in step.template, sid
 
 
 class LogprobSession:
