@@ -12,6 +12,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
@@ -244,44 +245,43 @@ def run_eval(config: RunConfig, backend: Optional[Backend] = None) -> RunReport:
         raise ConfigError(f"concern_lexicon_path: {exc}") from exc
     except ConcernError as exc:  # from None, or the cause's exit code (3) would win
         raise ConfigError(f"concern_lexicon_path: {config.concern_lexicon_path}: {exc}") from None
-    try:
-        cache = ResponseCache(config.cache_path, backend) if config.cache_path else None
-    except ValueError as exc:  # a line that does not load, named by file:line
-        raise DataError(str(exc)) from exc
-    except OSError as exc:
-        raise ConfigError(f"cache_path: {exc}") from exc
-    if cache is not None:
-        backend = cache
-
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    transcripts: Optional[TextIO] = None
-    if out_dir:
+    with ExitStack() as stack:
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            transcripts = (out_dir / "transcripts.jsonl").open("w", encoding="utf-8")
+            if config.cache_path:
+                backend = stack.enter_context(closing(ResponseCache(config.cache_path, backend)))
+        except ValueError as exc:  # a line that does not load, named by file:line
+            raise DataError(str(exc)) from exc
         except OSError as exc:
-            raise ConfigError(f"out_dir: {exc}") from exc
-    try:
-        records = evaluate(config, backend, lexicon, transcripts)
-    finally:
-        if cache is not None:
-            cache.close()
-        if transcripts is not None:
-            transcripts.close()
+            raise ConfigError(f"cache_path: {exc}") from exc
+        files: tuple[TextIO, ...] = ()
+        if config.out_dir:
+            out_dir = Path(config.out_dir)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                # An earlier run's aggregates go, so a run that stops leaves none.
+                for path in [p for pattern in _EMITTED for p in out_dir.glob(pattern)]:
+                    path.unlink()
+                files = tuple(stack.enter_context((out_dir / name).open("w", encoding="utf-8"))
+                              for name in ("records.jsonl", "transcripts.jsonl"))
+            except OSError as exc:
+                raise ConfigError(f"out_dir: {exc}") from exc
+        records = evaluate(config, backend, lexicon, files)
     report, curves = aggregate(records, config.snapshot(lexicon))
-    if out_dir:
-        emit_report(report, out_dir, records, curves)
+    if config.out_dir:
+        emit_report(report, config.out_dir, curves)
     return report
 
 
 def evaluate(
-    config: RunConfig, backend: Backend, lexicon: ConcernLexicon, transcripts: Optional[TextIO]
+    config: RunConfig, backend: Backend, lexicon: ConcernLexicon, files: Sequence[TextIO]
 ) -> list[EvalRecord]:
     """The record of every (dataset, strategy, item), in that order; all datasets load first.
 
-    Both maps yield in task order, whatever order the worker pool ends the
-    work in, so neither the records nor the transcript lines written to
-    `transcripts` depend on the worker count.
+    `files` is empty, or the records.jsonl and transcripts.jsonl handles:
+    each evaluation's record and transcript line go to them as it is
+    collected. Both maps yield in task order, whatever order the worker pool
+    ends the work in, so neither the records nor the lines depend on the
+    worker count, and a run that stops keeps every line collected before.
     """
     tasks: list[tuple[str, QAItem, str]] = []
     for ds_path in config.dataset_path:
@@ -291,8 +291,8 @@ def evaluate(
         stem = Path(ds_path).stem
         tasks += [(stem, item, sid) for sid in config.strategy_ids for item in items]
 
-    def one(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, Optional[str]]:
-        """The record, and the transcript as its line when transcripts are written."""
+    def one(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, tuple[str, ...]]:
+        """The record, and its line and the transcript's when `files` are given."""
         dataset, item, strategy_id = task
         try:
             strategy_plan = plan(strategy_id, item, config)
@@ -311,16 +311,17 @@ def evaluate(
             strategy_id=strategy_id,
             dataset=dataset,
         )
-        line = encode_line(transcript.to_dict()) + "\n" if transcripts is not None else None
-        return record, line
+        if not files:
+            return record, ()
+        return record, (encode_line(vars(record)) + "\n", encode_line(transcript.to_dict()) + "\n")
 
     records: list[EvalRecord] = []
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         run_all = pool.map if config.worker_count > 1 else map
-        for record, line in run_all(one, tasks):
+        for record, lines in run_all(one, tasks):
             records.append(record)
-            if transcripts is not None:
-                transcripts.write(line)
+            for fh, line in zip(files, lines):
+                fh.write(line)
     return records
 
 
@@ -420,26 +421,24 @@ CSV_COLUMNS = (
 )
 
 
-def emit_report(
-    report: RunReport,
-    out_dir: str | Path,
-    records: Sequence[EvalRecord],
-    curves: Mapping[str, cal.DistributionCurve],
-) -> None:
-    """Write report.json, records.jsonl, metrics.csv, and one CSV per curve.
+# What `emit_report` writes; `run_eval` removes an earlier run's before its first request.
+_EMITTED = ("report.json", "metrics.csv", "run_meta.json", "curves/*.csv")
 
-    Each fact is written once: the records only to records.jsonl, and the
-    curve points (keyed by file stem in `curves`) only to their CSVs.
-    Wall-clock metadata, and the path of the run's transcripts.jsonl when
-    `out_dir` holds one, go to a sidecar so the report body stays
-    byte-reproducible across machines and runs.
+
+def emit_report(
+    report: RunReport, out_dir: str | Path, curves: Mapping[str, cal.DistributionCurve]
+) -> None:
+    """Write report.json, metrics.csv, the run_meta.json sidecar, and one CSV per curve.
+
+    Each fact is written once: the curve points (keyed by file stem in
+    `curves`) only to their CSVs, and the records not here at all, since
+    `evaluate` streams them. Wall-clock metadata, and the path of the run's
+    transcripts.jsonl when `out_dir` holds one, go to the sidecar so the
+    report body stays byte-reproducible across machines and runs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    with (out_dir / "records.jsonl").open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(encode_line(vars(r)) + "\n")
     meta_path = out_dir / "run_meta.json"
     meta = {"written_at": time.time()}
     transcripts_path = out_dir / "transcripts.jsonl"

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from calibra import harness
 from calibra import metrics as cal
@@ -29,6 +30,7 @@ from calibra.backend import (
     load_mock_script,
     mock_from_script,
 )
+from calibra.cli import main
 from calibra.qa import EvalRecord
 from calibra.strategies import STRATEGY_IDS, StrategyConfig, execute, plan
 from conftest import (
@@ -201,6 +203,39 @@ class TestRunEval:
         assert len(handles) == 2
         assert all(fh.closed for fh in handles)
         assert len(ResponseCache(tmp_path / "failed.jsonl", scripted)) == 2
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_stopped_run_keeps_its_finished_lines(self, e2e_dataset, e2e_script, tmp_path, workers):
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path, worker_count=workers)
+        out = Path(config.out_dir)
+        run_eval(config)
+        finished = {name: (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                    for name in ("records.jsonl", "transcripts.jsonl")}
+        scripted = load_mock_script(e2e_script)
+
+        class FailsOnThirdTask:
+            """Fails every request of q3, so standard's third task, whatever the worker order."""
+
+            def complete(self, request):
+                if E2E_ITEMS[2].question in request.prompt:
+                    raise ScriptError("scripted failure")
+                return scripted.complete(request)
+
+        with pytest.raises(RuntimeError, match="item 'q3', strategy 'standard'"):
+            run_eval(config, backend=FailsOnThirdTask())
+        for name, lines in finished.items():
+            assert (out / name).read_text(encoding="utf-8").splitlines(keepends=True) == lines[:2]
+        assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
+            "records.jsonl", "transcripts.jsonl"]
+        result = CliRunner().invoke(main, ["metrics", "--report", str(out)])
+        assert result.exit_code == 3, result.output
+
+    def test_rerun_leaves_only_its_own_curves(self, e2e_dataset, e2e_script, tmp_path):
+        run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path))
+        run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path, strategy_ids=["standard"]))
+        curves = sorted(p.name for p in (tmp_path / "out" / "curves").iterdir())
+        assert curves == ["dataset__standard__token_prob__histogram.csv",
+                          "dataset__standard__token_prob__kde.csv"]
 
     def test_concern_flag_on_far_answer(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -451,7 +486,7 @@ class TestEmitReport:
         assert sorted(meta) == ["transcripts_path", "written_at"]
         assert meta["transcripts_path"] == str(out / "transcripts.jsonl")
         # Emitted where no run wrote transcripts, the sidecar names none.
-        harness.emit_report(report, tmp_path / "bare", [], {})
+        harness.emit_report(report, tmp_path / "bare", {})
         bare_meta = json.loads((tmp_path / "bare" / "run_meta.json").read_text(encoding="utf-8"))
         assert sorted(bare_meta) == ["written_at"]
         curves = list((out / "curves").glob("*.csv"))
