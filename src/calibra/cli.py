@@ -16,7 +16,7 @@ from .backend import BackendError
 from .concern import ConcernError, augment_with_knowledge, select_hard
 from .confidence import ConfidenceError
 from .harness import SWEEP_AXES, ConfigError, DataError, RunConfig, aggregate, load_dataset
-from .harness import read_records, run_eval, sweep as run_sweep, write_dataset
+from .harness import read_run, run_eval, sweep as run_sweep, write_dataset
 from .strategies import StrategyError
 
 # The exit code of each error kind. An error's `__cause__` chain is walked
@@ -97,18 +97,8 @@ def metrics(report_dir) -> None:
     The config block comes from the report.json in the same directory, so
     the output equals that file byte for byte when the records are the run's.
     """
-    run_dir = Path(report_dir)
-    path = run_dir / "report.json"
-    try:
-        config = json.loads(path.read_text(encoding="utf-8"))["config"]
-        # Rebuilt only for its checks; the block itself goes back into the report.
-        RunConfig(**{k: v for k, v in dict(config).items() if k != "concern_lexicon_version"})
-    except OSError as exc:
-        raise DataError(f"report: {exc}") from exc
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        # A data error, not the ConfigError of a bad run config.
-        raise DataError(f"{path}: no valid config block: {exc}") from None
-    report, _ = aggregate(read_records(run_dir / "records.jsonl"), config)
+    config, records = read_run(report_dir)
+    report, _ = aggregate(records, config)
     click.echo(report.to_json())
 
 
@@ -121,13 +111,10 @@ def metrics(report_dir) -> None:
               help="Emit an augmented copy of this dataset for the selected ids.")
 @click.option("--out", "out_path", default=None, type=click.Path())
 def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None:
-    """Select hard examples from a run report and optionally augment a dataset."""
+    """Select hard examples from a finished run's records and optionally augment a dataset."""
     if out_path and not dataset_path:
         raise ConfigError("--out names where the augmented dataset goes; it needs --dataset")
-    records_path = Path(report_dir) / "records.jsonl"
-    if not records_path.exists():
-        raise DataError(f"no records.jsonl under {report_dir}")
-    records = read_records(records_path)
+    _, records = read_run(report_dir)
     items = load_dataset(dataset_path) if dataset_path else None
     if strategy_id:
         records = [r for r in records if r.strategy_id == strategy_id]

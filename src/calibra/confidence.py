@@ -60,17 +60,14 @@ def token_prob_confidence(completion: Completion) -> ConfidenceResult:
 
 
 def p_true_confidence(
-    backend: Backend,
-    answer_context: str,
-    possible_answer: str,
-    normalized: bool = False,
+    backend: Backend, answer_context: str, possible_answer: str
 ) -> ConfidenceResult:
     """Probability the model puts on affirming its own candidate answer.
 
     Appends the possible answer and the fixed True/False question, asks for
     a single token with top-5 alternatives, and reads off the probability of
-    "A" (whitespace and parentheses stripped, case-folded, so " (A" is A).
-    `normalized` rescales to p(A) / (p(A) + p(B)).
+    "A" (whitespace and parentheses stripped, case-folded, so " (A" is A),
+    as Kadavath et al. 2022 read P(True). p(B) is kept only in `aux`.
     """
     prompt = f"{answer_context}\n{POSSIBLE_ANSWER_PREFIX}{possible_answer}\n{P_TRUE_QUESTION}\n"
     request = CompletionRequest(prompt=prompt, max_tokens=1, temperature=0.0, top_logprobs=5)
@@ -86,10 +83,7 @@ def p_true_confidence(
         raise ExtractionFailedError(f"neither 'A' nor 'B' among top tokens: {sorted(first)}")
     p_a = math.exp(lp_a) if lp_a is not None else 0.0
     p_b = math.exp(lp_b) if lp_b is not None else 0.0
-    if normalized and not p_a + p_b > 0:
-        raise ConfidenceError(f"cannot normalize P(True): p(A) + p(B) is 0 in {first}")
-    value = p_a / (p_a + p_b) if normalized else p_a
-    return ConfidenceResult(value=value, raw_value=value, aux={"p_a": p_a, "p_b": p_b},
+    return ConfidenceResult(value=p_a, raw_value=p_a, aux={"p_a": p_a, "p_b": p_b},
                             reply=completion.text)
 
 

@@ -52,13 +52,12 @@ class RunConfig(StrategyConfig):
     strategy_ids: tuple[str, ...] = ("standard",)
     backend: dict = field(default_factory=dict)
     num_buckets: int = cal.DEFAULT_NUM_BUCKETS
-    kde_grid_size: int = 256
     cache_path: Optional[str] = None
     out_dir: Optional[str] = None
     worker_count: int = 4
     concern_lexicon_path: Optional[str] = None
 
-    _LEAST = {**StrategyConfig._LEAST, "num_buckets": 1, "kde_grid_size": 2, "worker_count": 1}
+    _LEAST = {**StrategyConfig._LEAST, "num_buckets": 1, "worker_count": 1}
     _KNOWN_IDS = {"strategy_ids": STRATEGY_IDS, **StrategyConfig._KNOWN_IDS}
 
     def __post_init__(self) -> None:
@@ -191,6 +190,32 @@ def read_records(path: str | Path) -> list[EvalRecord]:
     if not records:
         raise DataError(f"no records in {path}")
     return records
+
+
+# Keys a report's config block may hold that are no `RunConfig` field: the
+# lexicon's version, and settings since retired, whose records read the same.
+_BLOCK_ONLY_KEYS = ("concern_lexicon_version", "p_true_normalized", "p_true_full_context",
+                    "kde_grid_size")
+
+
+def read_run(run_dir: str | Path) -> tuple[dict, list[EvalRecord]]:
+    """A finished run's config block, as report.json holds it, and its records.
+
+    `emit_report` writes report.json last, and `run_eval` removes it before
+    its first request, so a directory without one (a stopped run's) is a
+    `DataError`, and so is a block that does not pass `RunConfig`'s checks.
+    """
+    path = Path(run_dir) / "report.json"
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        # Rebuilt only for its checks; the block itself goes back into the report.
+        RunConfig(**{k: v for k, v in dict(config).items() if k not in _BLOCK_ONLY_KEYS})
+    except OSError as exc:
+        raise DataError(f"report: {exc}") from exc
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        # A data error, not the ConfigError of a bad run config.
+        raise DataError(f"{path}: no valid config block: {exc}") from None
+    return config, read_records(Path(run_dir) / "records.jsonl")
 
 
 # The keys each backend kind reads; any other key in `backend` is an error.
@@ -367,8 +392,7 @@ def aggregate(
                     raise DataError(exc.args[0]) from None
                 summary = cal.summarize(group, method, config["num_buckets"])
                 entry = {**summary.to_dict(), "curves": {}}
-                kde = cal.distribution_curve(confs, grid_size=config["kde_grid_size"])
-                for curve in (summary.histogram(), kde):
+                for curve in (summary.histogram(), cal.distribution_curve(confs)):
                     entry["curves"][curve.kind] = curve.to_dict()
                     curves[f"{stem}__{sid}__{method}__{curve.kind}"] = curve
                 strat["extractions"][method] = entry
@@ -428,23 +452,18 @@ _EMITTED = ("report.json", "metrics.csv", "run_meta.json", "curves/*.csv")
 def emit_report(
     report: RunReport, out_dir: str | Path, curves: Mapping[str, cal.DistributionCurve]
 ) -> None:
-    """Write report.json, metrics.csv, the run_meta.json sidecar, and one CSV per curve.
+    """Write the run_meta.json sidecar, metrics.csv, one CSV per curve, and report.json last.
 
     Each fact is written once: the curve points (keyed by file stem in
     `curves`) only to their CSVs, and the records not here at all, since
-    `evaluate` streams them. Wall-clock metadata, and the path of the run's
-    transcripts.jsonl when `out_dir` holds one, go to the sidecar so the
-    report body stays byte-reproducible across machines and runs.
+    `evaluate` streams them. Wall-clock metadata goes to the sidecar so the
+    report body stays byte-reproducible across machines and runs. report.json
+    comes last, so a directory that holds one holds every file of its run.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    meta_path = out_dir / "run_meta.json"
-    meta = {"written_at": time.time()}
-    transcripts_path = out_dir / "transcripts.jsonl"
-    if transcripts_path.exists():
-        meta["transcripts_path"] = str(transcripts_path)
-    meta_path.write_text(encode_line(meta) + "\n", encoding="utf-8")
+    (out_dir / "run_meta.json").write_text(encode_line({"written_at": time.time()}) + "\n",
+                                           encoding="utf-8")
     with (out_dir / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -474,6 +493,7 @@ def emit_report(
             writer = csv.writer(fh)
             writer.writerow(["x", "density"])
             writer.writerows(curve.points)
+    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
 
 
 SWEEP_AXES = ("thought_char_budget", "demonstrations_count")

@@ -250,8 +250,6 @@ class StrategyConfig:
     self_consistency_temperature: float = 0.7
     demonstrations: tuple[tuple[str, str], ...] = ()
     thought_char_budget: Optional[int] = None
-    p_true_normalized: bool = False
-    p_true_full_context: bool = True
     extraction_method_ids: tuple[str, ...] = ("token_prob",)
 
     # The least value of each count; only thought_char_budget may be None, for no budget.
@@ -440,17 +438,7 @@ def execute(
         if method == "token_prob":
             confidences[method] = token_prob_confidence(final_record.completion)
         elif method == "p_true":
-            context = (
-                final_context
-                if config.p_true_full_context
-                else f"Question: {item.question}"
-            )
-            confidences[method] = p_true_confidence(
-                backend,
-                context,
-                final_answer.raw_text,
-                normalized=config.p_true_normalized,
-            )
+            confidences[method] = p_true_confidence(backend, final_context, final_answer.raw_text)
         else:
             confidences[method] = verbalized_confidence(backend, final_context)
     return Transcript(

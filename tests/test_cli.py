@@ -204,6 +204,20 @@ class TestMetrics:
             entry = recomputed["datasets"][0]["strategies"][sid]["extractions"]["token_prob"]
             assert entry["ece"] == pytest.approx(e2e_expected[sid]["token_prob"]["ece"], abs=1e-12)
 
+    @pytest.mark.parametrize("p_true_normalized", [False, True])
+    def test_report_with_retired_keys_recomputes(self, runner, tmp_path, e2e_dataset, e2e_script,
+                                                  p_true_normalized):
+        # A report written while these were still config keys echoes them as written.
+        out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        report["config"].update(p_true_normalized=p_true_normalized, p_true_full_context=True,
+                                kde_grid_size=256)
+        stored = (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        (out / "report.json").write_bytes(stored)
+        result = runner.invoke(main, ["metrics", "--report", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == stored
+
     def test_empty_records_exit_3(self, runner, tmp_path, e2e_dataset, e2e_script):
         out = run_out(runner, tmp_path, e2e_dataset, e2e_script)
         (out / "records.jsonl").write_text("", encoding="utf-8")
@@ -328,10 +342,11 @@ class Inputs:
         path.write_text(text, encoding=encoding)
         return str(path)
 
-    def records(self, dataset: str = "dataset") -> str:
+    def flagged_run(self, dataset: str = "dataset") -> str:
+        """A run directory whose one record, q4's under far_final, is wrong and flags concern."""
         row = {"item_id": "q4", "strategy_id": "far_final", "correct": False, "dataset": dataset,
                "concern": True, "confidences": {"token_prob": 0.3}}
-        return self.file("records.jsonl", json.dumps(row) + "\n")
+        return self.report(row, strategy_ids=("far_final",))
 
     def report(self, *rows: dict, strategy_ids=("standard",), encoding="utf-8", **config) -> str:
         """A run directory: report.json's config block, and a records line per row.
@@ -424,8 +439,11 @@ EXIT_CASES = {
         1, "error: num_buckets must be >= 1", 0,
     ),
     "kde_grid_size_1": (
-        lambda i: ["run", "--config", i.config(kde_grid_size=1)],
-        1, "error: kde_grid_size must be >= 2", 0,
+        # Retired settings: every run used their defaults, and a config that sets one is refused.
+        lambda i: ["run", "--config", i.config(kde_grid_size=1, p_true_normalized=True,
+                                               p_true_full_context=False)],
+        1, "error: unknown config keys: ['kde_grid_size', 'p_true_full_context', "
+           "'p_true_normalized']", 0,
     ),
     "thought_char_budget_negative": (
         lambda i: ["run", "--config", i.config(thought_char_budget=-5)],
@@ -549,12 +567,6 @@ EXIT_CASES = {
         3, f"error: {{tmp}}/cache.jsonl:1: invalid cache line: finish_reason {reason!r} is "
            "invalid: it must be 'stop', 'length' or 'error'", 0,
     ) for name, reason in (("unknown", "banana"), ("a_number", 5))},
-    "p_true_normalized_underflow": (
-        lambda i: ["run", "--config", i.config(strategy_ids=["standard"], p_true_normalized=True),
-                   "--extract", "p_true", "--mock-script", i.q1_script(p_true={"A": -800.0})],
-        3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'standard': "
-           "cannot normalize P(True): p(A) + p(B) is 0 in {{'A': -800.0}}", 2,
-    ),
     "record_without_correct": (
         lambda i: ["metrics", "--report", i.report({"correct": MISSING})],
         3, "error: {tmp}/run/records.jsonl:1: invalid record: ", 0,
@@ -794,10 +806,10 @@ EXIT_CASES = {
     ),
     "augment_report_missing": (
         lambda i: ["augment", "--report", str(i.tmp / "nodir")],
-        3, "error: no records.jsonl under {tmp}/nodir", 0,
+        3, "error: report: [Errno 2] No such file or directory: '{tmp}/nodir/report.json'", 0,
     ),
     "augment_dataset_missing": (
-        lambda i: ["augment", "--report", str(Path(i.records()).parent),
+        lambda i: ["augment", "--report", i.flagged_run(),
                    "--dataset", str(i.tmp / "missing.jsonl")],
         3, "error: dataset: [Errno 2] No such file or directory: '{tmp}/missing.jsonl'", 0,
     ),
@@ -844,13 +856,13 @@ EXIT_CASES = {
         3, "error: dataset: [Errno 21] Is a directory: '{tmp}'", 0,
     ),
     "augment_out_is_a_directory": (
-        lambda i: ["augment", "--report", str(Path(i.records("k")).parent), "--out", str(i.tmp),
+        lambda i: ["augment", "--report", i.flagged_run("k"), "--out", str(i.tmp),
                    "--dataset", i.file("k.jsonl", json.dumps(
                        {"id": "q4", "question": "q?", "answers": ["a"], "external_knowledge": "k"}))],
         1, "error: --out: [Errno 21] Is a directory: '{tmp}'", 0,
     ),
     "augment_out_without_dataset": (
-        # Checked before records.jsonl is read: this run directory has none.
+        # Checked before the run is read: this directory holds no report.json.
         lambda i: ["augment", "--report", str(i.tmp), "--out", str(i.tmp / "aug.jsonl")],
         1, "error: --out names where the augmented dataset goes; it needs --dataset", 0,
     ),
@@ -863,12 +875,12 @@ EXIT_CASES = {
         3, "error: the records span several datasets; choose one with --dataset", 0,
     ),
     "augment_dataset_without_records": (
-        lambda i: ["augment", "--report", str(Path(i.records()).parent),
+        lambda i: ["augment", "--report", i.flagged_run(),
                    "--dataset", i.dataset_line(external_knowledge="k")],
         3, "error: no records for dataset 'd'", 0,
     ),
     "augment_unknown_strategy": (
-        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--strategy", "nope"],
+        lambda i: ["augment", "--report", i.flagged_run(), "--strategy", "nope"],
         3, "error: no records for strategy 'nope'", 0,
     ),
     "backend_kind_unknown": (
@@ -880,7 +892,7 @@ EXIT_CASES = {
         1, "error: mock backend requires script_path", 0,
     ),
     "augment_without_external_knowledge": (
-        lambda i: ["augment", "--report", str(Path(i.records()).parent), "--dataset", str(i.dataset)],
+        lambda i: ["augment", "--report", i.flagged_run(), "--dataset", str(i.dataset)],
         3, "error: item 'q4' has no external_knowledge to inject", 0,
     ),
 }

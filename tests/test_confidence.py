@@ -88,14 +88,7 @@ class TestPTrue:
         backend = p_true_backend(top)
         raw = p_true_confidence(backend, "ctx", "Paris")
         assert raw.value == pytest.approx(0.2)
-        normalized = p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=True)
-        assert normalized.value == pytest.approx(0.25)
-
-    def test_normalized_at_least_raw(self):
-        top = {"A": math.log(0.3), "B": math.log(0.4)}
-        raw = p_true_confidence(p_true_backend(top), "ctx", "Paris").value
-        norm = p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=True).value
-        assert norm >= raw
+        assert raw.aux == {"p_a": pytest.approx(0.2), "p_b": pytest.approx(0.6)}
 
     def test_first_of_two_alike_tokens_is_read(self):
         backend = p_true_backend({" A": math.log(0.6), "a": math.log(0.1), "B": math.log(0.2)})
@@ -130,15 +123,14 @@ class TestPTrue:
          -1.2, -2.0),
         ({" A": -0.3, " B": -1.5}, -0.3, -1.5),
     ], ids=["parenthesized", "more_than_requested", "spaced"])
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_over_http_reads_as_over_the_mock(self, top, lp_a, lp_b, normalized):
+    def test_over_http_reads_as_over_the_mock(self, top, lp_a, lp_b):
         http = HttpBackend("http://host", "m", api_key="k",
                            session=ScriptEndpoint(p_true_backend(top)))
-        results = [p_true_confidence(backend, "ctx", "Paris", normalized=normalized)
+        results = [p_true_confidence(backend, "ctx", "Paris")
                    for backend in (p_true_backend(top), http)]
         assert results[0] == results[1]
-        p_a, p_b = math.exp(lp_a), math.exp(lp_b)
-        assert results[0].value == (p_a / (p_a + p_b) if normalized else p_a)
+        assert results[0].value == math.exp(lp_a)
+        assert results[0].aux == {"p_a": math.exp(lp_a), "p_b": math.exp(lp_b)}
 
     def test_a_lone_parenthesis_is_no_choice(self):
         backend = p_true_backend({"(": math.log(0.9)})
@@ -156,21 +148,19 @@ class TestPTrue:
         {"A": False, "B": -2.0},  # p(A) would be 1.0
         {"A": -10**400, "B": -2.0},  # too large for a float
     ], ids=["a_positive", "b_positive", "a_nan", "a_false", "a_huge_int"])
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_choice_logprob_above_zero_or_nan_rejected(self, top, normalized):
+    def test_choice_logprob_above_zero_or_nan_rejected(self, top):
         # The reply is unusable as an endpoint's would be, before P(True) reads it.
         with pytest.raises(MalformedResponseError,
                            match="unusable completion: log-probability .* is invalid: it must be a"):
-            p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=normalized)
+            p_true_confidence(p_true_backend(top), "ctx", "Paris")
 
     @pytest.mark.parametrize("top", [
         {"A": -800.0},
         {"A": -math.inf, "B": -math.inf},
     ], ids=["underflow", "both_minus_infinity"])
     def test_normalized_needs_some_probability(self, top):
+        # A p(A) that underflows, or is exp(-inf), reads 0.0 and is no error.
         assert p_true_confidence(p_true_backend(top), "ctx", "Paris").value == 0.0
-        with pytest.raises(ConfidenceError, match=r"cannot normalize P\(True\)"):
-            p_true_confidence(p_true_backend(top), "ctx", "Paris", normalized=True)
 
 
 class TestParseVerbalized:

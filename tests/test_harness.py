@@ -227,8 +227,10 @@ class TestRunEval:
             assert (out / name).read_text(encoding="utf-8").splitlines(keepends=True) == lines[:2]
         assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
             "records.jsonl", "transcripts.jsonl"]
-        result = CliRunner().invoke(main, ["metrics", "--report", str(out)])
-        assert result.exit_code == 3, result.output
+        for command in ("metrics", "augment"):
+            result = CliRunner().invoke(main, [command, "--report", str(out)])
+            assert result.exit_code == 3, result.output
+            assert "report.json" in result.output
 
     def test_rerun_leaves_only_its_own_curves(self, e2e_dataset, e2e_script, tmp_path):
         run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path))
@@ -432,7 +434,7 @@ class TestRunEval:
 
 class TestAggregate:
     CONFIG = {"strategy_ids": ["standard"], "extraction_method_ids": ["token_prob"],
-              "num_buckets": 2, "kde_grid_size": 8}
+              "num_buckets": 2}
 
     def report(self, datasets):
         records = [EvalRecord(item_id=f"{d}{k}", correct=True, confidences={"token_prob": 0.75},
@@ -482,16 +484,26 @@ class TestEmitReport:
         assert (out / "report.json").exists()
         assert (out / "metrics.csv").exists()
         assert (out / "records.jsonl").exists()
+        assert (out / "transcripts.jsonl").exists()
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
-        assert sorted(meta) == ["transcripts_path", "written_at"]
-        assert meta["transcripts_path"] == str(out / "transcripts.jsonl")
-        # Emitted where no run wrote transcripts, the sidecar names none.
+        assert sorted(meta) == ["written_at"]
+        # Emitted where no run wrote records or transcripts, only the aggregates are written.
         harness.emit_report(report, tmp_path / "bare", {})
-        bare_meta = json.loads((tmp_path / "bare" / "run_meta.json").read_text(encoding="utf-8"))
-        assert sorted(bare_meta) == ["written_at"]
+        assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == [
+            "curves", "metrics.csv", "report.json", "run_meta.json"]
         curves = list((out / "curves").glob("*.csv"))
         # 2 strategies x 1 method x 2 curve kinds
         assert len(curves) == 4
+
+    def test_report_json_is_written_last(self, e2e_dataset, e2e_script, tmp_path):
+        # report.json marks a finished run, so emission that stops writes none.
+        report = run_eval(e2e_config(e2e_dataset, e2e_script, tmp_path, out_dir=None))
+        out = tmp_path / "stopped"
+        out.mkdir()
+        (out / "curves").write_text("", encoding="utf-8")  # a file where the curves go
+        with pytest.raises(FileExistsError):
+            harness.emit_report(report, out, {})
+        assert sorted(p.name for p in out.iterdir()) == ["curves", "metrics.csv", "run_meta.json"]
 
     def test_csv_row_count(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -648,9 +660,8 @@ class TestSweep:
         sweep(config, "demonstrations_count", [0, 1, 2])
         lengths = []
         for count in (0, 1, 2):
-            meta_path = tmp_path / "sweep" / f"demonstrations_count_{count}" / "run_meta.json"
-            transcripts_path = json.loads(meta_path.read_text(encoding="utf-8"))["transcripts_path"]
-            transcripts = Path(transcripts_path).read_text(encoding="utf-8").splitlines()
+            out = tmp_path / "sweep" / f"demonstrations_count_{count}"
+            transcripts = (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
             first = json.loads(transcripts[0])
             lengths.append(len(first["steps"][0]["prompt"]))
         assert lengths[0] < lengths[1] < lengths[2]
@@ -724,9 +735,10 @@ class TestRunConfig:
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"
-        # Neither seed nor clamp_confidences could change a result, and
-        # neither is a config key any more.
-        for key in ("bogus", "seed", "clamp_confidences"):
+        # No retired key is a config key any more: seed and clamp_confidences
+        # could not change a result, and the other three took one value in every run.
+        for key in ("bogus", "seed", "clamp_confidences", "p_true_normalized",
+                    "p_true_full_context", "kde_grid_size"):
             path.write_text(json.dumps({"dataset_path": ["d"], key: 1}), encoding="utf-8")
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_json(path)
@@ -741,8 +753,8 @@ class TestRunConfig:
         assert set(block) == fields - run_only | {"concern_lexicon_version"}
         assert block["concern_lexicon_version"] == "builtin-1"
 
-        normalized = e2e_config(e2e_dataset, e2e_script, tmp_path, p_true_normalized=True)
-        assert run_eval(normalized).config != block
+        coarser = e2e_config(e2e_dataset, e2e_script, tmp_path, num_buckets=5)
+        assert run_eval(coarser).config != block
 
         elsewhere = e2e_config(
             e2e_dataset, e2e_script, tmp_path, worker_count=3,

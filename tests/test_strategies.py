@@ -235,13 +235,6 @@ class TestPTrueContext:
         (probe,) = [r for r in backend.requests if r.top_logprobs == 5]
         return probe.prompt, transcript.step_records[-1]
 
-    def test_bare_question(self):
-        prompt, _ = self.p_true_prompt(StrategyConfig(p_true_full_context=False))
-        assert prompt == (
-            f"Question: {ITEM.question}\nPossible answer: No\n"
-            "Is the possible answer: (A) True (B) False\n"
-        )
-
     def test_full_final_answer_context_by_default(self):
         prompt, final = self.p_true_prompt(StrategyConfig())
         assert prompt == (
