@@ -430,6 +430,8 @@ MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5
 # The longest wait a Retry-After header can ask of one retry.
 RETRY_AFTER_CAP_SECONDS = 30.0
+# The longest one attempt waits for the endpoint's reply.
+REQUEST_TIMEOUT_SECONDS = 60.0
 
 
 def complete(backend: Backend, request: CompletionRequest) -> Completion:
@@ -612,33 +614,18 @@ class HttpBackend:
         base_url: str,
         model_id: str,
         api_key: Optional[str] = None,
-        timeout: float = 60.0,
         session: Optional[requests.Session] = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model_id = model_id
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
-        self.timeout = timeout
+        self.url = f"{self.base_url}/v1/completions"
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
+        self.headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         if session is None:
             import requests
 
             session = requests.Session()
         self.session = session
-
-    def _body(self, request: CompletionRequest) -> dict:
-        body = {
-            "model": self.model_id,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }
-        if request.top_logprobs > 0:
-            body["logprobs"] = request.top_logprobs
-        if request.seed is not None:
-            body["seed"] = request.seed
-        if request.stop:
-            body["stop"] = list(request.stop)
-        return body
 
     def complete(self, request: CompletionRequest) -> Completion:
         """The endpoint's reply to `request`; only a network error, a 429 or a 5xx is retried.
@@ -648,17 +635,20 @@ class HttpBackend:
         """
         import requests
 
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        url, payload = f"{self.base_url}/v1/completions", self._body(request)
+        # The request's own fields, under the API's names; `requests` sets the JSON content type.
+        payload = {"model": self.model_id, **request.to_dict()}
+        if (top_logprobs := payload.pop("top_logprobs")) > 0:
+            payload["logprobs"] = top_logprobs
+        if stop := payload.pop("stop", None):
+            payload["stop"] = list(stop)
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 logger.warning("transport error (%s); retrying in %.1fs", error, delay)
                 time.sleep(delay)
             delay = BACKOFF_SECONDS * 2**attempt
             try:
-                resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
+                resp = self.session.post(self.url, json=payload, headers=self.headers,
+                                         timeout=REQUEST_TIMEOUT_SECONDS)
             except requests.RequestException as exc:
                 error = str(exc)
                 continue

@@ -138,6 +138,8 @@ def augment(report_dir, mode, seed, strategy_id, dataset_path, out_path) -> None
     result = {"mode": selection_mode, "seed": seed, "selected_ids": selected}
     if dataset_path:
         wanted = set(selected)
+        if missing := wanted.difference(item.id for item in items):
+            raise DataError(f"dataset {dataset_path} lacks the selected ids {sorted(missing)}")
         augmented = [
             augment_with_knowledge(item) if item.id in wanted else item
             for item in items

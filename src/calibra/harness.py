@@ -27,7 +27,7 @@ from .backend import (
 )
 from .concern import ConcernError, ConcernLexicon, concern_rate, detect_concern
 from .qa import EvalRecord, QAItem, accuracy, exact_match, is_string_sequence
-from .strategies import STRATEGY_IDS, StrategyConfig, execute, plan
+from .strategies import STRATEGY_IDS, StrategyConfig, StrategyPlan, execute, plan
 
 logger = logging.getLogger(__name__)
 
@@ -302,38 +302,41 @@ def evaluate(
 ) -> list[EvalRecord]:
     """The record of every (dataset, strategy, item), in that order; all datasets load first.
 
+    Every plan is built before the first request, so a plan error costs none.
     `files` is empty, or the records.jsonl and transcripts.jsonl handles:
     each evaluation's record and transcript line go to them as it is
     collected. Both maps yield in task order, whatever order the worker pool
     ends the work in, so neither the records nor the lines depend on the
     worker count, and a run that stops keeps every line collected before.
     """
-    tasks: list[tuple[str, QAItem, str]] = []
+    evaluations: list[tuple[str, QAItem, str]] = []
     for ds_path in config.dataset_path:
         items = load_dataset(ds_path)
         if not items:
             raise DataError(f"dataset {ds_path} is empty")
         stem = Path(ds_path).stem
-        tasks += [(stem, item, sid) for sid in config.strategy_ids for item in items]
-
-    def one(task: tuple[str, QAItem, str]) -> tuple[EvalRecord, tuple[str, ...]]:
-        """The record, and its line and the transcript's when `files` are given."""
-        dataset, item, strategy_id = task
+        evaluations += [(stem, item, sid) for sid in config.strategy_ids for item in items]
+    tasks: list[tuple[str, QAItem, StrategyPlan]] = []
+    for dataset, item, strategy_id in evaluations:
         try:
-            strategy_plan = plan(strategy_id, item, config)
+            tasks.append((dataset, item, plan(strategy_id, item, config)))
+        except Exception as exc:
+            raise _evaluation_failed(dataset, item, strategy_id, exc) from exc
+
+    def one(task: tuple[str, QAItem, StrategyPlan]) -> tuple[EvalRecord, tuple[str, ...]]:
+        """The record, and its line and the transcript's when `files` are given."""
+        dataset, item, strategy_plan = task
+        try:
             transcript = execute(strategy_plan, item, backend, config)
         except Exception as exc:
-            raise RuntimeError(
-                f"evaluation failed for dataset {dataset!r}, item {item.id!r}, "
-                f"strategy {strategy_id!r}: {exc}"
-            ) from exc
+            raise _evaluation_failed(dataset, item, strategy_plan.strategy_id, exc) from exc
         concern, _ = detect_concern(transcript.final_answer.raw_text, lexicon)
         record = EvalRecord(
             item_id=item.id,
             correct=exact_match(transcript.final_answer, item),
             confidences={m: r.value for m, r in transcript.confidences.items()},
             concern=concern,
-            strategy_id=strategy_id,
+            strategy_id=strategy_plan.strategy_id,
             dataset=dataset,
         )
         if not files:
@@ -348,6 +351,12 @@ def evaluate(
             for fh, line in zip(files, lines):
                 fh.write(line)
     return records
+
+
+def _evaluation_failed(dataset: str, item: QAItem, strategy_id: str, exc: Exception):
+    """The error that names a failed evaluation; raised from `exc`, it keeps the exit code."""
+    return RuntimeError(f"evaluation failed for dataset {dataset!r}, item {item.id!r}, "
+                        f"strategy {strategy_id!r}: {exc}")
 
 
 def aggregate(
@@ -470,22 +479,11 @@ def emit_report(
         for block in report.datasets:
             for sid, strat in block["strategies"].items():
                 for method, entry in strat["extractions"].items():
-                    writer.writerow(
-                        [
-                            Path(block["path"]).stem,
-                            sid,
-                            method,
-                            entry["n"],
-                            entry["accuracy"],
-                            entry["avg_confidence"],
-                            entry["avg_confidence"] - entry["accuracy"],
-                            entry["ece"],
-                            entry["ice_pos"],
-                            entry["ice_neg"],
-                            entry["macro_ce"],
-                            strat["concern_rate"],
-                        ]
-                    )
+                    row = {**entry, "dataset": Path(block["path"]).stem, "strategy": sid,
+                           "extraction": method, "avg_conf": entry["avg_confidence"],
+                           "gap": entry["avg_confidence"] - entry["accuracy"],
+                           "concern_rate": strat["concern_rate"]}
+                    writer.writerow([row[c] for c in CSV_COLUMNS])
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(exist_ok=True)
     for stem, curve in curves.items():

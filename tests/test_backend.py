@@ -1245,6 +1245,48 @@ class TestHttpBackend:
         assert session.last["headers"]["Authorization"] == "Bearer k"
         assert completion.token_logprobs == (-0.1,)
 
+    def posted(self, request: CompletionRequest) -> dict:
+        session = FakeSession(FakeResponse(payload=self.payload()))
+        HttpBackend("http://host", "model-x", api_key="k", session=session).complete(request)
+        return session.last["json"]
+
+    def test_every_request_field_is_posted_under_its_api_name(self):
+        request = CompletionRequest(prompt="q", max_tokens=7, temperature=0.5, top_logprobs=5,
+                                    seed=3, stop=("\n",))
+        # Each field is set away from its default, so a field the body drops fails below.
+        assert all(getattr(request, name) != default
+                   for name, default in CompletionRequest._field_defaults.items())
+        api_name = {"top_logprobs": "logprobs"}
+        body = self.posted(request)
+        assert set(body) == {"model"} | {api_name.get(name, name) for name in request._fields}
+        assert body == {"model": "model-x", "prompt": "q", "max_tokens": 7, "temperature": 0.5,
+                        "logprobs": 5, "seed": 3, "stop": ["\n"]}
+
+    def test_a_default_request_posts_only_its_set_fields(self):
+        defaults = CompletionRequest._field_defaults
+        assert self.posted(CompletionRequest(prompt="q")) == {
+            "model": "model-x", "prompt": "q", "max_tokens": defaults["max_tokens"],
+            "temperature": defaults["temperature"]}
+
+    def test_an_empty_stop_is_not_posted(self):
+        assert "stop" not in self.posted(CompletionRequest(prompt="q", stop=()))
+
+    def test_the_prepared_request_is_json_with_the_bearer_key(self):
+        reply = FakeResponse(payload=self.payload())
+
+        class Capturing(requests.Session):
+            def send(self, prepared, **kwargs):
+                self.prepared = prepared
+                return reply
+
+        with Capturing() as session:
+            backend = HttpBackend("http://host", "model-x", api_key="k", session=session)
+            backend.complete(CompletionRequest(prompt="q"))
+        assert session.prepared.url == "http://host/v1/completions"
+        assert session.prepared.headers["Content-Type"] == "application/json"
+        assert session.prepared.headers["Authorization"] == "Bearer k"
+        assert json.loads(session.prepared.body) == self.posted(CompletionRequest(prompt="q"))
+
     def test_reply_without_logprobs_has_no_tokens(self):
         session = FakeSession(FakeResponse(payload=self.payload(with_logprobs=False)))
         backend = HttpBackend("http://host", "m", api_key="k", session=session)

@@ -505,6 +505,16 @@ EXIT_CASES = {
         3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'far_human_facts': "
            "strategy far_human_facts requires gold_facts on item 'q1'", 0,
     ),
+    "far_human_facts_second_item_without_gold_facts": (
+        # Every plan is built before the first request, so q1's steps are never sent.
+        lambda i: ["run", "--config", i.config(strategy_ids=["far_human_facts"], dataset_path=[
+                       i.file("d.jsonl", json.dumps({"id": "q1", "question": "q?", "answers": ["a"],
+                                                     "gold_facts": ["A fact."]}) + "\n"
+                              + json.dumps({"id": "q2", "question": "q?", "answers": ["a"]}))]),
+                   "--mock-script", i.file("unknown.json", '{"fallback": "unknown"}')],
+        3, "error: evaluation failed for dataset 'd', item 'q2', strategy 'far_human_facts': "
+           "strategy far_human_facts requires gold_facts on item 'q2'", 0,
+    ),
     "unparseable_verbalized_reply": (
         lambda i: ["run", "--config", i.config(strategy_ids=["standard"]), "--extract", "verbalized",
                    "--mock-script", i.q1_script(verbalized="Yes")],
@@ -878,6 +888,13 @@ EXIT_CASES = {
         lambda i: ["augment", "--report", i.flagged_run(),
                    "--dataset", i.dataset_line(external_knowledge="k")],
         3, "error: no records for dataset 'd'", 0,
+    ),
+    "augment_dataset_lacks_a_selected_id": (
+        # The stem of the run's dataset, in a file that holds none of the selected ids.
+        lambda i: ["augment", "--report", i.flagged_run("k"),
+                   "--dataset", i.file("k.jsonl", json.dumps(
+                       {"id": "z1", "question": "q?", "answers": ["a"], "external_knowledge": "k"}))],
+        3, "error: dataset {tmp}/k.jsonl lacks the selected ids ['q4']", 0,
     ),
     "augment_unknown_strategy": (
         lambda i: ["augment", "--report", i.flagged_run(), "--strategy", "nope"],

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -476,6 +477,24 @@ class TestReadRecords:
             read_records(path)
 
 
+def check_metrics_csv(report, out_dir):
+    """metrics.csv's header is `CSV_COLUMNS`, and each row is its report entry's fields."""
+    with (Path(out_dir) / "metrics.csv").open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == harness.CSV_COLUMNS
+    expected = [
+        {"dataset": Path(block["path"]).stem, "strategy": sid, "extraction": method,
+         "n": e["n"], "accuracy": e["accuracy"], "avg_conf": e["avg_confidence"],
+         "gap": e["avg_confidence"] - e["accuracy"], "ece": e["ece"], "ice_pos": e["ice_pos"],
+         "ice_neg": e["ice_neg"], "macro_ce": e["macro_ce"], "concern_rate": strat["concern_rate"]}
+        for block in report.datasets
+        for sid, strat in block["strategies"].items()
+        for method, e in strat["extractions"].items()
+    ]
+    assert [dict(zip(header, row)) for row in rows] == [
+        {column: str(value) for column, value in row.items()} for row in expected]
+
+
 class TestEmitReport:
     def test_files_written(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -507,10 +526,11 @@ class TestEmitReport:
 
     def test_csv_row_count(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
-        run_eval(config)
+        report = run_eval(config)
         metrics_csv = Path(config.out_dir) / "metrics.csv"
         rows = metrics_csv.read_text(encoding="utf-8").strip().splitlines()
         assert len(rows) == 1 + len(config.strategy_ids) * len(config.extraction_method_ids)
+        check_metrics_csv(report, config.out_dir)
 
     def test_kde_curves_integrate_to_one(self, e2e_dataset, e2e_script, tmp_path):
         config = e2e_config(e2e_dataset, e2e_script, tmp_path)
@@ -594,6 +614,7 @@ class TestEmitReport:
         metrics_csv = Path(config.out_dir) / "metrics.csv"
         metrics_rows = metrics_csv.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in metrics_rows] == ["dataset"] * 2 + ["second"] * 2
+        check_metrics_csv(report, config.out_dir)
 
     def test_records_and_metrics_do_not_depend_on_the_inputs_location(
         self, e2e_dataset, e2e_script, tmp_path
