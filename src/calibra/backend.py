@@ -268,6 +268,20 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _parse_json(data: bytes):
+    """The JSON document `data`, read by orjson, or by json where orjson refuses it.
+
+    orjson refuses NaN, ±Infinity and lone surrogates (LINE_ENCODER writes
+    the last two). A document both read, they read alike, except that
+    orjson reads an integer outside [-2**63, 2**64) as the nearest float;
+    each caller reads again with json where that matters.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data.decode("utf-8"))
+
+
 def _request_fields(d: dict) -> tuple:
     """A request's fields from its JSON object, in `CompletionRequest`'s order, unchecked."""
     stop = d.get("stop")
@@ -340,16 +354,10 @@ class ResponseCache:
                         f"{self.path}:{bad_lineno}: malformed cache line: {exc}"
                     ) from exc
                 try:
-                    raw = orjson.loads(line)
-                except orjson.JSONDecodeError:
-                    # orjson rejects -Infinity (a logprob) and lone surrogates,
-                    # which LINE_ENCODER writes; json reads them, and NaN or Infinity,
-                    # which then fail the checks. A line neither reads is torn or malformed.
-                    try:
-                        raw = json.loads(line.decode("utf-8"))
-                    except ValueError as exc:
-                        torn = (lineno, start, exc)
-                        continue
+                    raw = _parse_json(line)
+                except ValueError as exc:  # torn or malformed
+                    torn = (lineno, start, exc)
+                    continue
                 try:
                     key, completion = _read_line(raw)
                     if type(key[1]) is float or type(key[4]) is float:
@@ -538,6 +546,18 @@ def _synthesize(text: str, response: MockResponse) -> dict:
     return {"tokens": tokens, "token_logprobs": logprobs, "top_logprobs": top}
 
 
+# A `MockResponse` from its three fields, without namedtuple's Python-level `__new__`.
+_new_response = tuple.__new__
+
+
+def _entry_list(prompt: str, name: str, value) -> tuple:
+    """An entry's `name` list as a tuple; a string or an object would split into items."""
+    if isinstance(value, (str, dict)):
+        kind = "a string" if isinstance(value, str) else "an object"
+        raise ScriptError(f"script entry for {prompt[:60]!r}: {name} must be a list, not {kind}")
+    return tuple(value)
+
+
 def mock_from_script(
     entries: dict,
     fallback: Literal["error", "unknown"] = "error",
@@ -546,29 +566,31 @@ def mock_from_script(
 
     Keys are exact prompts; values are either a reply string, a list of
     reply strings (cycled by request seed), or a dict with keys
-    `text`/`texts` and optional `logprobs` and `top_logprobs`. A reply that
-    is not a string is a `ScriptError`.
+    `text`/`texts` and optional `logprobs` and `top_logprobs`, each a list.
+    A reply that is not a string, and a `texts`, `logprobs` or
+    `top_logprobs` that is a string or an object, is a `ScriptError`.
     """
     if not isinstance(entries, dict):
         raise ScriptError("entries must be an object keyed by prompt")
     responses = {}
     for prompt, value in entries.items():
-        logprobs = top_lp = None
-        if isinstance(value, str):
-            texts: tuple[str, ...] = (value,)
-        elif isinstance(value, list):
+        if isinstance(value, str):  # most entries; a lone reply needs no other check
+            responses[prompt] = _new_response(MockResponse, ((value,), None, None))
+            continue
+        if isinstance(value, list):
+            logprobs = top_lp = None
             texts = tuple(value)
         elif isinstance(value, dict):
             if "texts" in value:
-                texts = tuple(value["texts"])
+                texts = _entry_list(prompt, "texts", value["texts"])
             elif "text" in value:
                 texts = (value["text"],)
             else:
                 raise ScriptError(f"script entry for {prompt[:60]!r} has neither text nor texts")
-            if value.get("logprobs") is not None:
-                logprobs = tuple(value["logprobs"])
-            if value.get("top_logprobs") is not None:
-                top_lp = tuple(value["top_logprobs"])
+            if (logprobs := value.get("logprobs")) is not None:
+                logprobs = _entry_list(prompt, "logprobs", logprobs)
+            if (top_lp := value.get("top_logprobs")) is not None:
+                top_lp = _entry_list(prompt, "top_logprobs", top_lp)
             # Lengths only: tokenizing every entry here would slow the load.
             # An empty `logprobs` means 0.0 per token, as if not given.
             if logprobs and top_lp is not None and len(logprobs) != len(top_lp):
@@ -584,21 +606,59 @@ def mock_from_script(
             if not isinstance(text, str):
                 raise ScriptError(f"script entry for {prompt[:60]!r} has a reply that is not "
                                   f"a string: {text!r}")
-        responses[prompt] = MockResponse(texts, logprobs, top_lp)
+        responses[prompt] = _new_response(MockResponse, (texts, logprobs, top_lp))
     return MockBackend(responses, fallback=fallback)
+
+
+def _read_exactly(script: dict) -> bool:
+    """Whether json reads a script as orjson did, wherever a value can show.
+
+    orjson reads an integer outside the 64-bit range as a float of magnitude
+    2**63 or more. So this holds where the fallback and every reply are
+    strings and every logprob is a number below 2**63 in magnitude, or an
+    infinity, which only json reads.
+    """
+    if type(script.get("fallback", "")) is not str:
+        return False
+    numbers = []
+    try:
+        for value in script.get("entries", {}).values():
+            if type(value) is dict:
+                replies = value["texts"] if "texts" in value else (value.get("text", ""),)
+                numbers += value.get("logprobs") or ()
+                for top in value.get("top_logprobs") or ():
+                    numbers += top.values()
+            elif type(value) is list:
+                replies = value
+            else:
+                continue  # a lone reply, or a value refused without being named
+            "".join(replies)  # a TypeError unless every reply is a string
+        lo, hi = min(numbers, default=0), max(numbers, default=0)
+        return -2.0**63 < lo and hi < 2.0**63 or math.inf in (-lo, hi)
+    except (AttributeError, TypeError):  # a value of another shape
+        return False
 
 
 def load_mock_script(path: str | Path) -> MockBackend:
     """Load a JSON mock script: {"fallback": ..., "entries": {...}}.
 
-    A file that is not such a script is a `ScriptError` naming it.
+    orjson parses the file, and json parses it again where the two could
+    differ (`_read_exactly`), so every script reads as json reads it. A
+    file that is not such a script, or that has any other top-level key, is
+    a `ScriptError` naming it.
     """
-    with _collector_paused(), Path(path).open("r", encoding="utf-8") as fh:
+    data = Path(path).read_bytes()
+    with _collector_paused():
         try:
-            data = json.load(fh)
-            if not isinstance(data, dict):
+            script = _parse_json(data)
+            if not isinstance(script, dict):
                 raise ScriptError("a script must be a JSON object")
-            return mock_from_script(data.get("entries", {}), fallback=data.get("fallback", "error"))
+            if unknown := script.keys() - {"entries", "fallback"}:
+                raise ScriptError(f"unknown script keys: {sorted(unknown)}")
+            if not _read_exactly(script):
+                script = json.loads(data.decode("utf-8"))
+            return mock_from_script(script.get("entries", {}),
+                                    fallback=script.get("fallback", "error"))
         except (TypeError, ValueError, ScriptError) as exc:
             raise ScriptError(f"{path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import importlib.util
 import itertools
 import json
 import logging
@@ -14,7 +15,9 @@ import struct
 import subprocess
 import sys
 import threading
+from array import array
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import orjson
 import pytest
@@ -500,6 +503,21 @@ class TestMockBackend:
             f"script entry for 'p' has a reply that is not a string: {reply}"
         )):
             mock_from_script({"p": value})
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("texts", "Paris", "a string"),
+        ("texts", {"Paris": 1}, "an object"),
+        ("logprobs", "-1", "a string"),
+        ("logprobs", {"-1": 0}, "an object"),
+        ("top_logprobs", "x", "a string"),
+        ("top_logprobs", {"x": -1.0}, "an object"),
+    ])
+    def test_string_or_object_for_a_list_rejected(self, name, value, kind):
+        # Each would split into its characters or keys: "Paris" into the replies P, a, r, i, s.
+        with pytest.raises(ScriptError, match=re.escape(
+            f"script entry for 'p': {name} must be a list, not {kind}"
+        )):
+            mock_from_script({"p": {"text": "True", name: value}})
 
     def test_reply_is_the_endpoint_body(self):
         backend = mock_from_script({"p": {"text": "True", "logprobs": [-0.25]}})
@@ -1805,6 +1823,67 @@ class TestRunOverAnEndpointsFaults:
         assert posts == 1
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Scripts at the edges where orjson and json could read a file apart, each
+# with the part of its outcome that shows the edge: (file text, shown). The
+# integers from 2**63 in magnitude are those orjson alone rounds to a float.
+_ORACLE_SCRIPTS = {
+    "nan_and_infinities": (
+        '{"entries": {"p": {"text": "True", "logprobs": [NaN, Infinity, -Infinity]}}}',
+        "(nan, inf, -inf)"),
+    "surrogate_in_prompt": ('{"entries": {"\\ud800 p": "True"}}', "'\\ud800 p'"),
+    "surrogate_in_reply": ('{"entries": {"p": ["\\udfff", "True"]}}', "('\\udfff', 'True')"),
+    "non_ascii": ('{"entries": {"caf\u00e9 \u2615?": "na\u00efve \U0001f600", '
+                  '"\\u00e9": "\\ud83d\\ude00"}}', "'\u00e9': MockResponse(texts=('\U0001f600',)"),
+    "logprob_int64_min": (
+        '{"entries": {"p": {"text": "True", "logprobs": [-9223372036854775808]}}}',
+        "(-9223372036854775808,)"),
+    "logprob_below_int64": (
+        '{"entries": {"p": {"text": "True", "logprobs": [-9223372036854775809]}}}',
+        "(-9223372036854775809,)"),
+    "logprob_below_2_64": (
+        '{"entries": {"p": {"text": "True", "logprobs": [-18446744073709551617]}}}',
+        "(-18446744073709551617,)"),
+    "top_logprob_2_64": (
+        '{"entries": {"p": {"text": "True", "logprobs": [-1], '
+        '"top_logprobs": [{"True": 18446744073709551616}]}}}',
+        "({'True': 18446744073709551616},)"),
+    "reply_20_digits": ('{"entries": {"p": [98765432109876543210]}}',
+                        "not a string: 98765432109876543210"),
+    "fallback_20_digits": ('{"fallback": -12345678901234567890, "entries": {}}',
+                           "not -12345678901234567890"),
+    "repeated_prompt": ('{"entries": {"p": "A", "q": "B", "p": "C"}}',
+                        "{'p': MockResponse(texts=('C',)"),
+    "bom": ('\ufeff{"entries": {}}', "Unexpected UTF-8 BOM"),
+    "crlf": ('{\r\n  "fallback": "unknown",\r\n  "entries": {"p": "True"}\r\n}\r\n',
+             "('unknown', {'p': MockResponse(texts=('True',)"),
+    "overflowing_float": ('{"entries": {"p": {"text": "True", "logprobs": [-1e400]}}}',
+                          "(-inf,)"),
+    "top_level_list": ('[{"entries": {}}]', "a script must be a JSON object"),
+}
+
+
+def _script_outcome(read, path: Path) -> str:
+    """The fallback and table of the backend `read(path)` builds, as one repr, or its error."""
+    try:
+        backend = read(path)
+    except ScriptError as exc:
+        return str(exc)
+    return repr((backend.fallback, backend._responses))
+
+
+def _read_by_json(path: Path) -> MockBackend:
+    """The reader `load_mock_script` must match: `mock_from_script` of json's reading."""
+    try:
+        script = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(script, dict):
+            raise ScriptError("a script must be a JSON object")
+        return mock_from_script(script.get("entries", {}), script.get("fallback", "error"))
+    except (TypeError, ValueError, ScriptError) as exc:
+        raise ScriptError(f"{path}: {exc}") from exc
+
+
 class TestLoadScript:
     def test_loads_json_file(self, tmp_path):
         path = tmp_path / "script.json"
@@ -1853,3 +1932,80 @@ class TestLoadScript:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("script, keys", [
+        ({"fallback": "unknown", "entreis": {"p": "True"}}, ["entreis"]),
+        ({"Question: x\nAnswer:": "True"}, ["Question: x\nAnswer:"]),
+    ], ids=["misspelt_entries", "bare_entries"])
+    def test_unknown_top_level_key_is_a_script_error(self, tmp_path, script, keys):
+        # Either would otherwise load as a script of no entries.
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        message = f"{path}: unknown script keys: {keys}"
+        with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+            load_mock_script(path)
+
+    @pytest.mark.parametrize("name", list(_ORACLE_SCRIPTS))
+    def test_reads_as_json_does(self, tmp_path, name):
+        text, shown = _ORACLE_SCRIPTS[name]
+        path = tmp_path / "script.json"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _script_outcome(load_mock_script, path)
+        assert outcome == _script_outcome(_read_by_json, path)
+        assert shown in outcome
+
+    @pytest.mark.parametrize("logprob, json_reads", [
+        ("-0.5", 0), ("-Infinity", 1), ("-18446744073709551617", 1),
+    ], ids=["orjson_reads_it", "orjson_refuses_it", "orjson_rounds_it"])
+    def test_json_reads_a_script_only_where_orjson_cannot(self, tmp_path, monkeypatch, logprob,
+                                                          json_reads):
+        path = tmp_path / "script.json"
+        path.write_text(f'{{"entries": {{"p": {{"text": "True", "logprobs": [{logprob}], '
+                        f'"top_logprobs": [{{"True": {logprob}}}]}}, "q": "A"}}}}',
+                        encoding="utf-8")
+        reads = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: reads.append(text) or loads(text))
+        load_mock_script(path)
+        assert len(reads) == json_reads
+
+    def test_reads_the_bench_and_e2e_scripts_as_json_does(self, tmp_path, e2e_script):
+        spec = importlib.util.spec_from_file_location("bench_workload", BENCH / "workload.py")
+        workload = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workload)
+        paths = [e2e_script]
+        for seed in (1, 5):
+            workload.generate(seed, 250, tmp_path / str(seed))
+            paths.append(tmp_path / str(seed) / "script.json")
+        for path in paths:
+            outcome = _script_outcome(load_mock_script, path)
+            assert outcome.startswith("('error', {"), outcome[:200]
+            assert outcome == _script_outcome(_read_by_json, path)
+
+    def test_installed_orjson_reads_floats_as_json_does(self):
+        # The script reader and the cache loader take orjson's reading of a
+        # float for json's; the read-side twin of
+        # TestEncodeLine::test_installed_orjson_writes_floats_in_range_as_json_does.
+        rng = random.Random(21)
+
+        def double():  # any finite double, subnormals included
+            bits = rng.getrandbits(1) << 63 | rng.randrange(2047) << 52 | rng.getrandbits(52)
+            return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+        texts = [repr(double()) for _ in range(200_000)]
+        texts += [repr(round(-rng.uniform(0.0, 30.0), rng.randint(0, 17))) for _ in range(100_000)]
+        # Decimals longer than a double holds, which both must round alike.
+        for _ in range(50_000):
+            digits = "".join(rng.choices("0123456789", k=rng.randint(16, 24)))
+            digits = rng.choice("123456789") + digits  # JSON allows no leading zero
+            point = rng.randint(1, len(digits) - 1)
+            exponent = rng.choice(["", f"e{rng.randint(-340, 280)}"])
+            texts.append(f"{rng.choice(['', '-'])}{digits[:point]}.{digits[point:]}{exponent}")
+        for start in range(0, len(texts), 10_000):
+            batch = texts[start:start + 10_000]
+            doc = f"[{','.join(batch)}]"
+            # Every literal is a float to both; the bytes tell -0.0 from 0.0.
+            if array("d", orjson.loads(doc)).tobytes() != array("d", json.loads(doc)).tobytes():
+                bad = next(t for t in batch if repr(orjson.loads(t)) != repr(json.loads(t)))
+                pytest.fail(f"orjson {orjson.__version__} reads {bad} as {orjson.loads(bad)!r}, "
+                            f"json as {json.loads(bad)!r}")

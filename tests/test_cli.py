@@ -500,6 +500,12 @@ EXIT_CASES = {
                    "--axis", "thought_char_budget", "--values", "100"],
         2, MISSING_ENTRY, 1,
     ),
+    "script_entries_key_misspelt": (
+        # Its entries would load as none, and a run score every answer UNKNOWN.
+        lambda i: ["run", "--config", i.config(), "--mock-script",
+                   i.file("typo.json", '{"fallback": "unknown", "entreis": {"p": "True"}}')],
+        2, "error: {tmp}/typo.json: unknown script keys: ['entreis']", 0,
+    ),
     "far_human_facts_without_gold_facts": (
         lambda i: ["run", "--config", i.config(strategy_ids=["far_human_facts"])],
         3, "error: evaluation failed for dataset 'dataset', item 'q1', strategy 'far_human_facts': "
