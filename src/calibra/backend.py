@@ -250,7 +250,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-_LINE_KEYS = ("completion", "created_at", "request")
+_LINE_KEYS = ("completion", "request")
 
 
 @contextmanager
@@ -311,16 +311,18 @@ class ResponseCache:
     """A backend that answers from an append-only JSONL cache keyed by the request's fields.
 
     `complete` returns the cached completion on a hit; on a miss it asks the
-    wrapped `backend` and records the reply. Each line is the entry's
-    compact, key-sorted JSON, with the keys `completion`, `created_at` and
-    `request`. Concurrent reads are lock-free once loaded; appends are
-    serialized and go through one handle, opened on the first `put` and
-    flushed after every line, so another reader (or a run that crashes)
-    sees each entry written.
+    wrapped `backend` and records the reply in memory, where every worker
+    hits it at once. Its line, the entry's compact key-sorted JSON with the
+    keys `completion` and `request`, is written by `write`, one flush per
+    call, or else by `close`, which writes what is left in the order
+    recorded. `evaluate` hands `write` each evaluation's `note_requests`
+    list in task order, so the file is the same at every worker count.
+    Lines that also hold `created_at` or `request_hash`, as older versions
+    wrote, still load.
     Load checks each line's keys, request fields and completion, and
     names `file:line` for a line that fails. A torn last line, left by a
     crash mid-write, is skipped on load and cut off before the next append.
-    The file has a single writer at a time. `close` releases the handle.
+    The file has a single writer at a time.
     """
 
     def __init__(self, path: str | Path, backend: Backend):
@@ -328,6 +330,11 @@ class ResponseCache:
         self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[tuple, Completion] = {}
+        # Each recorded request whose line is not yet in the file, in the order
+        # recorded, mapped to the request as put: the line holds its fields.
+        self._unwritten: dict[CompletionRequest, CompletionRequest] = {}
+        # `requests`: the list `note_requests` gave this thread, if any.
+        self._noting = threading.local()
         self._fh: Optional[TextIO] = None
         # Byte offset of a torn last line, cut off before the first append.
         self._torn_at: Optional[int] = None
@@ -391,28 +398,56 @@ class ResponseCache:
     def complete(self, request: CompletionRequest) -> Completion:
         """The cached completion for `request`; on a miss, the backend's, recorded."""
         hit = self.get(request)
-        if hit is not None:
-            return hit
-        return self.put(request, self.backend.complete(request))
+        if hit is None:
+            return self.put(request, self.backend.complete(request))
+        if self._unwritten:
+            self._note(request)
+        return hit
 
     def put(self, request: CompletionRequest, completion: Completion) -> Completion:
         """Record `completion` unless `request` is cached; return the one the cache holds.
 
         When two workers miss on one request, the first to record wins and
-        both get its completion, the one every later run reads back.
+        both get its completion, the one every later run reads back. The
+        entry is in memory at once; its line waits for `write` or `close`.
         """
-        line = encode_line({"completion": completion.to_dict(), "created_at": time.time(),
-                            "request": request.to_dict()}) + "\n"
         with self._lock:
             held = self._entries.get(request)
-            if held is not None:
-                return held
-            self._entries[request] = completion
-            if self._fh is None:
-                self._fh = self._open_for_append()
-            self._fh.write(line)
-            self._fh.flush()
-        return completion
+            if held is None:
+                # Unwritten before it is found, so that every hit on it notes it.
+                self._unwritten[request] = request
+                self._entries[request] = completion
+        self._note(request)
+        return completion if held is None else held
+
+    def _note(self, request: CompletionRequest) -> None:
+        """Add `request` to this thread's list, if it has one and the line is unwritten."""
+        noted = getattr(self._noting, "requests", None)
+        if noted is not None and request in self._unwritten:
+            noted.append(request)
+
+    def note_requests(self) -> list[CompletionRequest]:
+        """A new list of this thread's requests from now on whose lines are unwritten, for `write`.
+
+        That is each miss, and each hit on an entry recorded but not yet written.
+        """
+        self._noting.requests = noted = []
+        return noted
+
+    def write(self, requests: list[CompletionRequest]) -> None:
+        """Append the lines of `requests` not yet in the file, in the order given; flush once."""
+        with self._lock:
+            lines = []
+            for request in requests:
+                put = self._unwritten.pop(request, None)
+                if put is not None:
+                    lines.append(encode_line({"completion": self._entries[put].to_dict(),
+                                              "request": put.to_dict()}))
+            if lines:
+                if self._fh is None:
+                    self._fh = self._open_for_append()
+                self._fh.write("\n".join(lines) + "\n")
+                self._fh.flush()
 
     def _open_for_append(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -426,7 +461,8 @@ class ResponseCache:
         return fh
 
     def close(self) -> None:
-        """Close the append handle; safe to call more than once."""
+        """Write the lines left unwritten, in the order recorded, and close; idempotent."""
+        self.write(list(self._unwritten))
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
@@ -550,12 +586,17 @@ def _synthesize(text: str, response: MockResponse) -> dict:
 _new_response = tuple.__new__
 
 
+# The name of each JSON value that is not a list, for a message.
+_JSON_KINDS = {str: "a string", dict: "an object", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
 def _entry_list(prompt: str, name: str, value) -> tuple:
-    """An entry's `name` list as a tuple; a string or an object would split into items."""
-    if isinstance(value, (str, dict)):
-        kind = "a string" if isinstance(value, str) else "an object"
-        raise ScriptError(f"script entry for {prompt[:60]!r}: {name} must be a list, not {kind}")
-    return tuple(value)
+    """An entry's `name` list (or tuple) as a tuple; any other value is a `ScriptError`."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    kind = _JSON_KINDS.get(type(value), type(value).__name__)
+    raise ScriptError(f"script entry for {prompt[:60]!r}: {name} must be a list, not {kind}")
 
 
 def mock_from_script(
@@ -568,7 +609,7 @@ def mock_from_script(
     reply strings (cycled by request seed), or a dict with keys
     `text`/`texts` and optional `logprobs` and `top_logprobs`, each a list.
     A reply that is not a string, and a `texts`, `logprobs` or
-    `top_logprobs` that is a string or an object, is a `ScriptError`.
+    `top_logprobs` that is not a list, is a `ScriptError`.
     """
     if not isinstance(entries, dict):
         raise ScriptError("entries must be an object keyed by prompt")

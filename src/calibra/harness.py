@@ -305,9 +305,11 @@ def evaluate(
     Every plan is built before the first request, so a plan error costs none.
     `files` is empty, or the records.jsonl and transcripts.jsonl handles:
     each evaluation's record and transcript line go to them as it is
-    collected. Both maps yield in task order, whatever order the worker pool
-    ends the work in, so neither the records nor the lines depend on the
-    worker count, and a run that stops keeps every line collected before.
+    collected. When `backend` is a `ResponseCache`, so do the cache lines of
+    the requests the evaluation noted. Both maps yield in task order,
+    whatever order the worker pool ends the work in, so neither the records
+    nor any of these lines depend on the worker count, and a run that stops
+    keeps every line collected before.
     """
     evaluations: list[tuple[str, QAItem, str]] = []
     for ds_path in config.dataset_path:
@@ -323,8 +325,11 @@ def evaluate(
         except Exception as exc:
             raise _evaluation_failed(dataset, item, strategy_id, exc) from exc
 
-    def one(task: tuple[str, QAItem, StrategyPlan]) -> tuple[EvalRecord, tuple[str, ...]]:
-        """The record, and its line and the transcript's when `files` are given."""
+    cache = backend if isinstance(backend, ResponseCache) else None
+
+    def one(task: tuple[str, QAItem, StrategyPlan]) -> tuple[EvalRecord, tuple[str, ...], Sequence]:
+        """The record, its line and the transcript's when `files` are given, the cache's notes."""
+        noted = cache.note_requests() if cache is not None else ()
         dataset, item, strategy_plan = task
         try:
             transcript = execute(strategy_plan, item, backend, config)
@@ -340,16 +345,19 @@ def evaluate(
             dataset=dataset,
         )
         if not files:
-            return record, ()
-        return record, (encode_line(vars(record)) + "\n", encode_line(transcript.to_dict()) + "\n")
+            return record, (), noted
+        lines = (encode_line(vars(record)) + "\n", encode_line(transcript.to_dict()) + "\n")
+        return record, lines, noted
 
     records: list[EvalRecord] = []
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         run_all = pool.map if config.worker_count > 1 else map
-        for record, lines in run_all(one, tasks):
+        for record, lines, noted in run_all(one, tasks):
             records.append(record)
             for fh, line in zip(files, lines):
                 fh.write(line)
+            if noted:
+                cache.write(noted)
     return records
 
 

@@ -15,7 +15,9 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -638,10 +640,13 @@ class TestCache:
         assert backend.call_count == 2
 
     def test_each_put_visible_while_writer_open(self, tmp_path):
+        # A line is in the file once `write` has its request, before `close`.
         path = tmp_path / "cache.jsonl"
         writer = ResponseCache(path, mock_from_script({"p": "True"}))
         request = CompletionRequest(prompt="p")
+        noted = writer.note_requests()
         complete(writer, request)
+        writer.write(noted)
         assert ResponseCache(path, mock_from_script({})).get(request) is not None
         writer.close()
 
@@ -655,12 +660,13 @@ class TestCache:
         backend = mock_from_script({"p": "True"})
         cache = ResponseCache(tmp_path / "cache.jsonl", backend)
         request = CompletionRequest(prompt="p")
-        complete(cache, request)  # miss: put encodes it once for the line
-        assert encoded == [request]
+        complete(cache, request)  # miss: recorded, its line not yet encoded
+        assert encoded == []
         complete(cache, request)  # hit: a plain lookup
-        assert encoded == [request]
+        assert encoded == []
         assert backend.call_count == 1
-        cache.close()
+        cache.close()  # encodes the line, once
+        assert encoded == [request]
         encoded.clear()
         assert ResponseCache(tmp_path / "cache.jsonl", backend).get(request) is not None
         assert encoded == []  # load does not encode either
@@ -752,12 +758,11 @@ class TestCache:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         for line in lines:
-            assert set(json.loads(line)) == {"request", "completion", "created_at"}
+            assert set(json.loads(line)) == {"request", "completion"}
         reloaded = ResponseCache(path, backend)
         assert [reloaded.get(CompletionRequest(prompt=p)).text for p in "abc"] == ["A", "B", "C"]
 
-    def test_put_line_is_the_cache_entry_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(backend_module.time, "time", lambda: 1792327612.6909175)
+    def test_put_line_is_the_cache_entry_json(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResponseCache(path, mock_from_script({}))
         request = CompletionRequest(prompt="Is it caf\u00e9?", seed=2, stop=("\n",), top_logprobs=2)
@@ -772,7 +777,6 @@ class TestCache:
             rb'{"completion":{"finish_reason":"stop","text":"True \"yes\"",'
             rb'"token_logprobs":[-0.125,-1e-07],"tokens":["True ","\"yes\""],'
             rb'"top_logprobs":[{"False":-2.5,"True ":-0.125},{"\"yes\"":-1e-07}]},'
-            rb'"created_at":1792327612.6909175,'
             rb'"request":{"max_tokens":120,"prompt":"Is it caf\u00e9?","seed":2,"stop":["\n"],'
             rb'"temperature":1.2,"top_logprobs":2}}'
             b"\n"
@@ -793,6 +797,25 @@ class TestCache:
         assert ResponseCache(path, mock_from_script({})).get(request) == Completion(
             text="True", tokens=("True",), token_logprobs=(-0.5,), top_logprobs=({"True": -0.5},)
         )
+
+    def test_lines_with_and_without_created_at_load_together(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = mock_from_script({"a": "A", "b": "B"})
+        cache = ResponseCache(path, backend)
+        for prompt in "ab":
+            complete(cache, CompletionRequest(prompt=prompt))
+        cache.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        dated = {**json.loads(lines[0]), "created_at": 1792327612.6909175}
+        lines[0] = json.dumps(dated, sort_keys=True) + "\n"  # as an older version wrote it
+        undated = json.loads(lines[1])
+        undated.pop("created_at", None)
+        lines[1] = encode_line(undated) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        reloaded = ResponseCache(path, backend)
+        assert [complete(reloaded, CompletionRequest(prompt=p)).text for p in "ab"] == ["A", "B"]
+        reloaded.close()
+        assert backend.call_count == 2
 
     def test_a_request_hits_the_plain_tuple_key_of_a_loaded_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -842,7 +865,7 @@ class TestCache:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda d: d.pop("created_at"), "missing key 'created_at'"),
+            (lambda d: d.pop("completion"), "missing key 'completion'"),
             (lambda d: d["request"].pop("prompt"), "missing key 'prompt'"),
             (lambda d: d["request"].update(max_tokens=0), "max_tokens must be >= 1"),
             (lambda d: d["request"].update(top_logprobs=6), "top_logprobs must be in"),
@@ -1068,8 +1091,10 @@ class TestCacheAsBackend:
         backend = mock_from_script({"p": "True", "q": "False"})
         cache = ResponseCache(path, backend)
         for calls, prompt in enumerate("pq", start=1):
+            noted = cache.note_requests()
             completion = cache.complete(CompletionRequest(prompt=prompt, top_logprobs=1))
             assert backend.call_count == calls
+            cache.write(noted)
             lines = path.read_bytes().splitlines()
             assert len(lines) == calls
             assert Completion.from_dict(json.loads(lines[-1])["completion"]) == completion
@@ -1144,6 +1169,49 @@ class TestCacheAsBackend:
             assert all(mine is first for mine, first in zip(replies, got[0]))
         reloaded = ResponseCache(path, mock_from_script({}))
         assert [reloaded.get(request) for request in requests_] == got[0]
+
+    def test_lines_follow_task_order_whatever_the_thread_order(self, tmp_path):
+        # Evaluations share requests and run on 16 threads; each hands its noted
+        # requests to `write` in task order, as `evaluate` does. A hit that
+        # failed to note an entry another thread had just recorded would move
+        # that line later in the file.
+        rng = random.Random(7)
+        prompts = [f"p{i}" for i in range(60)]
+        evaluations = [[CompletionRequest(prompt=p) for p in rng.sample(prompts, 6)]
+                       for _ in range(400)]
+        reply = Completion("A", (), (), ())
+
+        class Answers:
+            def complete(self, request):
+                time.sleep(0)  # lets another thread run, as waiting on an endpoint would
+                return reply
+
+        def run(path, workers):
+            cache = ResponseCache(path, Answers())
+
+            def one(requests_):
+                noted = cache.note_requests()
+                for request in requests_:
+                    cache.complete(request)
+                return noted
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for noted in pool.map(one, evaluations, timeout=60):
+                    cache.write(noted)
+            cache.close()
+            return path.read_bytes()
+
+        serial = run(tmp_path / "serial.jsonl", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(tmp_path / "threaded.jsonl", 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        first_use = list(dict.fromkeys(r for requests_ in evaluations for r in requests_))
+        assert [json.loads(line)["request"]["prompt"] for line in serial.splitlines()] == [
+            r.prompt for r in first_use]
 
     def test_put_returns_the_completion_the_cache_holds(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl", mock_from_script({}))
@@ -1602,8 +1670,7 @@ class TestMockMatchesHttp:
                 assert line == LINE_ENCODER.encode(json.loads(line))
             assert any("1e-05" in line for line in lines)
             assert any("caf\\u00e9" in line for line in lines)
-        undated = [[{**json.loads(line), "created_at": None} for line in lines] for lines in caches]
-        assert undated[0] == undated[1]
+        assert caches[0] == caches[1]
 
     # Both items carry gold_facts for far_human_facts; self_ask asks follow-ups on q1 only.
     items = (
@@ -1894,7 +1961,14 @@ class TestLoadScript:
         assert backend.complete(CompletionRequest(prompt="other")).text == "UNKNOWN"
 
     @pytest.mark.parametrize("body, message", [
-        ('{"entries": {"p": {"texts": 5}}}', "'int' object is not iterable"),
+        ('{"entries": {"p": {"texts": 5}}}',
+         "script entry for 'p': texts must be a list, not a number"),
+        ('{"entries": {"p": {"texts": true}}}',
+         "script entry for 'p': texts must be a list, not a boolean"),
+        ('{"entries": {"p": {"texts": null}}}',
+         "script entry for 'p': texts must be a list, not null"),
+        ('{"entries": {"p": {"text": "A", "logprobs": 5}}}',
+         "script entry for 'p': logprobs must be a list, not a number"),
         ('{"entries": {"p": 1}}', "unsupported script value for 'p'"),
         (b"\xff", "can't decode byte 0xff"),
     ])

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import itertools
 import json
 import re
 import shutil
@@ -160,16 +161,20 @@ class TestRunEval:
         for workers in (1, 4):
             out = tmp_path / f"workers_{workers}"
             config = e2e_config(e2e_dataset, e2e_script, tmp_path, worker_count=workers,
-                                out_dir=str(out))
+                                out_dir=str(out), cache_path=str(out / "cache.jsonl"))
             run_eval(config, backend=FirstItemLast())
             trees.append({
                 path.relative_to(out).as_posix(): path.read_bytes()
                 for path in sorted(out.rglob("*"))
                 if path.is_file() and path.name != "run_meta.json"
             })
-        assert {"report.json", "records.jsonl", "metrics.csv", "transcripts.jsonl"} <= set(trees[0])
+        assert {"report.json", "records.jsonl", "metrics.csv", "transcripts.jsonl",
+                "cache.jsonl"} <= set(trees[0])
         assert any(name.startswith("curves/") for name in trees[0])
         assert trees[0] == trees[1]
+        # A warm rerun hits every line and writes none.
+        run_eval(config, backend=FirstItemLast())
+        assert (out / "cache.jsonl").read_bytes() == trees[0]["cache.jsonl"]
 
     def test_cache_handle_closed_after_success_and_failure(
         self, e2e_dataset, e2e_script, tmp_path, monkeypatch
@@ -207,11 +212,18 @@ class TestRunEval:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_stopped_run_keeps_its_finished_lines(self, e2e_dataset, e2e_script, tmp_path, workers):
-        config = e2e_config(e2e_dataset, e2e_script, tmp_path, worker_count=workers)
+        config = e2e_config(e2e_dataset, e2e_script, tmp_path, worker_count=workers,
+                            cache_path=str(tmp_path / "finished.jsonl"))
         out = Path(config.out_dir)
         run_eval(config)
         finished = {name: (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
                     for name in ("records.jsonl", "transcripts.jsonl")}
+        cached = (tmp_path / "finished.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        # The lines of standard's q1 and q2, the two evaluations collected before q3's.
+        questions = [item.question for item in E2E_ITEMS[:2]]
+        collected = list(itertools.takewhile(
+            lambda line: any(q in json.loads(line)["request"]["prompt"] for q in questions), cached))
+        assert 0 < len(collected) < len(cached)
         scripted = load_mock_script(e2e_script)
 
         class FailsOnThirdTask:
@@ -222,10 +234,18 @@ class TestRunEval:
                     raise ScriptError("scripted failure")
                 return scripted.complete(request)
 
+        stopped = dataclasses.replace(config, cache_path=str(tmp_path / "stopped.jsonl"))
         with pytest.raises(RuntimeError, match="item 'q3', strategy 'standard'"):
-            run_eval(config, backend=FailsOnThirdTask())
+            run_eval(stopped, backend=FailsOnThirdTask())
         for name, lines in finished.items():
             assert (out / name).read_text(encoding="utf-8").splitlines(keepends=True) == lines[:2]
+        # The collected evaluations' cache lines come first, in task order; after
+        # them, closing the cache writes the lines of evaluations still running.
+        kept = (tmp_path / "stopped.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert kept[:len(collected)] == collected
+        assert set(kept[len(collected):]) <= set(cached[len(collected):])
+        if workers == 1:
+            assert kept == collected
         assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
             "records.jsonl", "transcripts.jsonl"]
         for command in ("metrics", "augment"):
